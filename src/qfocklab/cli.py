@@ -36,10 +36,13 @@ from .partitions import (
     enumerate_pair_partitions,
 )
 from .qfock import FockParams, annihilation, creation, r_star, r_star3, symmetrizer
-from .reports import format_number, render_csv, render_json, write_csv, write_json
+from .reports import format_number, render_csv, write_json
 from .wick import Element, product_direct, product_partition, product_triple, wick
 
 CONDITIONING_Q_CAP = 0.8
+# The torus ao-decay head statistic spans modes [K/8, K/4] of a window
+# of K modes, which is empty below K = 8.
+TORUS_TREND_MIN_WINDOW = 8
 
 
 @dataclass
@@ -80,6 +83,15 @@ class ExperimentConfig:
             raise ConfigError(f"p must be >= 1, got {self.p}")
         if self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
+        if (
+            self.command == "ao-decay"
+            and self.model == "torus"
+            and self.window < TORUS_TREND_MIN_WINDOW
+        ):
+            raise ConfigError(
+                f"ao-decay --model torus needs window >= {TORUS_TREND_MIN_WINDOW}, "
+                f"got {self.window}"
+            )
         for name in ("word_a", "word_b", "word_x", "word_y"):
             word = getattr(self, name)
             if any(not 1 <= i <= self.dim for i in word):

@@ -29,9 +29,8 @@ from .errors import (
     LevelTooLarge,
     ParamMismatch,
     ShapeMismatch,
-    TruncationLoss,
 )
-from .numerics import hermitian_eig, psd_inv_sqrt, psd_sqrt
+from .numerics import psd_inv_sqrt
 
 # Largest N^m for materialized level matrices (Grams, operator blocks).
 MATRIX_DIM_CAP = 4096
@@ -121,16 +120,65 @@ def _split_terms(n: int, k: int):
         yield list(comb) + rest, weight
 
 
+def _permutation_rows(dim: int, axes) -> np.ndarray:
+    """Flat gather rows of an axis permutation of a (dim,)*m tensor:
+    ``t.reshape(-1)[rows]`` is the flattened ``np.transpose(t, axes)``.
+    Rows are int32; every caller keeps dim^m <= MATRIX_DIM_CAP."""
+    m = len(axes)
+    window = np.arange(dim**m, dtype=np.int32).reshape((dim,) * m)
+    return np.transpose(window, axes).reshape(-1)
+
+
+_SPLIT_ROWS: dict[tuple[int, int, int], np.ndarray] = {}
+_SPLIT_WEIGHTS: dict[tuple[int, int, float], np.ndarray] = {}
+_SPLIT_LOCK = threading.Lock()
+
+
+def _split_table(dim: int, n: int, k: int, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cached (rows, weights) of the two-part split of a (dim,)*(n+k)
+    window, one entry per term of ``_split_terms``: ``t.reshape(-1)[rows[c]]``
+    is the flattened ``np.transpose(t, order_c)`` and ``weights[c]`` is
+    q^cost_c.  Callers keep dim^(n+k) <= MATRIX_DIM_CAP.
+
+    The rows stay cached for the life of the process.  All the (n, k)
+    tables of one level L = n + k together hold fewer than 2^L * dim^L
+    int32 entries.  Under the cap that is largest at dim 2: 4^L entries,
+    64 MiB at L = 12 and about 85 MiB summed over every level up to 12.
+    Only tables some split has asked for are built."""
+    rows_key, weights_key = (dim, n, k), (n, k, float(q))
+    with _SPLIT_LOCK:
+        rows = _SPLIT_ROWS.get(rows_key)
+        weights = _SPLIT_WEIGHTS.get(weights_key)
+    if rows is None or weights is None:
+        orders, costs = zip(*_split_terms(n, k))
+        if rows is None:
+            rows = np.stack([_permutation_rows(dim, o) for o in orders])
+        if weights is None:
+            weights = np.array([float(q) ** c for c in costs])
+        with _SPLIT_LOCK:
+            rows = _SPLIT_ROWS.setdefault(rows_key, rows)
+            weights = _SPLIT_WEIGHTS.setdefault(weights_key, weights)
+    return rows, weights
+
+
 def split_tensor(q: float, t: np.ndarray, n: int, k: int, offset: int = 0) -> np.ndarray:
     """Apply the two-part splitting operator to axes [offset, offset+n+k).
 
     Output axis order puts the chosen n axes first (inside the window),
     weighted by q^cost; the remaining axes of ``t`` are untouched.
+    When the window is the whole tensor and has at most MATRIX_DIM_CAP
+    entries, the cached split table applies it as one gather and
+    weighted sum; otherwise the permuted tensors are summed one term at
+    a time, which needs no table.
     """
     if n < 0 or k < 0 or offset < 0 or offset + n + k > t.ndim:
         raise ShapeMismatch(f"split ({n},{k}) at offset {offset} does not fit ndim {t.ndim}")
     if n == 0 or k == 0:
         return t.astype(complex, copy=True)
+    dim = t.shape[0]
+    if t.ndim == n + k and t.shape == (dim,) * t.ndim and t.size <= MATRIX_DIM_CAP:
+        rows, weights = _split_table(dim, n, k, q)
+        return (weights @ t.reshape(-1).take(rows)).astype(complex, copy=False).reshape(t.shape)
     prefix = list(range(offset))
     suffix = list(range(offset + n + k, t.ndim))
     out = np.zeros_like(t, dtype=complex)
@@ -161,12 +209,10 @@ class _LevelCache:
         self.dim = dim
         self.lock = threading.Lock()
         self.sym: dict[int, np.ndarray] = {}
-        self.sym_sqrt: dict[int, np.ndarray] = {}
         self.sym_inv_sqrt: dict[int, np.ndarray] = {}
         self.sym_inv: dict[int, np.ndarray] = {}
         self.pairing: dict[int, np.ndarray] = {}
         self.splitter: dict[tuple[int, ...], np.ndarray] = {}
-        self.digits: dict[int, np.ndarray] = {}
 
 
 _CACHES: dict[tuple[float, int], _LevelCache] = {}
@@ -182,35 +228,9 @@ def _cache_for(params: FockParams) -> _LevelCache:
     return cache
 
 
-def _digit_table(cache: _LevelCache, m: int) -> np.ndarray:
-    """(dim^m, m) table of base-dim digits for flat level-m indices."""
-    with cache.lock:
-        table = cache.digits.get(m)
-    if table is not None:
-        return table
-    n, d = cache.dim**m, cache.dim
-    flat = np.arange(n)
-    cols = []
-    for pos in range(m - 1, -1, -1):
-        cols.append((flat // d**pos) % d)
-    table = np.stack(cols, axis=1) if m else np.zeros((1, 0), dtype=int)
-    with cache.lock:
-        cache.digits.setdefault(m, table)
-    return table
-
-
-def _axis_permutation_rows(cache: _LevelCache, m: int, axes) -> np.ndarray:
-    """Row indices realizing a tensor-axis permutation on flat indices."""
-    digits = _digit_table(cache, m)
-    d = cache.dim
-    powers = d ** np.arange(m - 1, -1, -1)
-    return digits[:, list(axes)] @ powers
-
-
 def _build_symmetrizer(params: FockParams, m: int) -> np.ndarray:
     """Sum over the symmetric group of q^inversions times the
     permutation action, as a dim^m x dim^m matrix."""
-    cache = _cache_for(params)
     n = params.level_dim(m)
     if m <= 1:
         return np.eye(n, dtype=complex)
@@ -223,8 +243,9 @@ def _build_symmetrizer(params: FockParams, m: int) -> np.ndarray:
                 for a, b in itertools.combinations(range(m), 2)
                 if perm[a] > perm[b]
             )
-            # Row r receives the coefficient of the permuted basis vector.
-            rows = _axis_permutation_rows(cache, m, perm)
+            # Row r receives the coefficient of the permuted basis vector;
+            # scattered, the gather rows of perm^-1 act as perm.
+            rows = _permutation_rows(params.dim, np.argsort(perm))
             out[rows, cols] += params.q**inv
         return out.astype(complex)
     # Defining split identity with a single right factor.
@@ -255,19 +276,13 @@ def _sym_derived(params: FockParams, m: int, which: str) -> np.ndarray:
     if got is not None:
         return got
     g = symmetrizer(params, m)
-    if which == "sym_sqrt":
-        built = psd_sqrt(g)
-    elif which == "sym_inv_sqrt":
+    if which == "sym_inv_sqrt":
         built = psd_inv_sqrt(g)
     else:
         built = np.linalg.inv(g)
     with cache.lock:
         store.setdefault(m, built)
     return store[m]
-
-
-def symmetrizer_sqrt(params: FockParams, m: int) -> np.ndarray:
-    return _sym_derived(params, m, "sym_sqrt")
 
 
 def symmetrizer_inv_sqrt(params: FockParams, m: int) -> np.ndarray:
@@ -318,11 +333,12 @@ def splitter_matrix(params: FockParams, parts: tuple[int, ...]) -> np.ndarray:
     if len(live) <= 1:
         built = eye
     elif len(live) == 2:
+        # Term c sends column rows[c, r] to row r.
+        rows, weights = _split_table(params.dim, live[0], live[1], params.q)
         built = np.zeros((n, n), dtype=complex)
-        cols = np.arange(n)
-        for order, weight in _split_terms(live[0], live[1]):
-            rows = _axis_permutation_rows(cache, m, order)
-            built[rows, cols] += params.q**weight
+        out_rows = np.arange(n)
+        for weight, cols in zip(weights, rows):
+            built[out_rows, cols] += weight
     elif len(live) == 3:
         p1, p2, p3 = live
         first = splitter_matrix(params, (p1 + p2, p3))
@@ -363,8 +379,8 @@ def pairing_form(params: FockParams, j: int) -> np.ndarray:
     if j <= 1:
         built = g.copy()
     else:
-        rows = _axis_permutation_rows(cache, j, tuple(reversed(range(j))))
-        built = g[rows, :]
+        # Factor reversal is an involution: its gather rows scatter it too.
+        built = g[_permutation_rows(params.dim, tuple(reversed(range(j)))), :]
     with cache.lock:
         cache.pairing.setdefault(j, built)
     return cache.pairing[j]
@@ -448,21 +464,25 @@ class FockVector:
         return float(np.sqrt(max(val.real, 0.0)))
 
     def to_json(self) -> str:
-        payload = {
+        """``{"levels": {m: [[re, im], ...]}, "lossless": bool}``, level
+        entries flattened in row-major order."""
+        levels = {
             str(m): [[float(z.real), float(z.imag)] for z in t.reshape(-1)]
             for m, t in sorted(self.levels.items())
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps({"levels": levels, "lossless": self.lossless}, sort_keys=True)
 
     @classmethod
     def from_json(cls, params: FockParams, text: str) -> "FockVector":
         raw = json.loads(text)
+        if not isinstance(raw, dict) or set(raw) != {"levels", "lossless"}:
+            raise ShapeMismatch('FockVector JSON needs exactly the keys "levels" and "lossless"')
         levels = {}
-        for key, entries in raw.items():
+        for key, entries in raw["levels"].items():
             m = int(key)
             flat = np.array([complex(re, im) for re, im in entries])
             levels[m] = flat.reshape((params.dim,) * m)
-        return cls(params, levels)
+        return cls(params, levels, bool(raw["lossless"]))
 
 
 def vacuum(params: FockParams) -> FockVector:
@@ -605,13 +625,6 @@ class FockOperator:
         if self.lossy_sources:
             lossy = {self.params.max_level}
         return FockOperator(self.params, blocks, frozenset(lossy))
-
-    def column(self, src_level: int, flat_index: int) -> FockVector:
-        out = {}
-        for (src, dst), mat in self.blocks.items():
-            if src == src_level:
-                out[dst] = mat[:, flat_index].reshape((self.params.dim,) * dst)
-        return FockVector(self.params, out, src_level not in self.lossy_sources)
 
     def vacuum_expectation(self) -> complex:
         blk = self.blocks.get((0, 0))

@@ -37,11 +37,6 @@ def render_csv(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(render_csv(header, rows))
-
-
 def render_json(payload: dict) -> str:
     body = {"schema_version": SCHEMA_VERSION}
     body.update(payload)

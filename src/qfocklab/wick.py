@@ -60,13 +60,11 @@ def _pair_tensor(params: FockParams, j: int) -> np.ndarray:
 def _mul_term(params: FockParams, left: np.ndarray, right: np.ndarray, j: int) -> np.ndarray:
     """One j-contraction term of the two-word product."""
     la, lb = left.ndim, right.ndim
-    t1 = split_tensor(params.q, left, la - j, j)
-    t2 = split_tensor(params.q, right, j, lb - j)
-    if j == 0:
-        return np.tensordot(t1, t2, axes=0)
-    b = _pair_tensor(params, j)
-    step = np.tensordot(t1, b, axes=(list(range(la - j, la)), list(range(j))))
-    return np.tensordot(step, t2, axes=(list(range(la - j, la)), list(range(j))))
+    inner = params.level_dim(j)
+    t1 = split_tensor(params.q, left, la - j, j).reshape(-1, inner)
+    t2 = split_tensor(params.q, right, j, lb - j).reshape(inner, -1)
+    prod = np.outer(t1, t2) if j == 0 else t1 @ pairing_form(params, j) @ t2
+    return prod.reshape((params.dim,) * (la + lb - 2 * j))
 
 
 def graded_mul(

@@ -195,6 +195,19 @@ def test_ao_decay_torus(tmp_path):
     assert payload["trend_pass"] is True
 
 
+@pytest.mark.parametrize("window", [1, 4, 5, 7])
+def test_ao_decay_torus_small_window_is_config_error(window):
+    res = run_cli(["ao-decay", "--model", "torus", "-l", "1", "-m", "0", "--window", str(window)])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "window >= 8" in res.stderr
+
+
+def test_ao_decay_torus_minimum_window_runs():
+    res = run_cli(["ao-decay", "--model", "torus", "-l", "1", "-m", "0", "--window", "8"])
+    assert res.returncode == 0, res.stderr
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"q": 0.4, "dim": 2, "max_level": 6}))

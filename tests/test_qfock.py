@@ -4,13 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qfocklab.errors import LevelTooLarge, NotHermitianError, ParamMismatch
+from qfocklab.errors import LevelTooLarge, NotHermitianError, ParamMismatch, ShapeMismatch
 from qfocklab.numerics import hermitian_eig
 from qfocklab.qfock import (
+    MATRIX_DIM_CAP,
     FockOperator,
     FockParams,
     FockVector,
+    _SPLIT_ROWS,
     annihilation,
     basis_tensor,
     basis_vector,
@@ -61,6 +65,27 @@ def symmetrizer_by_definition(p, m):
             mat[row, col] = 1.0
         out += p.q**inv * mat
     return out
+
+
+def split_tensor_by_definition(q, t, n, k, offset=0):
+    """Permutation sum over the (n, k) shuffles of the window
+    [offset, offset+n+k), independent of the cached split tables."""
+    total = n + k
+    out = np.zeros(t.shape, dtype=complex)
+    for comb in itertools.combinations(range(total), n):
+        cost = sum(a - pos for pos, a in enumerate(comb))
+        rest = [i for i in range(total) if i not in comb]
+        axes = (
+            list(range(offset))
+            + [offset + a for a in list(comb) + rest]
+            + list(range(offset + total, t.ndim))
+        )
+        out += q**cost * np.transpose(t, axes)
+    return out
+
+
+def q_factorial(q, m):
+    return float(np.prod([sum(q**i for i in range(j)) for j in range(1, m + 1)]))
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, -0.7])
@@ -265,9 +290,53 @@ def test_split_tensor_matches_matrix():
     t = rng.standard_normal((2,) * 4) + 1j * rng.standard_normal((2,) * 4)
     for n, k in [(1, 3), (2, 2), (3, 1)]:
         mat = splitter_matrix(p, (n, k))
-        want = (mat @ t.reshape(-1)).reshape(t.shape)
-        got = split_tensor(p.q, t, n, k)
-        assert np.allclose(got, want, atol=1e-12)
+        want = split_tensor_by_definition(p.q, t, n, k)
+        assert np.allclose((mat @ t.reshape(-1)).reshape(t.shape), want, atol=1e-12)
+        assert np.allclose(split_tensor(p.q, t, n, k), want, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    n=st.integers(0, 6),
+    k=st.integers(0, 6),
+    offset=st.integers(0, 2),
+    trailing=st.integers(0, 2),
+    q=st.one_of(st.sampled_from([0.0, -0.5, 0.5]), st.floats(-0.99, 0.99)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_tensor_matches_permutation_sum(dim, n, k, offset, trailing, q, seed):
+    assume(n + k <= 6)
+    rng = np.random.default_rng(seed)
+    shape = (dim,) * (offset + n + k + trailing)
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = split_tensor(q, t, n, k, offset=offset)
+    want = split_tensor_by_definition(q, t, n, k, offset=offset)
+    assert got.shape == t.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
+
+
+def test_split_tensor_above_table_cap_keeps_term_loop():
+    # A window above MATRIX_DIM_CAP is served without building a table.
+    n, k = 11, 2
+    assert 2 ** (n + k) > MATRIX_DIM_CAP
+    rng = np.random.default_rng(5)
+    t = rng.standard_normal((2,) * (n + k)) + 1j * rng.standard_normal((2,) * (n + k))
+    got = split_tensor(-0.4, t, n, k)
+    assert np.allclose(got, split_tensor_by_definition(-0.4, t, n, k), atol=1e-12)
+    assert (2, n, k) not in _SPLIT_ROWS
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.8])
+def test_symmetrizer_norm_is_q_factorial(q):
+    # For q >= 0, ||P_m|| = [m]_q!, attained on e_1^(x)m.
+    p = FockParams(q=q, dim=2, max_level=8)
+    for m in range(1, 9):
+        g = symmetrizer(p, m)
+        w, _ = hermitian_eig(g)
+        assert w[-1] == pytest.approx(q_factorial(q, m), rel=1e-10)
+        e1 = basis_tensor(p, [1] * m).reshape(-1)
+        assert np.allclose(g @ e1, q_factorial(q, m) * e1, atol=1e-10)
 
 
 def test_pairing_values_and_norm():
@@ -321,8 +390,21 @@ def test_fock_vector_json_round_trip():
     rng = np.random.default_rng(4)
     v = random_vector(rng, p, [0, 2, 3])
     again = FockVector.from_json(p, v.to_json())
+    assert again.lossless
     for m in v.levels:
         assert np.allclose(again.component(m), v.component(m))
+    mixed = basis_vector(p, [1, 2]).add(basis_vector(p, [2, 1, 1, 2]))
+    lossy = creation(p, [1.0, 0.0]).apply(mixed)
+    assert not lossy.lossless and set(lossy.levels) == {3}
+    again = FockVector.from_json(p, lossy.to_json())
+    assert not again.lossless
+    assert np.allclose(again.component(3), lossy.component(3))
+
+
+@pytest.mark.parametrize("text", ['{"0": [[1.0, 0.0]]}', '{"levels": {}}', "[]"])
+def test_fock_vector_from_json_needs_levels_and_lossless(text):
+    with pytest.raises(ShapeMismatch):
+        FockVector.from_json(FockParams(q=0.3, dim=2, max_level=2), text)
 
 
 def test_hermitian_guard_on_symmetrizer():

@@ -11,7 +11,9 @@ from qfocklab.qfock import (
     basis_vector,
     conjugate_tensor,
     creation,
+    pairing_form,
     q_inner,
+    split_tensor,
     vacuum,
 )
 from qfocklab.wick import (
@@ -212,6 +214,40 @@ def test_graded_mul_max_out_truncates_exactly():
     assert set(cut) == {m for m in full if m <= 3}
     for m in cut:
         assert np.allclose(cut[m], full[m])
+
+
+def graded_mul_by_tensordot(p, left, right):
+    """The two-word product contracted with tensordot, one j at a time."""
+    out = {}
+    for la, ta in left.items():
+        for lb, tb in right.items():
+            for j in range(min(la, lb) + 1):
+                t1 = split_tensor(p.q, ta, la - j, j)
+                t2 = split_tensor(p.q, tb, j, lb - j)
+                b = pairing_form(p, j).reshape((p.dim,) * (2 * j))
+                step = np.tensordot(t1, b, axes=(list(range(la - j, la)), list(range(j))))
+                term = np.tensordot(step, t2, axes=(list(range(la - j, la)), list(range(j))))
+                out[la + lb - 2 * j] = out.get(la + lb - 2 * j, 0) + term
+    return out
+
+
+@pytest.mark.parametrize("q,dim", [(0.0, 2), (0.45, 2), (-0.6, 3), (0.3, 1)])
+def test_graded_mul_matches_tensordot_contraction(q, dim):
+    p = FockParams(q=q, dim=dim, max_level=4)
+    rng = np.random.default_rng(13)
+
+    def graded(levels):
+        return {
+            m: rng.standard_normal((dim,) * m) + 1j * rng.standard_normal((dim,) * m)
+            for m in levels
+        }
+
+    left, right = graded([0, 1, 2, 3]), graded([0, 2, 3])
+    got = graded_mul(p, left, right)
+    want = graded_mul_by_tensordot(p, left, right)
+    assert set(got) == set(want)
+    for m in want:
+        assert np.allclose(got[m], want[m], rtol=0, atol=1e-12)
 
 
 def test_partition_products_need_pure_levels():
