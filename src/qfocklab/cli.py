@@ -43,6 +43,9 @@ CONDITIONING_Q_CAP = 0.8
 # The torus ao-decay head statistic spans modes [K/8, K/4] of a window
 # of K modes, which is empty below K = 8.
 TORUS_TREND_MIN_WINDOW = 8
+# The wick_triangle check multiplies three words of level 1 or 2, whose
+# levels sum to at least 3.
+VERIFY_MIN_LEVEL = 3
 
 
 @dataclass
@@ -79,6 +82,12 @@ class ExperimentConfig:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.max_level < 0:
             raise ConfigError(f"max_level must be >= 0, got {self.max_level}")
+        if self.command == "verify" and self.max_level < VERIFY_MIN_LEVEL:
+            raise ConfigError(
+                f"verify needs max_level >= {VERIFY_MIN_LEVEL}, got {self.max_level}"
+            )
+        if self.time_t < 0:
+            raise ConfigError(f"time must be >= 0, got {self.time_t}")
         if self.p != float("inf") and self.p < 1:
             raise ConfigError(f"p must be >= 1, got {self.p}")
         if self.window < 1:
@@ -384,6 +393,16 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     return 0 if payload["passed"] else 1
 
 
+def _write_csv(cfg: ExperimentConfig, header: list[str], rows: list[list]) -> None:
+    """Write the report table to ``--out``, or else to standard output."""
+    csv_text = render_csv(header, rows)
+    if cfg.out:
+        with open(cfg.out, "w", newline="") as fh:
+            fh.write(csv_text)
+    else:
+        sys.stdout.write(csv_text)
+
+
 def cmd_decay(cfg: ExperimentConfig) -> int:
     params = cfg.fock_params()
     a = wick(params, cfg.word_a)
@@ -395,12 +414,7 @@ def cmd_decay(cfg: ExperimentConfig) -> int:
         [r.level, r.level_norm, r.sp_bound, r.partial_sum, r.ratio]
         for r in report.rows
     ]
-    csv_text = render_csv(header, rows)
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write_csv(cfg, header, rows)
     fitted = [(r.level, r.level_norm) for r in report.rows if r.level_norm > 0 and r.level >= 1]
     slope, intercept = (float("nan"), float("nan"))
     if len(fitted) >= 2:
@@ -437,12 +451,7 @@ def cmd_threshold(cfg: ExperimentConfig) -> int:
         report = schatten_diagnostic(gradient_map(a, b, 0.0, cfg.route), cfg.p)
         rows.append([q, report.ratio_estimate, report.threshold_ratio, report.verdict])
         verdicts.append(report.verdict)
-    csv_text = render_csv(header, rows)
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write_csv(cfg, header, rows)
     flips = [
         (grid[i], grid[i + 1])
         for i in range(len(verdicts) - 1)
@@ -476,12 +485,7 @@ def cmd_ao_decay(cfg: ExperimentConfig) -> int:
         values = [j * v for j, _, v in table]
     header = ["n", "lambda_n", "block_norm"]
     rows = [[n, lam, v] for n, lam, v in table]
-    csv_text = render_csv(header, rows)
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write_csv(cfg, header, rows)
     if cfg.model == "torus":
         # head statistic over modes [K/8, K/4], tail over [K/2, K]
         window = len(values)
@@ -512,12 +516,7 @@ def cmd_torus(cfg: ExperimentConfig) -> int:
     table = pm.table()
     header = ["k", "coefficient"]
     rows = [[k, coeff] for k, coeff in table]
-    csv_text = render_csv(header, rows)
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write_csv(cfg, header, rows)
     nonzero = [k for k, coeff in table if coeff != 0]
     payload = {
         "config": cfg.as_dict(),

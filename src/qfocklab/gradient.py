@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadExponent,
@@ -30,10 +29,11 @@ from .errors import (
     TruncationLoss,
     UnknownRoute,
 )
-from .qfock import FockOperator, FockParams, FockVector, symmetrizer
+from .qfock import FockOperator, FockParams
 from .wick import (
     Element,
     WickWord,
+    _as_element,
     partition_weighted_sum,
     triple_contraction_sum,
     wick,
@@ -52,10 +52,14 @@ def number_operator(params: FockParams) -> FockOperator:
     return FockOperator.diagonal(params, lambda m: float(m))
 
 
-def semigroup_operator(params: FockParams, t: float) -> FockOperator:
-    """Diagonal semigroup exp(-t * generator)."""
+def _check_time(t: float) -> None:
     if t < 0:
         raise BadExponent(f"semigroup time must be >= 0, got {t}")
+
+
+def semigroup_operator(params: FockParams, t: float) -> FockOperator:
+    """Diagonal semigroup exp(-t * generator)."""
+    _check_time(t)
     return FockOperator.diagonal(params, lambda m: float(np.exp(-t * m)))
 
 
@@ -82,6 +86,7 @@ def gamma(x: Element, y: Element, max_out: int | None = None) -> Element:
 def psi_element(a: Element, b: Element, x: Element, t: float = 0.0) -> Element:
     """Gradient map applied to an element by the defining expression:
     -(1/2) Phi_t( D(axb) + a D(x) b - D(ax) b - a D(xb) )."""
+    _check_time(t)
     ax = a * x
     xb = x * b
     axb = ax * b
@@ -163,6 +168,7 @@ def gradient_map(
     block-columned, so a sub-range is a faithful restriction); levels
     above it count as truncated.
     """
+    _check_time(t)
     params = a.params
     if b.params != params:
         raise TruncationLoss("word pair built over different parameters")
@@ -231,46 +237,7 @@ def level_norm(psi: PsiMap, m: int) -> float:
     """
     if m in psi.realized.lossy_sources:
         raise TruncationLoss(f"source level {m} was truncated during assembly")
-    params = psi.params
-    dim_src = params.level_dim(m)
-    quad = np.zeros((dim_src, dim_src), dtype=complex)
-    found = False
-    for (src, dst), blk in psi.realized.blocks.items():
-        if src != m:
-            continue
-        found = True
-        quad += blk.conj().T @ symmetrizer(params, dst) @ blk
-    if not found:
-        return 0.0
-    vals = scipy.linalg.eigh(quad, symmetrizer(params, m), eigvals_only=True)
-    return float(np.sqrt(max(float(vals[-1]), 0.0)))
-
-
-def _pencil_singular_values(psi: PsiMap, sources: list[int]) -> np.ndarray:
-    """Singular values of the map restricted to the given source levels,
-    in the q metrics (no Gram square roots materialized)."""
-    params = psi.params
-    offs, total = {}, 0
-    for m in sources:
-        offs[m] = total
-        total += params.level_dim(m)
-    if total == 0:
-        return np.zeros(0)
-    targets = sorted({dst for (src, dst) in psi.realized.blocks if src in offs})
-    quad = np.zeros((total, total), dtype=complex)
-    for dst in targets:
-        stacked = np.zeros((params.level_dim(dst), total), dtype=complex)
-        for (src, d), blk in psi.realized.blocks.items():
-            if d == dst and src in offs:
-                stacked[:, offs[src] : offs[src] + blk.shape[1]] = blk
-        quad += stacked.conj().T @ symmetrizer(params, dst) @ stacked
-    gram = np.zeros((total, total), dtype=complex)
-    for m in sources:
-        lo = offs[m]
-        hi = lo + params.level_dim(m)
-        gram[lo:hi, lo:hi] = symmetrizer(params, m)
-    vals = scipy.linalg.eigh(quad, gram, eigvals_only=True)
-    return np.sqrt(np.clip(vals[::-1], 0.0, None))
+    return float(psi.realized.q_singular_values([m])[0])
 
 
 def fit_log_slope(levels, values):
@@ -338,7 +305,7 @@ def schatten_diagnostic(psi: PsiMap, p: float, margin: float = 0.02) -> Schatten
     else:
         estimate = 0.0
     verdict = "CONVERGENT" if estimate < 1.0 - margin else "DIVERGENT"
-    svals = _pencil_singular_values(psi, sources)
+    svals = psi.realized.q_singular_values(sources)
     if svals.size == 0:
         ref = 0.0
     elif p == np.inf:
@@ -360,16 +327,6 @@ def schatten_diagnostic(psi: PsiMap, p: float, margin: float = 0.02) -> Schatten
 # ---------------------------------------------------------------------------
 # gradient bimodule model
 # ---------------------------------------------------------------------------
-
-
-def _coerce_element(params: FockParams, x) -> Element:
-    if isinstance(x, Element):
-        return x
-    if isinstance(x, WickWord):
-        return x.element()
-    if isinstance(x, FockVector):
-        return Element.from_vector(x)
-    return Element.from_symbol(params, np.asarray(x, dtype=complex))
 
 
 def _element_key(el: Element) -> tuple:
@@ -430,14 +387,14 @@ class GradientVector:
 
     def __post_init__(self) -> None:
         coerced = [
-            (_coerce_element(self.params, a), _coerce_element(self.params, xi))
+            (_as_element(self.params, a), _as_element(self.params, xi))
             for a, xi in self.terms
         ]
         self.terms = _consolidate_terms(self.params, coerced)
 
     def left(self, x) -> "GradientVector":
         """Module action x . (a (x) xi) = xa (x) xi - x (x) a.xi."""
-        x = _coerce_element(self.params, x)
+        x = _as_element(self.params, x)
         out = []
         for a, xi in self.terms:
             out.append((x * a, xi))
@@ -446,7 +403,7 @@ class GradientVector:
 
     def right(self, y) -> "GradientVector":
         """Module action (a (x) xi) . y = a (x) (xi y)."""
-        y = _coerce_element(self.params, y)
+        y = _as_element(self.params, y)
         return GradientVector(self.params, [(a, xi * y) for a, xi in self.terms])
 
     def add(self, other: "GradientVector") -> "GradientVector":
@@ -537,10 +494,10 @@ def nabla_norm(v: GradientVector, tol: float = NABLA_GRAM_RTOL) -> float:
 def nabla_pairing_two_ways(x, y, alpha: tuple, beta: tuple, params: FockParams):
     """Evaluate <x . (a (x) xi) . y, b (x) eta> by the module Gram and by
     the gradient-map reduction; returns (module_value, reduced_value)."""
-    x = _coerce_element(params, x)
-    y = _coerce_element(params, y)
-    a, xi = (_coerce_element(params, s) for s in alpha)
-    b, eta = (_coerce_element(params, s) for s in beta)
+    x = _as_element(params, x)
+    y = _as_element(params, y)
+    a, xi = (_as_element(params, s) for s in alpha)
+    b, eta = (_as_element(params, s) for s in beta)
     lhs_vec = GradientVector(params, [(a, xi)]).left(x).right(y)
     lhs = nabla_pairing_value(lhs_vec, GradientVector(params, [(b, eta)]))
     mapped = psi_element(b.adjoint(), a, x)
@@ -556,10 +513,10 @@ def iterated_pairing_two_ways(x, y, chain_a, chain_b, params: FockParams):
     value of <x . alpha . y, beta> computed through the nested module
     Grams and through the composed gradient maps.
     """
-    a0, a1, a2 = (_coerce_element(params, s) for s in chain_a)
-    b0, b1, b2 = (_coerce_element(params, s) for s in chain_b)
-    x = _coerce_element(params, x)
-    y = _coerce_element(params, y)
+    a0, a1, a2 = (_as_element(params, s) for s in chain_a)
+    b0, b1, b2 = (_as_element(params, s) for s in chain_b)
+    x = _as_element(params, x)
+    y = _as_element(params, y)
     alpha = GradientVector2(params, [(a0, GradientVector(params, [(a1, a2)]))])
     beta = GradientVector2(params, [(b0, GradientVector(params, [(b1, b2)]))])
     lhs = nabla2_pairing_value(alpha.left(x).right(y), beta)
@@ -585,7 +542,7 @@ class GradientVector2:
 
         by_v: dict[tuple, list] = {}
         for a, v in self.terms:
-            a = _coerce_element(self.params, a)
+            a = _as_element(self.params, a)
             key, neg_key = vkey(v), vkey(v.scaled(-1.0))
             if key in by_v:
                 by_v[key][1] = by_v[key][1] + a
@@ -606,7 +563,7 @@ class GradientVector2:
         self.terms = [(a, v) for a, v in by_a.values() if v.terms and not a.is_zero()]
 
     def left(self, x) -> "GradientVector2":
-        x = _coerce_element(self.params, x)
+        x = _as_element(self.params, x)
         out = []
         for a, v in self.terms:
             out.append((x * a, v))
@@ -614,7 +571,7 @@ class GradientVector2:
         return GradientVector2(self.params, out)
 
     def right(self, y) -> "GradientVector2":
-        y = _coerce_element(self.params, y)
+        y = _as_element(self.params, y)
         return GradientVector2(self.params, [(a, v.right(y)) for a, v in self.terms])
 
     def add(self, other: "GradientVector2") -> "GradientVector2":

@@ -17,9 +17,9 @@ flag and refuse lossy data.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,36 +129,34 @@ def _permutation_rows(dim: int, axes) -> np.ndarray:
     return np.transpose(window, axes).reshape(-1)
 
 
-_SPLIT_ROWS: dict[tuple[int, int, int], np.ndarray] = {}
-_SPLIT_WEIGHTS: dict[tuple[int, int, float], np.ndarray] = {}
-_SPLIT_LOCK = threading.Lock()
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so an in-place edit by a caller
+    raises instead of corrupting every later result."""
+    a.setflags(write=False)
+    return a
 
 
-def _split_table(dim: int, n: int, k: int, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (rows, weights) of the two-part split of a (dim,)*(n+k)
-    window, one entry per term of ``_split_terms``: ``t.reshape(-1)[rows[c]]``
-    is the flattened ``np.transpose(t, order_c)`` and ``weights[c]`` is
-    q^cost_c.  Callers keep dim^(n+k) <= MATRIX_DIM_CAP.
+@functools.cache
+def _split_rows(dim: int, n: int, k: int) -> np.ndarray:
+    """Flat gather rows of the two-part split of a (dim,)*(n+k) window,
+    one row per term of ``_split_terms``: ``t.reshape(-1)[rows[c]]`` is
+    the flattened ``np.transpose(t, order_c)``.  Callers keep
+    dim^(n+k) <= MATRIX_DIM_CAP.
 
     The rows stay cached for the life of the process.  All the (n, k)
     tables of one level L = n + k together hold fewer than 2^L * dim^L
     int32 entries.  Under the cap that is largest at dim 2: 4^L entries,
     64 MiB at L = 12 and about 85 MiB summed over every level up to 12.
     Only tables some split has asked for are built."""
-    rows_key, weights_key = (dim, n, k), (n, k, float(q))
-    with _SPLIT_LOCK:
-        rows = _SPLIT_ROWS.get(rows_key)
-        weights = _SPLIT_WEIGHTS.get(weights_key)
-    if rows is None or weights is None:
-        orders, costs = zip(*_split_terms(n, k))
-        if rows is None:
-            rows = np.stack([_permutation_rows(dim, o) for o in orders])
-        if weights is None:
-            weights = np.array([float(q) ** c for c in costs])
-        with _SPLIT_LOCK:
-            rows = _SPLIT_ROWS.setdefault(rows_key, rows)
-            weights = _SPLIT_WEIGHTS.setdefault(weights_key, weights)
-    return rows, weights
+    rows = [_permutation_rows(dim, order) for order, _ in _split_terms(n, k)]
+    return _read_only(np.stack(rows))
+
+
+@functools.cache
+def _split_weights(n: int, k: int, q: float) -> np.ndarray:
+    """q^cost of each term of ``_split_terms``, in the order of
+    ``_split_rows``."""
+    return _read_only(np.array([q**cost for _, cost in _split_terms(n, k)]))
 
 
 def split_tensor(q: float, t: np.ndarray, n: int, k: int, offset: int = 0) -> np.ndarray:
@@ -177,8 +175,8 @@ def split_tensor(q: float, t: np.ndarray, n: int, k: int, offset: int = 0) -> np
         return t.astype(complex, copy=True)
     dim = t.shape[0]
     if t.ndim == n + k and t.shape == (dim,) * t.ndim and t.size <= MATRIX_DIM_CAP:
-        rows, weights = _split_table(dim, n, k, q)
-        return (weights @ t.reshape(-1).take(rows)).astype(complex, copy=False).reshape(t.shape)
+        out = _split_weights(n, k, float(q)) @ t.reshape(-1).take(_split_rows(dim, n, k))
+        return out.astype(complex, copy=False).reshape(t.shape)
     prefix = list(range(offset))
     suffix = list(range(offset + n + k, t.ndim))
     out = np.zeros_like(t, dtype=complex)
@@ -200,35 +198,26 @@ def split_tensor3(q: float, t: np.ndarray, p1: int, p2: int, p3: int, offset: in
 # ---------------------------------------------------------------------------
 
 
-class _LevelCache:
-    """Memoizes level matrices for one (q, dim).  Insertion is
-    idempotent and guarded by a lock, so concurrent readers are safe."""
+def _memo_per_level(build):
+    """Memoize ``build(params, key)`` with ``functools.cache`` on
+    ``(float(params.q), params.dim, key)``.  ``max_level`` is not part
+    of the key, so every truncation of one (q, dim) shares the entries.
+    Entries are read-only and stay for the life of the process; a
+    racing duplicate build wastes work but never stores a wrong value."""
 
-    def __init__(self, q: float, dim: int) -> None:
-        self.q = q
-        self.dim = dim
-        self.lock = threading.Lock()
-        self.sym: dict[int, np.ndarray] = {}
-        self.sym_inv_sqrt: dict[int, np.ndarray] = {}
-        self.sym_inv: dict[int, np.ndarray] = {}
-        self.pairing: dict[int, np.ndarray] = {}
-        self.splitter: dict[tuple[int, ...], np.ndarray] = {}
+    @functools.cache
+    def cached(q: float, dim: int, key) -> np.ndarray:
+        return _read_only(build(FockParams(q, dim, max_level=0), key))
 
+    @functools.wraps(build)
+    def lookup(params: FockParams, key) -> np.ndarray:
+        return cached(float(params.q), params.dim, key)
 
-_CACHES: dict[tuple[float, int], _LevelCache] = {}
-_CACHES_LOCK = threading.Lock()
-
-
-def _cache_for(params: FockParams) -> _LevelCache:
-    key = (float(params.q), params.dim)
-    with _CACHES_LOCK:
-        cache = _CACHES.get(key)
-        if cache is None:
-            cache = _CACHES[key] = _LevelCache(*key)
-    return cache
+    return lookup
 
 
-def _build_symmetrizer(params: FockParams, m: int) -> np.ndarray:
+@_memo_per_level
+def _symmetrizer(params: FockParams, m: int) -> np.ndarray:
     """Sum over the symmetric group of q^inversions times the
     permutation action, as a dim^m x dim^m matrix."""
     n = params.level_dim(m)
@@ -257,40 +246,17 @@ def _build_symmetrizer(params: FockParams, m: int) -> np.ndarray:
 def symmetrizer(params: FockParams, m: int) -> np.ndarray:
     """q-symmetrizer (level Gram) on level m as a dense matrix."""
     params.check_level_budget(m, MATRIX_DIM_CAP)
-    cache = _cache_for(params)
-    with cache.lock:
-        got = cache.sym.get(m)
-    if got is not None:
-        return got
-    built = _build_symmetrizer(params, m)
-    with cache.lock:
-        cache.sym.setdefault(m, built)
-    return cache.sym[m]
+    return _symmetrizer(params, m)
 
 
-def _sym_derived(params: FockParams, m: int, which: str) -> np.ndarray:
-    cache = _cache_for(params)
-    store = getattr(cache, which)
-    with cache.lock:
-        got = store.get(m)
-    if got is not None:
-        return got
-    g = symmetrizer(params, m)
-    if which == "sym_inv_sqrt":
-        built = psd_inv_sqrt(g)
-    else:
-        built = np.linalg.inv(g)
-    with cache.lock:
-        store.setdefault(m, built)
-    return store[m]
-
-
+@_memo_per_level
 def symmetrizer_inv_sqrt(params: FockParams, m: int) -> np.ndarray:
-    return _sym_derived(params, m, "sym_inv_sqrt")
+    return psd_inv_sqrt(symmetrizer(params, m))
 
 
+@_memo_per_level
 def symmetrizer_inv(params: FockParams, m: int) -> np.ndarray:
-    return _sym_derived(params, m, "sym_inv")
+    return np.linalg.inv(symmetrizer(params, m))
 
 
 def _sym_apply_front(params: FockParams, t: np.ndarray, m: int) -> np.ndarray:
@@ -319,37 +285,30 @@ def splitter_matrix(params: FockParams, parts: tuple[int, ...]) -> np.ndarray:
     """
     if any(p < 0 for p in parts):
         raise ShapeMismatch(f"negative part in {parts}")
-    m = sum(parts)
-    params.check_level_budget(m, MATRIX_DIM_CAP)
-    cache = _cache_for(params)
-    key = tuple(parts)
-    with cache.lock:
-        got = cache.splitter.get(key)
-    if got is not None:
-        return got
-    n = params.level_dim(m)
-    eye = np.eye(n, dtype=complex)
+    params.check_level_budget(sum(parts), MATRIX_DIM_CAP)
+    return _splitter_matrix(params, tuple(parts))
+
+
+@_memo_per_level
+def _splitter_matrix(params: FockParams, parts: tuple[int, ...]) -> np.ndarray:
+    n = params.level_dim(sum(parts))
     live = [p for p in parts if p > 0]
     if len(live) <= 1:
-        built = eye
-    elif len(live) == 2:
+        return np.eye(n, dtype=complex)
+    if len(live) == 2:
         # Term c sends column rows[c, r] to row r.
-        rows, weights = _split_table(params.dim, live[0], live[1], params.q)
+        weights = _split_weights(live[0], live[1], float(params.q))
         built = np.zeros((n, n), dtype=complex)
         out_rows = np.arange(n)
-        for weight, cols in zip(weights, rows):
+        for weight, cols in zip(weights, _split_rows(params.dim, live[0], live[1])):
             built[out_rows, cols] += weight
-    elif len(live) == 3:
+        return built
+    if len(live) == 3:
         p1, p2, p3 = live
         first = splitter_matrix(params, (p1 + p2, p3))
         inner = splitter_matrix(params, (p1, p2))
-        lift = np.kron(inner, np.eye(params.level_dim(p3), dtype=complex))
-        built = lift @ first
-    else:
-        raise ShapeMismatch(f"splitting into {len(live)} parts is not supported")
-    with cache.lock:
-        cache.splitter.setdefault(key, built)
-    return cache.splitter[key]
+        return np.kron(inner, np.eye(params.level_dim(p3), dtype=complex)) @ first
+    raise ShapeMismatch(f"splitting into {len(live)} parts is not supported")
 
 
 def r_star(params: FockParams, n: int, k: int) -> np.ndarray:
@@ -370,20 +329,13 @@ def pairing_form(params: FockParams, j: int) -> np.ndarray:
     """Bilinear matrix B of the j-fold contraction: the contraction of
     v (x) w equals v^T B w, i.e. B[b, c] = Gram_j[reverse(b), c]."""
     params.check_level_budget(j, MATRIX_DIM_CAP)
-    cache = _cache_for(params)
-    with cache.lock:
-        got = cache.pairing.get(j)
-    if got is not None:
-        return got
-    g = symmetrizer(params, j)
-    if j <= 1:
-        built = g.copy()
-    else:
-        # Factor reversal is an involution: its gather rows scatter it too.
-        built = g[_permutation_rows(params.dim, tuple(reversed(range(j)))), :]
-    with cache.lock:
-        cache.pairing.setdefault(j, built)
-    return cache.pairing[j]
+    return _pairing_form(params, j)
+
+
+@_memo_per_level
+def _pairing_form(params: FockParams, j: int) -> np.ndarray:
+    # Factor reversal is an involution: its gather rows scatter it too.
+    return symmetrizer(params, j)[_permutation_rows(params.dim, tuple(reversed(range(j))))]
 
 
 def pairing_value(params: FockParams, v: np.ndarray, w: np.ndarray) -> complex:
@@ -633,31 +585,35 @@ class FockOperator:
     def source_levels(self) -> list[int]:
         return sorted({src for src, _ in self.blocks})
 
-    def q_norm(self) -> float:
-        """Operator norm between q-metric spaces via the symmetric
-        pencil (no explicit Gram square roots needed)."""
-        sources = self.source_levels()
-        if not sources:
-            return 0.0
+    def q_singular_values(self, sources) -> np.ndarray:
+        """Singular values, largest first, of the operator restricted to
+        the given source levels, between the q-metric spaces.  Solved as
+        the symmetric pencil, so no Gram square root is materialized."""
         offs, total = {}, 0
         for m in sources:
             offs[m] = total
             total += self.params.level_dim(m)
+        if total == 0:
+            return np.zeros(0)
         quad = np.zeros((total, total), dtype=complex)
-        targets = sorted({dst for _, dst in self.blocks})
+        targets = sorted({dst for src, dst in self.blocks if src in offs})
         for dst in targets:
             stacked = np.zeros((self.params.level_dim(dst), total), dtype=complex)
             for (src, d), mat in self.blocks.items():
-                if d == dst:
+                if d == dst and src in offs:
                     stacked[:, offs[src] : offs[src] + mat.shape[1]] = mat
-            g = symmetrizer(self.params, dst)
-            quad += stacked.conj().T @ g @ stacked
+            quad += stacked.conj().T @ symmetrizer(self.params, dst) @ stacked
         gram = np.zeros((total, total), dtype=complex)
         for m in sources:
             lo, hi = offs[m], offs[m] + self.params.level_dim(m)
             gram[lo:hi, lo:hi] = symmetrizer(self.params, m)
         vals = scipy.linalg.eigh(quad, gram, eigvals_only=True)
-        return float(np.sqrt(max(float(vals[-1]), 0.0)))
+        return np.sqrt(np.clip(vals[::-1], 0.0, None))
+
+    def q_norm(self) -> float:
+        """Operator norm between q-metric spaces."""
+        svals = self.q_singular_values(self.source_levels())
+        return float(svals[0]) if svals.size else 0.0
 
 
 def creation(params: FockParams, xi) -> FockOperator:

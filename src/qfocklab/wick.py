@@ -16,9 +16,8 @@ three routes is a genuine consistency check rather than a tautology.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -323,20 +322,11 @@ def product_direct(params: FockParams, words) -> Element:
 # pair-partition route
 # ---------------------------------------------------------------------------
 
-_PARTITION_CACHE: dict[tuple[int, ...], list[tuple[PairPartition, int]]] = {}
-_PARTITION_LOCK = threading.Lock()
 
-
-def _partitions_with_crossings(sizes: tuple[int, ...]):
-    with _PARTITION_LOCK:
-        got = _PARTITION_CACHE.get(sizes)
-    if got is not None:
-        return got
+@cache
+def _partitions_with_crossings(sizes: tuple[int, ...]) -> tuple[tuple[PairPartition, int], ...]:
     shape = SegmentShape(sizes)
-    listing = [(p, crossing_number(p).total) for p in enumerate_pair_partitions(shape)]
-    with _PARTITION_LOCK:
-        _PARTITION_CACHE.setdefault(sizes, listing)
-    return _PARTITION_CACHE[sizes]
+    return tuple((p, crossing_number(p).total) for p in enumerate_pair_partitions(shape))
 
 
 def partition_weighted_sum(

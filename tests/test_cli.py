@@ -234,6 +234,21 @@ def test_verify_subprocess_smoke():
     assert proc.stdout.count("[PASS]") == 13
 
 
+@pytest.mark.parametrize("max_level", [0, 1, 2])
+def test_verify_below_minimum_level_is_config_error(max_level, capsys):
+    assert main(["verify", "--max-level", str(max_level)]) == 2
+    assert "max_level >= 3" in capsys.readouterr().err
+
+
+def test_verify_minimum_level_runs():
+    assert main(["verify", "--max-level", "3"]) == 0
+
+
+def test_negative_time_is_config_error(capsys):
+    assert main(["decay", "--time", "-1", "--max-level", "4"]) == 2
+    assert "time must be >= 0" in capsys.readouterr().err
+
+
 def test_verify_corrupted_tolerance(tmp_path):
     jout = tmp_path / "verify.json"
     code = main(["verify", "--max-level", "4", "--tol", "1e-30", "--out", str(jout)])

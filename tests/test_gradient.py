@@ -6,6 +6,7 @@ import pytest
 from qfocklab.errors import (
     BadExponent,
     NotPositiveSemidefinite,
+    ParamMismatch,
     TruncationLoss,
     UnknownRoute,
 )
@@ -69,6 +70,17 @@ def test_number_operator_and_semigroup_laws():
     ident = semigroup_operator(p, 0.0)
     for m in range(p.max_level + 1):
         assert np.allclose(ident.blocks[(m, m)], np.eye(p.dim**m))
+
+
+def test_negative_time_is_bad_exponent():
+    p = params()
+    a = wick(p, [1])
+    with pytest.raises(BadExponent):
+        semigroup_operator(p, -1.0)
+    with pytest.raises(BadExponent):
+        gradient_map(a, a, -1.0, "rstar")
+    with pytest.raises(BadExponent):
+        psi_element(a.element(), a.element(), Element.one(p), -1.0)
 
 
 def test_semigroup_is_trace_preserving_on_elements():
@@ -234,6 +246,14 @@ def test_schatten_reference_norm_matches_block_structure():
     rep = schatten_diagnostic(gradient_map(a, a, 0.0, "rstar"), 2)
     expect = np.sqrt(sum((0.5**m) ** 2 * 2**m for m in range(0, 5)))
     assert rep.truncated_schatten_norm == pytest.approx(expect, rel=1e-9)
+
+
+def test_gradient_vector_rejects_terms_over_other_params():
+    p, other = params(q=0.5), params(q=0.3)
+    with pytest.raises(ParamMismatch):
+        GradientVector(p, [(Element.one(other), Element.one(p))])
+    with pytest.raises(ParamMismatch):
+        GradientVector(p, [(wick(p, [1]), wick(other, [1]))])
 
 
 def test_gradient_vector_norms():

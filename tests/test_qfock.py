@@ -1,6 +1,8 @@
 """Truncated q-Fock kernel: Grams, splittings, ladder operators."""
 
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from qfocklab.qfock import (
     FockOperator,
     FockParams,
     FockVector,
-    _SPLIT_ROWS,
+    _split_rows,
     annihilation,
     basis_tensor,
     basis_vector,
@@ -31,8 +33,11 @@ from qfocklab.qfock import (
     splitter_matrix,
     symmetrizer,
     symmetrizer_apply,
+    symmetrizer_inv,
+    symmetrizer_inv_sqrt,
     vacuum,
 )
+from qfocklab.numerics import psd_inv_sqrt
 
 
 def params(q=0.5, dim=2, max_level=4):
@@ -132,6 +137,69 @@ def test_symmetrizer_apply_matches_matrix():
     t = rng.standard_normal((2,) * 5) + 1j * rng.standard_normal((2,) * 5)
     direct = (symmetrizer(p, 5) @ t.reshape(-1)).reshape(t.shape)
     assert np.allclose(symmetrizer_apply(p, t), direct, atol=1e-12)
+
+
+def test_level_cache_is_shared_across_max_level():
+    small, large = params(q=0.35, max_level=3), params(q=0.35, max_level=6)
+    assert symmetrizer(small, 3) is symmetrizer(large, 3)
+    assert splitter_matrix(small, (2, 1)) is splitter_matrix(large, (2, 1))
+    assert pairing_form(small, 2) is pairing_form(large, 2)
+    assert symmetrizer(small, 3) is not symmetrizer(params(q=0.36, max_level=3), 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p: symmetrizer(p, 3),
+        lambda p: symmetrizer_inv(p, 3),
+        lambda p: symmetrizer_inv_sqrt(p, 3),
+        lambda p: splitter_matrix(p, (2, 1)),
+        lambda p: splitter_matrix(p, (1, 1, 1)),
+        lambda p: pairing_form(p, 2),
+    ],
+)
+def test_cached_level_arrays_are_read_only(build):
+    p = params(q=0.45)
+    got = build(p)
+    with pytest.raises(ValueError):
+        got[0, 0] = 7.0
+    assert build(p)[0, 0] != 7.0
+
+
+def test_concurrent_builds_of_one_level_agree():
+    # A (q, dim) no other test uses, so the four threads race on a cold cache.
+    p = FockParams(q=0.2468, dim=2, max_level=7)
+
+    def build():
+        return symmetrizer(p, 7), symmetrizer_inv_sqrt(p, 6)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(build) for _ in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for gram, half in results:
+        assert np.array_equal(gram, results[0][0])
+        assert np.array_equal(half, results[0][1])
+    assert np.allclose(results[0][1], psd_inv_sqrt(symmetrizer_by_definition(p, 6)), atol=1e-12)
+
+
+def test_q_singular_values_on_a_source_subset():
+    # Creation from level m is one block; its q-metric singular values are
+    # those of G_{m+1}^{1/2} B G_m^{-1/2}.
+    p = params(q=0.4, max_level=4)
+    op = creation(p, [1.0, 0.5j])
+    for m in range(4):
+        blk = op.blocks[(m, m + 1)]
+        half_dst = np.linalg.inv(psd_inv_sqrt(symmetrizer(p, m + 1)))
+        want = np.linalg.svd(half_dst @ blk @ symmetrizer_inv_sqrt(p, m), compute_uv=False)
+        got = op.q_singular_values([m])
+        assert np.allclose(got, want, atol=1e-10)
+    assert op.q_singular_values([]).size == 0
+    assert op.q_norm() == pytest.approx(max(op.q_singular_values([m])[0] for m in range(4)))
 
 
 def test_q_inner_examples():
@@ -322,9 +390,10 @@ def test_split_tensor_above_table_cap_keeps_term_loop():
     assert 2 ** (n + k) > MATRIX_DIM_CAP
     rng = np.random.default_rng(5)
     t = rng.standard_normal((2,) * (n + k)) + 1j * rng.standard_normal((2,) * (n + k))
+    tables = _split_rows.cache_info().currsize
     got = split_tensor(-0.4, t, n, k)
     assert np.allclose(got, split_tensor_by_definition(-0.4, t, n, k), atol=1e-12)
-    assert (2, n, k) not in _SPLIT_ROWS
+    assert _split_rows.cache_info().currsize == tables
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 0.8])
