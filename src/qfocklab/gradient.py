@@ -5,7 +5,8 @@ The gradient map of a pair of Wick words is assembled by three routes
 that must agree on their common lossless region:
 
 * ``direct``   - the defining four-term generator expression, evaluated
-                 with exact element arithmetic column by column;
+                 with exact element arithmetic one basis column at a
+                 time;
 * ``partition`` - the segmented pair-partition expansion, where each
                  term is weighted by -2 times the number of pairs
                  joining the left word to the right word;
@@ -14,7 +15,10 @@ that must agree on their common lossless region:
                  contraction size.
 
 Both expansion routes are composed with -(1/2) times the semigroup, so
-all routes realize the same map.
+all routes realize the same map.  Both are linear in the middle word,
+so each source level goes through one contraction whose middle word is
+the level's whole basis, the identity, in chunks of at most
+``BATCH_COLUMNS`` columns (``_batched_blocks``).
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ from .wick import (
 )
 
 NABLA_GRAM_RTOL = 1e-8
+# Source columns per batched contraction.  Every level up to dim 4, M 5
+# is one contraction; at MATRIX_DIM_CAP the identity slice and each
+# output slice of a chunk take 64 MiB, a quarter of a full block.
+BATCH_COLUMNS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -122,37 +130,47 @@ class PsiMap:
         return [m for m in range(max(cap, -1) + 1)]
 
 
-def _columns_to_blocks(params: FockParams, n: int, k: int, column_fn, max_source: int):
-    """Assemble blocks from a per-source-basis column callback returning
-    level dicts; sources whose top output exceeds the cap are lossy."""
+def _assemble_blocks(params: FockParams, n: int, k: int, block_fn, max_source: int):
+    """Assemble the map from ``block_fn(m)``, which returns the blocks
+    of source level m as {target level: matrix}, none above the cap;
+    sources whose top output exceeds the cap are lossy."""
     blocks: dict[tuple[int, int], np.ndarray] = {}
     lossy = set()
     cap = params.max_level
     for m in range(min(cap, max_source) + 1):
         if n + m + k > cap:
             lossy.add(m)
-        dim_src = params.level_dim(m)
-        for col in range(dim_src):
-            idx = np.unravel_index(col, (params.dim,) * m) if m else ()
-            basis = np.zeros((params.dim,) * m, dtype=complex)
-            basis[idx] = 1.0
-            out = column_fn(m, basis)
-            for lvl, tensor in out.items():
-                if lvl > cap or not np.any(tensor):
-                    continue
-                key = (m, lvl)
-                if key not in blocks:
-                    blocks[key] = np.zeros(
-                        (params.level_dim(lvl), dim_src), dtype=complex
-                    )
-                blocks[key][:, col] = np.asarray(tensor, dtype=complex).reshape(-1)
+        for lvl, block in block_fn(m).items():
+            blocks[(m, lvl)] = block
     return blocks, frozenset(lossy)
 
 
-def _damp_levels(levels: dict[int, np.ndarray], t: float) -> dict[int, np.ndarray]:
-    if not t:
-        return levels
-    return {m: np.exp(-t * m) * arr for m, arr in levels.items()}
+def _batched_blocks(params: FockParams, m: int, t: float, contract):
+    """The blocks of source level m from a route that is linear in its
+    middle word, composed with -(1/2) times the semigroup.
+
+    ``contract(batch)`` takes identity columns with their row index
+    unfolded into m tensor axes, so ``batch[..., j]`` is one basis
+    tensor, and returns output levels whose trailing batch axis becomes
+    block columns.  At most ``BATCH_COLUMNS`` columns go through at once.
+    """
+    size = params.level_dim(m)
+    blocks: dict[int, np.ndarray] = {}
+    for start in range(0, size, BATCH_COLUMNS):
+        width = min(BATCH_COLUMNS, size - start)
+        # unnamed, so the identity slice is freed when the contraction returns
+        levels = contract(
+            np.eye(size, width, -start, dtype=complex).reshape((params.dim,) * m + (width,))
+        )
+        for lvl, arr in levels.items():
+            if lvl not in blocks:
+                blocks[lvl] = np.zeros((params.level_dim(lvl), size), dtype=complex)
+            np.multiply(
+                arr.reshape(params.level_dim(lvl), width),
+                -0.5 * np.exp(-t * lvl),
+                out=blocks[lvl][:, start : start + width],
+            )
+    return blocks
 
 
 def gradient_map(
@@ -179,13 +197,25 @@ def gradient_map(
 
     if route == "direct":
 
-        def column(m, basis):
-            out = psi_element(a_el, b_el, Element(params, {m: basis}), t)
-            return out.levels
+        def block(m):
+            # Element arithmetic has no batch axis: one column at a time.
+            size = params.level_dim(m)
+            out: dict[int, np.ndarray] = {}
+            for col in range(size):
+                basis = np.zeros(size, dtype=complex)
+                basis[col] = 1.0
+                x = Element(params, {m: basis.reshape((params.dim,) * m)})
+                for lvl, tensor in psi_element(a_el, b_el, x, t).levels.items():
+                    if lvl > params.max_level or not np.any(tensor):
+                        continue
+                    if lvl not in out:
+                        out[lvl] = np.zeros((params.level_dim(lvl), size), dtype=complex)
+                    out[lvl][:, col] = tensor.reshape(-1)
+            return out
 
     elif route == "partition":
         if n == 0 or k == 0:
-            def column(m, basis):
+            def block(m):
                 return {}
         else:
 
@@ -198,31 +228,41 @@ def gradient_map(
                     1 for l, r in part.pairs if l <= left_end and r > right_start
                 )
 
-            def column(m, basis):
-                raw = partition_weighted_sum(
+            def block(m):
+                return _batched_blocks(
                     params,
-                    [a_sym, basis, b_sym],
-                    weight=lambda part: -2.0 * pair_count(part),
+                    m,
+                    t,
+                    lambda batch: partition_weighted_sum(
+                        params,
+                        [a_sym, batch, b_sym],
+                        weight=lambda part: -2.0 * pair_count(part),
+                        batched=True,
+                    ),
                 )
-                return _damp_levels({lvl: -0.5 * arr for lvl, arr in raw.items()}, t)
 
     elif route == "rstar":
 
-        def column(m, basis):
-            raw = triple_contraction_sum(
+        def block(m):
+            return _batched_blocks(
                 params,
-                a_sym,
-                basis,
-                b_sym,
-                weight=lambda j, r, s: -2.0 * r,
+                m,
+                t,
+                lambda batch: triple_contraction_sum(
+                    params,
+                    a_sym,
+                    batch,
+                    b_sym,
+                    weight=lambda j, r, s: -2.0 * r,
+                    batched=True,
+                ),
             )
-            return _damp_levels({lvl: -0.5 * arr for lvl, arr in raw.items()}, t)
 
     else:
         raise UnknownRoute(f"route must be direct/partition/rstar, got {route!r}")
 
     cap = params.max_level if max_source is None else max_source
-    blocks, lossy = _columns_to_blocks(params, n, k, column, cap)
+    blocks, lossy = _assemble_blocks(params, n, k, block, cap)
     if cap < params.max_level:
         lossy = frozenset(lossy | set(range(cap + 1, params.max_level + 1)))
     return PsiMap(params, a, b, t, route, FockOperator(params, blocks, lossy))
@@ -276,7 +316,11 @@ def schatten_diagnostic(psi: PsiMap, p: float, margin: float = 0.02) -> Schatten
     Each source level m contributes at most dim^(m/p) times the
     restricted operator norm; the tail ratio of that bound sequence
     estimates the geometric rate, and the verdict is CONVERGENT when
-    the estimate sits below 1 by at least ``margin``.  The Schatten
+    the estimate sits below 1 by at least ``margin``.  Without a finite
+    ratio there is no estimate, and the diagnostic raises
+    ``TruncationLoss`` instead of judging; the one exception is a map
+    whose bounds are all zero over two or more lossless levels, judged
+    CONVERGENT with estimate 0.  The Schatten
     norm of the assembled truncation is reported alongside for
     reference.
     """
@@ -298,11 +342,18 @@ def schatten_diagnostic(psi: PsiMap, p: float, margin: float = 0.02) -> Schatten
         ratio = float("nan") if prev_bound in (None, 0.0) else bound / prev_bound
         rows.append(DecayRow(m, ln, bound, partial, ratio))
         prev_bound = bound
-    ratios = [r.ratio for r in rows if np.isfinite(r.ratio) and r.ratio > 0]
+    finite = [r.ratio for r in rows if np.isfinite(r.ratio)]
+    if not finite and (len(rows) < 2 or partial > 0):
+        raise TruncationLoss(
+            f"no finite ratio between the bounds of {len(rows)} lossless source "
+            "level(s); a verdict needs two consecutive levels, the first nonzero"
+        )
+    ratios = [r for r in finite if r > 0]
     if ratios:
         tail = ratios[-2:]
         estimate = float(np.exp(np.mean(np.log(tail))))
     else:
+        # the bounds fell to zero, or vanish on every lossless level
         estimate = 0.0
     verdict = "CONVERGENT" if estimate < 1.0 - margin else "DIVERGENT"
     svals = psi.realized.q_singular_values(sources)

@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     LevelTooLarge,
@@ -203,7 +202,8 @@ def _memo_per_level(build):
     ``(float(params.q), params.dim, key)``.  ``max_level`` is not part
     of the key, so every truncation of one (q, dim) shares the entries.
     Entries are read-only and stay for the life of the process; a
-    racing duplicate build wastes work but never stores a wrong value."""
+    racing duplicate build wastes work but never stores a wrong value.
+    ``cache_info`` reports the entries as for ``functools.cache``."""
 
     @functools.cache
     def cached(q: float, dim: int, key) -> np.ndarray:
@@ -213,6 +213,7 @@ def _memo_per_level(build):
     def lookup(params: FockParams, key) -> np.ndarray:
         return cached(float(params.q), params.dim, key)
 
+    lookup.cache_info = cached.cache_info
     return lookup
 
 
@@ -607,6 +608,10 @@ class FockOperator:
         for m in sources:
             lo, hi = offs[m], offs[m] + self.params.level_dim(m)
             gram[lo:hi, lo:hi] = symmetrizer(self.params, m)
+        # Imported here, its only use: scipy costs about 0.3 s to import
+        # and the commands that never reach a pencil should not pay it.
+        import scipy.linalg
+
         vals = scipy.linalg.eigh(quad, gram, eigvals_only=True)
         return np.sqrt(np.clip(vals[::-1], 0.0, None))
 

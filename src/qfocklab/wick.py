@@ -5,7 +5,8 @@ cross-validated:
 
 * ``Element`` multiplication / ``product_direct``: iterated two-word
   contraction formula (split operators plus level pairings), which is
-  also how operator matrices are assembled column by column;
+  also how ``WickWord.realized`` assembles a word's level blocks, one
+  contraction per (source, target) block, on first read;
 * ``product_partition``: the segmented pair-partition sum with
   crossing-number q-weights and plain single-factor pair weights;
 * ``product_triple``: the one-shot three-word contraction formula.
@@ -17,7 +18,7 @@ three routes is a genuine consistency check rather than a tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -249,7 +250,14 @@ class WickWord:
 
     params: FockParams
     symbol: np.ndarray
-    realized: FockOperator
+
+    @cached_property
+    def realized(self) -> FockOperator:
+        """Block matrix on the truncated space, assembled on first read:
+        the product routes need only the symbol, and the blocks of a
+        top-level word hold dense splitters."""
+        blocks, lossy = _wick_blocks(self.params, self.symbol)
+        return FockOperator(self.params, blocks, lossy)
 
     @property
     def level(self) -> int:
@@ -263,8 +271,9 @@ class WickWord:
 
 
 def wick(params: FockParams, symbol) -> WickWord:
-    """The unique operator sending the vacuum to the given symbol,
-    realized through the two-word contraction formula column by column."""
+    """The unique operator sending the vacuum to the given symbol; its
+    block matrix is built from the two-word contraction formula when
+    ``realized`` is first read."""
     if isinstance(symbol, (list, tuple)) and all(isinstance(i, (int, np.integer)) for i in symbol):
         t = basis_tensor(params, symbol)
     else:
@@ -273,9 +282,7 @@ def wick(params: FockParams, symbol) -> WickWord:
         raise LevelTooLarge(
             f"symbol level {t.ndim} exceeds max_level {params.max_level}"
         )
-    t = as_level_tensor(params, t.ndim, t)
-    blocks, lossy = _wick_blocks(params, t)
-    return WickWord(params, t, FockOperator(params, blocks, lossy))
+    return WickWord(params, as_level_tensor(params, t.ndim, t))
 
 
 def wick_from_element(el: Element) -> FockOperator:
@@ -333,35 +340,52 @@ def partition_weighted_sum(
     params: FockParams,
     symbols: list[np.ndarray],
     weight=None,
+    batched: bool = False,
 ) -> dict[int, np.ndarray]:
     """Sum over segmented pair partitions of q^crossings times the
     delta-contraction of the concatenated symbols over the pairs.
 
     ``weight`` maps a PairPartition to an extra scalar factor (default
-    1); zero weights are skipped.  Pair weights are the plain bilinear
-    single-factor contractions, exactly as in the multiplication
-    formula for Wick words.
+    1); zero weights are skipped.  Output levels above ``max_level``
+    are skipped too: the truncated space has no room for them.  Pair
+    weights are the plain bilinear single-factor contractions, exactly
+    as in the multiplication formula for Wick words.
+
+    With ``batched``, the last axis of the middle word ``symbols[1]`` is
+    a batch axis.  The sum is linear in each symbol, so every slice
+    along that axis is a separate middle word; the axis rides along as
+    the last axis of every output level.
 
     Level-0 factors act as scalars; they are folded out before the
     enumeration (segments must be non-empty), so ``weight`` sees the
     shape of the non-scalar factors only.
     """
+    if batched and symbols[1].ndim == 1:
+        # A batch of level-0 words is a batch of scalars.
+        out = partition_weighted_sum(params, symbols[:1] + symbols[2:], weight)
+        out = {m: np.multiply.outer(t, symbols[1]) for m, t in out.items()}
+        return {m: t for m, t in out.items() if np.any(t)}
     scalar = 1.0 + 0.0j
     live: list[np.ndarray] = []
-    for t in symbols:
+    batch_axes: list[int] = []
+    for i, t in enumerate(symbols):
         if t.ndim == 0:
             scalar *= complex(t)
         else:
             live.append(t)
+            batch_axes.append(int(batched and i == 1))
     if not live:
         return {0: np.array(scalar)} if scalar != 0 else {}
     symbols = live
-    sizes = tuple(t.ndim for t in symbols)
+    sizes = tuple(t.ndim - b for t, b in zip(symbols, batch_axes))
     total = sum(sizes)
     params.check_level_budget(total, VECTOR_DIM_CAP)
     offsets = np.cumsum((0,) + sizes[:-1])
     out: dict[int, np.ndarray] = {}
     for part, cross in _partitions_with_crossings(sizes):
+        lvl = len(part.singletons)
+        if lvl > params.max_level:
+            continue
         w = 1.0 if weight is None else weight(part)
         if w == 0:
             continue
@@ -380,11 +404,10 @@ def partition_weighted_sum(
             slot_letter[s - 1] = letter
             out_letters.append(letter)
         groups = []
-        for size, off in zip(sizes, offsets):
-            groups.append("".join(slot_letter[off : off + size]))
-        spec = ",".join(groups) + "->" + "".join(out_letters)
+        for size, off, b in zip(sizes, offsets, batch_axes):
+            groups.append("".join(slot_letter[off : off + size]) + "..." * b)
+        spec = ",".join(groups) + "->" + "".join(out_letters) + "..."
         term = (scalar * coeff) * np.einsum(spec, *symbols)
-        lvl = len(part.singletons)
         out[lvl] = out.get(lvl, 0) + term
     return {m: t for m, t in out.items() if np.any(t)}
 
@@ -417,18 +440,28 @@ def triple_contraction_sum(
     t_mid: np.ndarray,
     t_right: np.ndarray,
     weight=None,
+    batched: bool = False,
 ) -> dict[int, np.ndarray]:
     """Three-word contraction sum over split sizes (j, r, s).
 
     ``weight(j, r, s)`` multiplies the built-in q^(r*(mid-j-s)) factor;
-    default 1 gives the triple product applied to the vacuum.
+    default 1 gives the triple product applied to the vacuum.  Zero
+    weights are skipped.  Output levels above ``max_level`` are skipped
+    too: the truncated space has no room for them.
+
+    With ``batched``, the last axis of ``t_mid`` is a batch axis.  The
+    sum is linear in the middle word, so every slice along that axis is
+    a separate middle word; the axis rides along as the last axis of
+    every output level.
     """
-    n, m, k = t_left.ndim, t_mid.ndim, t_right.ndim
-    d = params.dim
+    n, m, k = t_left.ndim, t_mid.ndim - batched, t_right.ndim
     out: dict[int, np.ndarray] = {}
     for s in range(min(n, m) + 1):
         for r in range(min(n - s, k) + 1):
             for j in range(min(m - s, k - r) + 1):
+                lvl = n + m + k - 2 * (j + r + s)
+                if lvl > params.max_level:
+                    continue
                 w = 1.0 if weight is None else weight(j, r, s)
                 if w == 0:
                     continue
@@ -454,7 +487,7 @@ def triple_contraction_sum(
                     operands.append(_pair_tensor(params, s))
                     subs.append(a_letters[n - s :] + s_letters)
                 operands.append(bm)
-                subs.append(b_letters)
+                subs.append(b_letters + "...")
                 if j:
                     operands.append(_pair_tensor(params, j))
                     subs.append(b_letters[m - j :] + j_letters)
@@ -468,9 +501,8 @@ def triple_contraction_sum(
                     + b_letters[s : m - j]
                     + c_letters[j + r :]
                 )
-                spec = ",".join(subs) + "->" + out_letters
+                spec = ",".join(subs) + "->" + out_letters + "..."
                 term = coeff * np.einsum(spec, *operands, optimize=len(operands) > 3)
-                lvl = n + m + k - 2 * (j + r + s)
                 out[lvl] = out.get(lvl, 0) + term
     return {lvl: t for lvl, t in out.items() if np.any(t)}
 

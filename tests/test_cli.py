@@ -256,3 +256,55 @@ def test_verify_corrupted_tolerance(tmp_path):
     payload = json.loads(jout.read_text())
     assert payload["passed"] is False
     assert payload["failed_checks"], "failing checks must be named"
+
+
+def test_decay_without_a_finite_ratio_is_truncation_loss(tmp_path, capsys):
+    # at max-level 2 only source level 0 is lossless: one row, no ratio
+    out = tmp_path / "decay.csv"
+    args = ["decay", "--q", "0.79", "--dim", "2", "--out", str(out)]
+    assert main(args + ["--max-level", "2"]) == 2
+    assert "TRUNCATION_LOSS" in capsys.readouterr().err
+    assert not out.exists()
+    jout = tmp_path / "decay.json"
+    assert main(args + ["--max-level", "3", "--json-out", str(jout)]) == 0
+    assert json.loads(jout.read_text())["verdict"] == "DIVERGENT"
+
+
+def test_threshold_without_a_finite_ratio_is_truncation_loss(tmp_path, capsys):
+    out = tmp_path / "th.csv"
+    code = main(
+        ["threshold", "--dim", "2", "--max-level", "2", "--grid", "0.6:0.8:0.1", "--out", str(out)]
+    )
+    assert code == 2
+    assert "TRUNCATION_LOSS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ao_decay_refused_table_leaves_no_file(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert main(["ao-decay", "--model", "ou", "--max-level", "1", "--out", str(out)]) == 2
+    assert "TRUNCATION_LOSS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_records_a_raising_check_and_runs_the_rest(tmp_path, monkeypatch):
+    from qfocklab import cli
+    from qfocklab.errors import TruncationLoss
+
+    def broken(cfg, params):
+        raise TruncationLoss("boom")
+
+    checks = list(cli.VERIFY_CHECKS)
+    checks[1] = (checks[1][0], broken)
+    monkeypatch.setattr(cli, "VERIFY_CHECKS", checks)
+    jout = tmp_path / "verify.json"
+    assert main(["verify", "--max-level", "3", "--out", str(jout)]) == 1
+    payload = json.loads(jout.read_text())
+    assert [c["name"] for c in payload["checks"]] == [name for name, _ in checks]
+    errored = payload["checks"][1]
+    assert errored["error"] == "TRUNCATION_LOSS: boom"
+    assert errored["passed"] is False
+    assert errored["residual"] is None
+    assert payload["failed_checks"] == [checks[1][0]]
+    others = payload["checks"][:1] + payload["checks"][2:]
+    assert all(c["passed"] and "error" not in c for c in others)

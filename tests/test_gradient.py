@@ -1,5 +1,7 @@
 """Gradient maps by three routes, gradient-form module, Schatten decay."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,12 @@ from qfocklab.errors import (
     UnknownRoute,
 )
 from qfocklab.qfock import FockParams
-from qfocklab.wick import Element, wick
+from qfocklab.wick import (
+    Element,
+    partition_weighted_sum,
+    triple_contraction_sum,
+    wick,
+)
 from qfocklab.gradient import (
     GradientVector,
     delta_element,
@@ -374,3 +381,123 @@ def test_nabla_pairing_conjugate_symmetry():
     assert nabla_pairing_value(u, v) == pytest.approx(
         np.conj(nabla_pairing_value(v, u))
     )
+
+
+def columns_to_blocks(p, n, k, column_fn, max_source):
+    """Column-by-column assembly: each basis tensor of each source level
+    is pushed through ``column_fn`` on its own.  The oracle for the
+    batched blocks of ``gradient_map``."""
+    blocks, lossy = {}, set()
+    cap = p.max_level
+    for m in range(min(cap, max_source) + 1):
+        if n + m + k > cap:
+            lossy.add(m)
+        dim_src = p.level_dim(m)
+        for col in range(dim_src):
+            idx = np.unravel_index(col, (p.dim,) * m) if m else ()
+            basis = np.zeros((p.dim,) * m, dtype=complex)
+            basis[idx] = 1.0
+            for lvl, tensor in column_fn(m, basis).items():
+                if lvl > cap or not np.any(tensor):
+                    continue
+                if (m, lvl) not in blocks:
+                    blocks[(m, lvl)] = np.zeros((p.level_dim(lvl), dim_src), dtype=complex)
+                blocks[(m, lvl)][:, col] = np.asarray(tensor).reshape(-1)
+    return blocks, frozenset(lossy)
+
+
+def column_oracle(route, a, b, t):
+    """One source column of the gradient map by ``route``, unbatched."""
+    p, n, k = a.params, a.level, b.level
+
+    def finish(raw):
+        return {lvl: np.exp(-t * lvl) * (-0.5 * arr) for lvl, arr in raw.items()}
+
+    if route == "direct":
+        return lambda m, basis: psi_element(
+            a.element(), b.element(), Element(p, {m: basis}), t
+        ).levels
+    if route == "partition":
+        if n == 0 or k == 0:
+            return lambda m, basis: {}
+
+        def joins(part):
+            right_start = n + (part.shape.total - n - k)
+            return sum(1 for l, r in part.pairs if l <= n and r > right_start)
+
+        return lambda m, basis: finish(
+            partition_weighted_sum(
+                p, [a.symbol, basis, b.symbol], weight=lambda part: -2.0 * joins(part)
+            )
+        )
+    return lambda m, basis: finish(
+        triple_contraction_sum(
+            p, a.symbol, basis, b.symbol, weight=lambda j, r, s: -2.0 * r
+        )
+    )
+
+
+BATCH_CASES = [
+    # word a, word b, time, max_source below max_level
+    ([1], [1], 0.0, False),
+    ([1], [2, 1], 0.4, False),
+    ([1, 2], [2], 0.0, True),
+    ([], [1], 0.0, False),
+    ([2, 2], [1, 2], 0.0, False),
+    ("random", "random", 0.7, True),
+]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("q", [-0.4, 0.0, 0.3, 0.7])
+def test_batched_blocks_match_column_oracle(route, q):
+    rng = np.random.default_rng(13)
+    for dim, max_level in [(1, 6), (2, 5), (3, 3)]:
+        p = FockParams(q=q, dim=dim, max_level=max_level)
+        for word_a, word_b, t, below in BATCH_CASES:
+            if word_a == "random":
+                a = wick(p, rng.standard_normal((dim,) * 2))
+                b = wick(p, rng.standard_normal((dim,)))
+            else:
+                a = wick(p, [min(i, dim) for i in word_a])
+                b = wick(p, [min(i, dim) for i in word_b])
+            cap = max_level - 2 if below else max_level
+            got = gradient_map(a, b, t, route, max_source=cap if below else None)
+            want, lossy = columns_to_blocks(
+                p, a.level, b.level, column_oracle(route, a, b, t), cap
+            )
+            if below:
+                lossy |= set(range(cap + 1, max_level + 1))
+            assert got.realized.lossy_sources == lossy
+            assert set(got.realized.blocks) == set(want)
+            for key, blk in want.items():
+                scale = np.max(np.abs(blk))
+                gap = np.max(np.abs(got.realized.blocks[key] - blk))
+                assert gap <= 1e-13 * scale, (dim, word_a, word_b, key, gap / scale)
+
+
+@pytest.mark.parametrize("route", ["partition", "rstar"])
+def test_batched_blocks_in_chunks_match_one_batch(route, monkeypatch):
+    # 7 columns per chunk: several chunks per level, the last one partial
+    grad = importlib.import_module("qfocklab.gradient")
+    p = FockParams(q=0.3, dim=2, max_level=5)
+    a, b = wick(p, [1]), wick(p, [2, 1])
+    whole = gradient_map(a, b, 0.4, route).realized
+    monkeypatch.setattr(grad, "BATCH_COLUMNS", 7)
+    chunked = gradient_map(a, b, 0.4, route).realized
+    assert chunked.lossy_sources == whole.lossy_sources
+    assert set(chunked.blocks) == set(whole.blocks)
+    for key, blk in whole.blocks.items():
+        gap = np.max(np.abs(chunked.blocks[key] - blk))
+        assert gap <= 1e-13 * np.max(np.abs(blk)), (key, gap)
+
+
+def test_schatten_diagnostic_judges_the_zero_map_only_over_two_levels():
+    # a level-0 word gives the zero map: no finite ratio, yet nothing to sum
+    p = FockParams(q=0.5, dim=2, max_level=4)
+    zero_map = gradient_map(wick(p, []), wick(p, [1]), 0.0, "rstar")
+    rep = schatten_diagnostic(zero_map, 2)
+    assert (rep.ratio_estimate, rep.verdict) == (0.0, "CONVERGENT")
+    shallow = FockParams(q=0.5, dim=2, max_level=1)
+    with pytest.raises(TruncationLoss):
+        schatten_diagnostic(gradient_map(wick(shallow, []), wick(shallow, [1]), 0.0, "rstar"), 2)

@@ -255,3 +255,46 @@ def test_partition_products_need_pure_levels():
     mixed = Element(p, {1: basis_tensor(p, [1]), 2: basis_tensor(p, [1, 1])})
     with pytest.raises(ShapeMismatch):
         product_partition(p, [mixed])
+
+
+def test_wick_realizes_blocks_only_when_read():
+    from qfocklab.qfock import _splitter_matrix
+
+    # a q no other test uses, so every splitter the blocks need is new
+    p = params(q=0.3719, dim=2, max_level=5)
+    before = _splitter_matrix.cache_info().currsize
+    word = wick(p, [1, 2])
+    # the product routes read the symbol only
+    product_triple(p, word, word, wick(p, [1]))
+    assert _splitter_matrix.cache_info().currsize == before
+    assert "realized" not in vars(word)
+    got = word.realized.apply(vacuum(p))
+    assert _splitter_matrix.cache_info().currsize > before
+    assert np.allclose(got.component(2), basis_tensor(p, [1, 2]))
+
+
+def test_wick_realized_is_built_once_from_wick_blocks(monkeypatch):
+    import sys
+
+    wick_mod = sys.modules["qfocklab.wick"]
+    calls = []
+    real = wick_mod._wick_blocks
+
+    def counted(p, symbol):
+        calls.append(symbol.ndim)
+        return real(p, symbol)
+
+    monkeypatch.setattr(wick_mod, "_wick_blocks", counted)
+    p = params(q=-0.3, dim=2, max_level=4)
+    rng = np.random.default_rng(12)
+    word = wick(p, rng.standard_normal((2, 2)))
+    assert calls == []
+    first = word.realized
+    assert word.realized is first
+    assert calls == [2]
+    blocks, lossy = real(p, word.symbol)
+    assert first.lossy_sources == lossy
+    nonzero = {key for key, blk in blocks.items() if np.any(blk)}
+    assert set(first.blocks) == nonzero
+    for key in nonzero:
+        assert np.array_equal(first.blocks[key], blocks[key])
