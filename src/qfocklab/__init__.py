@@ -48,7 +48,6 @@ from .wick import (
     product_partition,
     product_triple,
     trace,
-    wick,
 )
 from .gradient import (
     GradientVector,

@@ -2,13 +2,14 @@
 numerical cocycle verification at truncation.
 
 Cochains are evaluated pointwise on sampled tuples of algebra elements;
-no global differential matrix is ever assembled.  Values live in one of
-three coefficient bimodules: the trivial one (vacuum vectors), the
-gradient module, or its second iterate.  The identities checked here -
-the differential squaring to zero, the prefix map anticommuting with
-it, the Leibniz rule and the derivation-norm identity - are exact
-algebra, so their numerical residuals sit at rounding level and any
-larger value indicates an upstream bug.
+no global differential matrix is ever assembled.  Values live in the
+trivial bimodule (vacuum vectors) or in the gradient module, whose
+carriers may themselves be gradient vectors (its iterates).  The
+identities checked here - the differential squaring to zero, the
+prefix map anticommuting with it, the Leibniz rule and the
+derivation-norm identity - are exact algebra, so their numerical
+residuals sit at rounding level and any larger value indicates an
+upstream bug.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ import numpy as np
 
 from .qfock import FockParams
 from .wick import Element
-from .gradient import (
-    GradientVector,
-    GradientVector2,
-    delta_element,
-    nabla_norm,
-)
+from .gradient import GradientVector, delta_element, nabla_norm
 
 SAMPLE_TOLERANCE = 1e-8
 
@@ -35,15 +31,12 @@ SAMPLE_TOLERANCE = 1e-8
 # ---------------------------------------------------------------------------
 
 
-class TrivialBimodule:
-    """Vacuum vectors with multiplication as both actions."""
+class _Bimodule:
+    """Linear structure and actions shared by the coefficient bimodules:
+    each value carries its own ``+``, ``scaled``, ``left`` and ``right``."""
 
     def __init__(self, params: FockParams) -> None:
         self.params = params
-        self.name = "trivial"
-
-    def zero(self):
-        return Element.zero(self.params)
 
     def add(self, u, v):
         return u + v
@@ -52,10 +45,17 @@ class TrivialBimodule:
         return u.scaled(c)
 
     def left(self, x: Element, u):
-        return x * u
+        return u.left(x)
 
     def right(self, u, y: Element):
-        return u * y
+        return u.right(y)
+
+
+class TrivialBimodule(_Bimodule):
+    """Vacuum vectors with multiplication as both actions."""
+
+    def zero(self):
+        return Element.zero(self.params)
 
     def norm(self, u) -> float:
         return u.q_norm()
@@ -64,65 +64,21 @@ class TrivialBimodule:
         return NablaBimodule(self.params)
 
 
-class NablaBimodule:
-    """The gradient module over the trivial one."""
-
-    def __init__(self, params: FockParams) -> None:
-        self.params = params
-        self.name = "nabla"
+class NablaBimodule(_Bimodule):
+    """The gradient module over the trivial module or over a gradient
+    module; the iterates share one ``GradientVector`` class."""
 
     def zero(self):
         return GradientVector(self.params, [])
 
-    def add(self, u, v):
-        return u.add(v)
-
-    def scale(self, u, c):
-        return u.scaled(c)
-
-    def left(self, x, u):
-        return u.left(x)
-
-    def right(self, u, y):
-        return u.right(y)
-
     def norm(self, u) -> float:
         return nabla_norm(u)
 
-    def tensor(self, a: Element, base_value: Element):
+    def tensor(self, a: Element, base_value):
         return GradientVector(self.params, [(a, base_value)])
 
-    def nabla(self) -> "Nabla2Bimodule":
-        return Nabla2Bimodule(self.params)
-
-
-class Nabla2Bimodule:
-    """Second iterate of the gradient-module construction."""
-
-    def __init__(self, params: FockParams) -> None:
-        self.params = params
-        self.name = "nabla2"
-
-    def zero(self):
-        return GradientVector2(self.params, [])
-
-    def add(self, u, v):
-        return u.add(v)
-
-    def scale(self, u, c):
-        return u.scaled(c)
-
-    def left(self, x, u):
-        return u.left(x)
-
-    def right(self, u, y):
-        return u.right(y)
-
-    def norm(self, u) -> float:
-        return u.norm()
-
-    def tensor(self, a: Element, base_value: GradientVector):
-        return GradientVector2(self.params, [(a, base_value)])
+    def nabla(self) -> "NablaBimodule":
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +133,17 @@ def gradient_prefix_map(f: Cochain) -> Cochain:
 
 def derivation_cocycle(params: FockParams, n: int) -> Cochain:
     """The canonical n-cocycle a1 (x) ... (x) an (x) vacuum."""
-    if n == 1:
-        space = NablaBimodule(params)
-        return Cochain(
-            params, 1, space, lambda a: space.tensor(a, Element.one(params))
-        )
-    if n == 2:
-        inner = NablaBimodule(params)
-        space = Nabla2Bimodule(params)
-        return Cochain(
-            params,
-            2,
-            space,
-            lambda a1, a2: space.tensor(a1, inner.tensor(a2, Element.one(params))),
-        )
-    raise NotImplementedError("desk scale covers n in {1, 2}")
+    if n not in (1, 2):
+        raise NotImplementedError("desk scale covers n in {1, 2}")
+    space = NablaBimodule(params)
+
+    def fn(*args):
+        value = Element.one(params)
+        for a in reversed(args):
+            value = space.tensor(a, value)
+        return value
+
+    return Cochain(params, n, space, fn)
 
 
 def product_cochain(params: FockParams, frames: list[Element]) -> Cochain:

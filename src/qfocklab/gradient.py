@@ -33,14 +33,13 @@ from .errors import (
     TruncationLoss,
     UnknownRoute,
 )
-from .qfock import FockOperator, FockParams
+from .qfock import FockOperator, FockParams, _require_same_params
 from .wick import (
     Element,
     WickWord,
     _as_element,
     partition_weighted_sum,
     triple_contraction_sum,
-    wick,
 )
 
 NABLA_GRAM_RTOL = 1e-8
@@ -123,11 +122,6 @@ class PsiMap:
     t: float
     route: str
     realized: FockOperator
-
-    def lossless_sources(self) -> list[int]:
-        n, k = self.a.level, self.b.level
-        cap = self.params.max_level - n - k
-        return [m for m in range(max(cap, -1) + 1)]
 
 
 def _assemble_blocks(params: FockParams, n: int, k: int, block_fn, max_source: int):
@@ -380,8 +374,11 @@ def schatten_diagnostic(psi: PsiMap, p: float, margin: float = 0.02) -> Schatten
 # ---------------------------------------------------------------------------
 
 
-def _element_key(el: Element) -> tuple:
-    return tuple(sorted((m, t.tobytes()) for m, t in el.levels.items()))
+def _byte_key(x) -> tuple:
+    """Byte key of an element, or of a gradient vector's merged terms."""
+    if isinstance(x, GradientVector):
+        return tuple(sorted((_byte_key(a), _byte_key(xi)) for a, xi in x.terms))
+    return tuple(sorted((m, t.tobytes()) for m, t in x.levels.items()))
 
 
 def _merge_bilinear(terms, key_side, other_side, rebuild):
@@ -390,8 +387,8 @@ def _merge_bilinear(terms, key_side, other_side, rebuild):
     slots: dict[tuple, list] = {}
     for term in terms:
         anchor = key_side(term)
-        key = _element_key(anchor)
-        neg_key = _element_key(anchor.scaled(-1.0))
+        key = _byte_key(anchor)
+        neg_key = _byte_key(anchor.scaled(-1.0))
         if key in slots:
             slots[key][1] = slots[key][1] + other_side(term)
         elif neg_key in slots:
@@ -401,7 +398,7 @@ def _merge_bilinear(terms, key_side, other_side, rebuild):
     return [rebuild(anchor, summed) for anchor, summed in slots.values()]
 
 
-def _consolidate_terms(params: FockParams, terms):
+def _consolidate_terms(terms):
     """Merge structurally equal carriers and coefficients (up to sign).
 
     Alternating sums (differentials, commutator defects) cancel term by
@@ -425,23 +422,33 @@ def _consolidate_terms(params: FockParams, terms):
     return [(a, xi) for a, xi in merged if not a.is_zero() and not xi.is_zero()]
 
 
+def _as_carrier(params: FockParams, xi):
+    if isinstance(xi, GradientVector):
+        _require_same_params(params, xi.params)
+        return xi
+    return _as_element(params, xi)
+
+
 @dataclass
 class GradientVector:
     """Formal sum of terms a (x)_grad xi with the gradient-form Gram.
 
-    ``terms`` hold (algebra element, carrier vector) pairs; the carrier
-    is an element of the trivial module (a vacuum vector).
+    ``terms`` hold (algebra element, carrier) pairs.  The carrier is a
+    vacuum vector (an ``Element`` of the trivial module) or, in the
+    iterated module, another ``GradientVector``: a0 (x) (a1 (x) xi) is
+    the depth-2 vector ``[(a0, GradientVector(params, [(a1, xi)]))]``.
+    Carriers act through their own ``left`` and ``right``.
     """
 
     params: FockParams
-    terms: list[tuple[Element, Element]]
+    terms: list[tuple[Element, Element | GradientVector]]
 
     def __post_init__(self) -> None:
         coerced = [
-            (_as_element(self.params, a), _as_element(self.params, xi))
+            (_as_element(self.params, a), _as_carrier(self.params, xi))
             for a, xi in self.terms
         ]
-        self.terms = _consolidate_terms(self.params, coerced)
+        self.terms = _consolidate_terms(coerced)
 
     def left(self, x) -> "GradientVector":
         """Module action x . (a (x) xi) = xa (x) xi - x (x) a.xi."""
@@ -449,25 +456,24 @@ class GradientVector:
         out = []
         for a, xi in self.terms:
             out.append((x * a, xi))
-            out.append((x.scaled(-1.0), a * xi))
+            out.append((x.scaled(-1.0), xi.left(a)))
         return GradientVector(self.params, out)
 
     def right(self, y) -> "GradientVector":
-        """Module action (a (x) xi) . y = a (x) (xi y)."""
+        """Module action (a (x) xi) . y = a (x) (xi . y)."""
         y = _as_element(self.params, y)
-        return GradientVector(self.params, [(a, xi * y) for a, xi in self.terms])
+        return GradientVector(self.params, [(a, xi.right(y)) for a, xi in self.terms])
 
     def add(self, other: "GradientVector") -> "GradientVector":
         return GradientVector(self.params, self.terms + other.terms)
 
+    __add__ = add
+
     def scaled(self, c: complex) -> "GradientVector":
         return GradientVector(self.params, [(a.scaled(c), xi) for a, xi in self.terms])
 
-    def pairing(self, other: "GradientVector") -> complex:
-        return nabla_pairing_value(self, other)
-
-    def norm(self, tol: float = NABLA_GRAM_RTOL) -> float:
-        return nabla_norm(self, tol)
+    def is_zero(self) -> bool:
+        return not self.terms
 
 
 # Keyed by (params, operand bytes, cut); insertion is idempotent, so a
@@ -477,7 +483,7 @@ _GAMMA_CACHE_CAP = 4096
 
 
 def _gamma_cached(a: Element, b: Element, cut: int) -> Element:
-    key = (a.params, _element_key(a), _element_key(b), cut)
+    key = (a.params, _byte_key(a), _byte_key(b), cut)
     got = _GAMMA_CACHE.get(key)
     if got is None:
         got = gamma(a, b, max_out=cut)
@@ -487,9 +493,16 @@ def _gamma_cached(a: Element, b: Element, cut: int) -> Element:
     return got
 
 
-def _term_pairing(a: Element, xi: Element, b: Element, eta: Element) -> complex:
-    """<a (x) xi, b (x) eta> = <Gamma(a, b) xi, eta>_q; the gradient
-    form is truncated at the level band that can meet eta."""
+def _term_pairing(a: Element, xi, b: Element, eta) -> complex:
+    """<a (x) xi, b (x) eta> = <Gamma(a, b) . xi, eta>.
+
+    On vacuum carriers the pairing is the q-inner product, and the
+    gradient form is truncated at the level band that can meet eta.  On
+    gradient-vector carriers it is the carriers' own pairing, with the
+    full gradient form pushed through their left action.
+    """
+    if isinstance(xi, GradientVector):
+        return nabla_pairing_value(xi.left(gamma(a, b)), eta)
     cut = xi.top_level() + eta.top_level()
     g = _gamma_cached(a, b, cut)
     applied = g.mul(xi, max_out=eta.top_level())
@@ -568,97 +581,10 @@ def iterated_pairing_two_ways(x, y, chain_a, chain_b, params: FockParams):
     b0, b1, b2 = (_as_element(params, s) for s in chain_b)
     x = _as_element(params, x)
     y = _as_element(params, y)
-    alpha = GradientVector2(params, [(a0, GradientVector(params, [(a1, a2)]))])
-    beta = GradientVector2(params, [(b0, GradientVector(params, [(b1, b2)]))])
-    lhs = nabla2_pairing_value(alpha.left(x).right(y), beta)
+    alpha = GradientVector(params, [(a0, GradientVector(params, [(a1, a2)]))])
+    beta = GradientVector(params, [(b0, GradientVector(params, [(b1, b2)]))])
+    lhs = nabla_pairing_value(alpha.left(x).right(y), beta)
     inner = psi_element(b0.adjoint(), a0, x)
     outer = psi_element(b1.adjoint(), a1, inner)
     rhs = (b2.adjoint() * (outer.mul(a2))).q_inner(y.adjoint())
     return lhs, rhs
-
-
-@dataclass
-class GradientVector2:
-    """Element of the twice-iterated gradient module: sums of
-    a (x) v with v a GradientVector."""
-
-    params: FockParams
-    terms: list[tuple[Element, GradientVector]]
-
-    def __post_init__(self) -> None:
-        def vkey(v: GradientVector) -> tuple:
-            return tuple(
-                sorted((_element_key(ta), _element_key(txi)) for ta, txi in v.terms)
-            )
-
-        by_v: dict[tuple, list] = {}
-        for a, v in self.terms:
-            a = _as_element(self.params, a)
-            key, neg_key = vkey(v), vkey(v.scaled(-1.0))
-            if key in by_v:
-                by_v[key][1] = by_v[key][1] + a
-            elif neg_key in by_v:
-                by_v[neg_key][1] = by_v[neg_key][1] + a.scaled(-1.0)
-            else:
-                by_v[key] = [v, a]
-        merged = [(a, v) for v, a in by_v.values() if not a.is_zero()]
-        by_a: dict[tuple, list] = {}
-        for a, v in merged:
-            key, neg_key = _element_key(a), _element_key(a.scaled(-1.0))
-            if key in by_a:
-                by_a[key][1] = by_a[key][1].add(v)
-            elif neg_key in by_a:
-                by_a[neg_key][1] = by_a[neg_key][1].add(v.scaled(-1.0))
-            else:
-                by_a[key] = [a, v]
-        self.terms = [(a, v) for a, v in by_a.values() if v.terms and not a.is_zero()]
-
-    def left(self, x) -> "GradientVector2":
-        x = _as_element(self.params, x)
-        out = []
-        for a, v in self.terms:
-            out.append((x * a, v))
-            out.append((x.scaled(-1.0), v.left(a)))
-        return GradientVector2(self.params, out)
-
-    def right(self, y) -> "GradientVector2":
-        y = _as_element(self.params, y)
-        return GradientVector2(self.params, [(a, v.right(y)) for a, v in self.terms])
-
-    def add(self, other: "GradientVector2") -> "GradientVector2":
-        return GradientVector2(self.params, self.terms + other.terms)
-
-    def scaled(self, c: complex) -> "GradientVector2":
-        return GradientVector2(self.params, [(a.scaled(c), v) for a, v in self.terms])
-
-    def norm(self, tol: float = NABLA_GRAM_RTOL) -> float:
-        if not self.terms:
-            return 0.0
-        n = len(self.terms)
-        g = np.zeros((n, n), dtype=complex)
-        for i, (a, v) in enumerate(self.terms):
-            for j, (b, w) in enumerate(self.terms):
-                if j < i:
-                    continue
-                val = _pair2(a, v, b, w)
-                g[i, j] = val
-                g[j, i] = np.conj(val)
-        g = _clip_gram(g, tol)
-        ones = np.ones(n)
-        return float(np.sqrt(max((ones @ g @ ones).real, 0.0)))
-
-
-def _pair2(a: Element, v: GradientVector, b: Element, w: GradientVector) -> complex:
-    """<a (x) v, b (x) w> in the iterated module: push the gradient form
-    of the outer coefficients through the inner module's left action."""
-    cut = None  # the inner pairing bands are handled term by term
-    g = gamma(a, b, max_out=cut)
-    return nabla_pairing_value(v.left(g), w)
-
-
-def nabla2_pairing_value(u: GradientVector2, v: GradientVector2) -> complex:
-    total = 0.0 + 0.0j
-    for a, vin in u.terms:
-        for b, win in v.terms:
-            total += _pair2(a, vin, b, win)
-    return complex(total)

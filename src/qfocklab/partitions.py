@@ -43,14 +43,6 @@ class SegmentShape:
                 return seg
         raise AssertionError("unreachable")
 
-    def segments(self) -> list[range]:
-        """1-based index ranges of the segments."""
-        out, start = [], 1
-        for size in self.sizes:
-            out.append(range(start, start + size))
-            start += size
-        return out
-
 
 @dataclass(frozen=True)
 class PairPartition:

@@ -366,9 +366,10 @@ def pairing_norm(params: FockParams, j: int) -> float:
 def _clean_levels(params: FockParams, levels: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     out = {}
     for m, t in levels.items():
+        m = int(m)
         arr = as_level_tensor(params, m, t)
         if np.any(arr):
-            out[int(m)] = arr
+            out[m] = arr
     return out
 
 
@@ -450,13 +451,17 @@ def basis_vector(params: FockParams, indices) -> FockVector:
 def q_inner(u: FockVector, v: FockVector) -> complex:
     """q-deformed inner product, conjugate-linear in the first slot."""
     _require_same_params(u.params, v.params)
+    return _levels_q_inner(u.params, u.levels, v.levels)
+
+
+def _levels_q_inner(params: FockParams, left: dict, right: dict) -> complex:
+    """q-inner product of two level dicts, level by level."""
     total = 0.0 + 0.0j
-    for m, t in u.levels.items():
-        other = v.levels.get(m)
+    for m, t in left.items():
+        other = right.get(m)
         if other is None:
             continue
-        gram_v = symmetrizer_apply(u.params, other)
-        total += np.vdot(t, gram_v)
+        total += np.vdot(t, symmetrizer_apply(params, other))
     return complex(total)
 
 

@@ -22,7 +22,7 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .errors import LevelTooLarge, ParamMismatch, ShapeMismatch, TruncationLoss
+from .errors import LevelTooLarge, ShapeMismatch, TruncationLoss
 from .partitions import (
     PairPartition,
     SegmentShape,
@@ -41,7 +41,8 @@ from .qfock import (
     split_tensor,
     split_tensor3,
     splitter_matrix,
-    symmetrizer_apply,
+    _clean_levels,
+    _levels_q_inner,
     _require_same_params,
 )
 
@@ -109,12 +110,7 @@ class Element:
 
     def __init__(self, params: FockParams, levels: dict[int, np.ndarray]) -> None:
         self.params = params
-        clean = {}
-        for m, t in levels.items():
-            arr = as_level_tensor(params, int(m), t)
-            if np.any(arr):
-                clean[int(m)] = arr
-        self.levels = clean
+        self.levels = _clean_levels(params, levels)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -164,6 +160,13 @@ class Element:
     def __mul__(self, other: "Element") -> "Element":
         return self.mul(other)
 
+    # trivial-bimodule actions, the carrier protocol of gradient vectors
+    def left(self, x: "Element") -> "Element":
+        return x.mul(self)
+
+    def right(self, y: "Element") -> "Element":
+        return self.mul(y)
+
     def adjoint(self) -> "Element":
         """Conjugate-reverse the symbol of every level."""
         return Element(self.params, {m: conjugate_tensor(t) for m, t in self.levels.items()})
@@ -181,13 +184,7 @@ class Element:
 
     def q_inner(self, other: "Element") -> complex:
         _require_same_params(self.params, other.params)
-        total = 0.0 + 0.0j
-        for m, t in self.levels.items():
-            o = other.levels.get(m)
-            if o is None:
-                continue
-            total += np.vdot(t, symmetrizer_apply(self.params, o))
-        return complex(total)
+        return _levels_q_inner(self.params, self.levels, other.levels)
 
     def q_norm(self) -> float:
         return float(np.sqrt(max(self.q_inner(self).real, 0.0)))

@@ -70,6 +70,18 @@ def test_derivation_cocycle_values():
     )
 
 
+def test_second_cocycle_lives_in_the_gradient_module():
+    p = params()
+    d2 = derivation_cocycle(p, 2)
+    assert isinstance(d2.space, NablaBimodule)
+    assert isinstance(d2.space.nabla(), NablaBimodule)
+    a1, a2 = wick(p, [1]).element(), wick(p, [2]).element()
+    ((coeff, carrier),) = d2(a1, a2).terms
+    assert coeff is a1
+    ((inner, vac),) = carrier.terms
+    assert inner is a2 and (vac - Element.one(p)).is_zero()
+
+
 @pytest.mark.parametrize(
     "checker",
     [

@@ -373,6 +373,101 @@ def test_pairing_identity_iterated():
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
+def test_pairing_identity_iterated_complex():
+    # complex coefficients tell Gamma(a, b) from Gamma(b, a)
+    p = params(q=0.4, max_level=6)
+    rng = np.random.default_rng(20)
+
+    def rand(level):
+        shape = (p.dim,) * level
+        return Element(p, {level: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)})
+
+    for _ in range(3):
+        chain_a = (rand(1), rand(1), rand(int(rng.integers(0, 2))))
+        chain_b = (rand(1), rand(1), rand(int(rng.integers(0, 2))))
+        lhs, rhs = iterated_pairing_two_ways(rand(1), rand(1), chain_a, chain_b, p)
+        assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+def test_nested_terms_with_carriers_opposite_in_sign_merge():
+    p = params(q=0.3, max_level=6)
+    rng = np.random.default_rng(21)
+    one = Element.one(p)
+    a0, b0, a1 = (random_element(rng, p, [1]) for _ in range(3))
+    inner = GradientVector(p, [(a1, one)])
+    u = GradientVector(p, [(a0, inner), (b0, inner.scaled(-1.0))])
+    assert len(u.terms) == 1
+    coeff, carrier = u.terms[0]
+    assert carrier is inner
+    assert np.array_equal(coeff.component(1), (a0 - b0).component(1))
+
+
+def test_nested_terms_sharing_a_coefficient_sum_their_carriers():
+    from qfocklab.gradient import _byte_key
+
+    p = params(q=0.3, max_level=6)
+    rng = np.random.default_rng(22)
+    one = Element.one(p)
+    a0, a1, a2, xi = (random_element(rng, p, [1]) for _ in range(4))
+    v1 = GradientVector(p, [(a1, one)])
+    v2 = GradientVector(p, [(a2, xi)])
+    u = GradientVector(p, [(a0, v1), (a0, v2)])
+    assert len(u.terms) == 1
+    coeff, carrier = u.terms[0]
+    assert coeff is a0
+    assert len(carrier.terms) == 2
+    assert _byte_key(carrier) == _byte_key(v1 + v2)
+
+
+def test_nested_term_with_zero_coefficient_or_carrier_is_dropped():
+    p = params(q=0.3, max_level=6)
+    rng = np.random.default_rng(23)
+    one = Element.one(p)
+    a0, a1, a2 = (random_element(rng, p, [1]) for _ in range(3))
+    inner = GradientVector(p, [(a1, one)])
+    other = GradientVector(p, [(a2, one)])
+    u = GradientVector(
+        p,
+        [(Element.zero(p), inner), (a0, GradientVector(p, [])), (a0.scaled(2.0), other)],
+    )
+    assert len(u.terms) == 1
+    assert u.terms[0][1] is other
+    assert GradientVector(p, [(Element.zero(p), inner)]).is_zero()
+
+
+def test_nested_carrier_over_other_params_is_rejected():
+    p, other = params(q=0.5), params(q=0.3)
+    inner = GradientVector(other, [(wick(other, [1]), Element.one(other))])
+    with pytest.raises(ParamMismatch):
+        GradientVector(p, [(wick(p, [1]), inner)])
+
+
+def test_depth_two_norm_is_the_clipped_term_gram_form():
+    from qfocklab.gradient import NABLA_GRAM_RTOL, _clip_gram
+
+    p = params(q=0.3, max_level=6)
+    rng = np.random.default_rng(24)
+    one = Element.one(p)
+    terms = [
+        (
+            random_element(rng, p, [1]),
+            GradientVector(p, [(random_element(rng, p, [1]), random_element(rng, p, [0, 1]))]),
+        )
+        for _ in range(3)
+    ]
+    u = GradientVector(p, terms)
+    assert len(u.terms) == 3
+    # <a (x) v, b (x) w> = <Gamma(a, b) . v, w> in the inner module
+    g = np.array(
+        [[nabla_pairing_value(v.left(gamma(a, b)), w) for b, w in u.terms] for a, v in u.terms]
+    )
+    ones = np.ones(3)
+    expect = np.sqrt(max((ones @ _clip_gram(g, NABLA_GRAM_RTOL) @ ones).real, 0.0))
+    assert nabla_norm(u) == pytest.approx(expect, rel=1e-12)
+    assert nabla_norm(u) ** 2 == pytest.approx(nabla_pairing_value(u, u).real, rel=1e-8)
+    assert nabla_norm(GradientVector(p, [(one, terms[0][1])])) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_nabla_pairing_conjugate_symmetry():
     p = params(q=0.44, max_level=6)
     rng = np.random.default_rng(11)

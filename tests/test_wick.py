@@ -274,9 +274,8 @@ def test_wick_realizes_blocks_only_when_read():
 
 
 def test_wick_realized_is_built_once_from_wick_blocks(monkeypatch):
-    import sys
+    import qfocklab.wick as wick_mod
 
-    wick_mod = sys.modules["qfocklab.wick"]
     calls = []
     real = wick_mod._wick_blocks
 
@@ -298,3 +297,19 @@ def test_wick_realized_is_built_once_from_wick_blocks(monkeypatch):
     assert set(first.blocks) == nonzero
     for key in nonzero:
         assert np.array_equal(first.blocks[key], blocks[key])
+
+
+def test_package_attributes_named_after_submodules_are_the_submodules():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import qfocklab
+
+    names = [info.name for info in pkgutil.iter_modules(qfocklab.__path__)]
+    assert "wick" in names
+    for name in names:
+        mod = importlib.import_module(f"qfocklab.{name}")
+        assert getattr(qfocklab, name) is mod, name
+    assert inspect.ismodule(qfocklab.wick)
+    assert qfocklab.wick.wick is wick
