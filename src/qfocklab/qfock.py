@@ -35,9 +35,6 @@ from .numerics import psd_inv_sqrt
 MATRIX_DIM_CAP = 4096
 # Largest N^m for coefficient tensors in vector arithmetic.
 VECTOR_DIM_CAP = 65536
-# Largest level built by the explicit permutation-group sum; higher
-# levels use the defining split identity P_{m} = (P_{m-1} (x) 1) R*.
-SYM_GROUP_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -219,29 +216,26 @@ def _memo_per_level(build):
 
 @_memo_per_level
 def _symmetrizer(params: FockParams, m: int) -> np.ndarray:
-    """Sum over the symmetric group of q^inversions times the
-    permutation action, as a dim^m x dim^m matrix."""
-    n = params.level_dim(m)
+    """Level Gram as a dim^m x dim^m matrix, by the Bozejko-Speicher
+    recursion P_m = R_m* (P_{m-1} (x) 1), where R_m* is the sum over c
+    of q^c times moving the last factor c places to the left."""
+    n, d = params.level_dim(m), params.dim
     if m <= 1:
         return np.eye(n, dtype=complex)
-    if m <= SYM_GROUP_CAP:
-        out = np.zeros((n, n), dtype=float)
-        cols = np.arange(n)
-        for perm in itertools.permutations(range(m)):
-            inv = sum(
-                1
-                for a, b in itertools.combinations(range(m), 2)
-                if perm[a] > perm[b]
-            )
-            # Row r receives the coefficient of the permuted basis vector;
-            # scattered, the gather rows of perm^-1 act as perm.
-            rows = _permutation_rows(params.dim, np.argsort(perm))
-            out[rows, cols] += params.q**inv
-        return out.astype(complex)
-    # Defining split identity with a single right factor.
-    lower = symmetrizer(params, m - 1)
-    splitter = splitter_matrix(params, (m - 1, 1))
-    return np.kron(lower, np.eye(params.dim)) @ splitter
+    lower = symmetrizer(params, m - 1).real
+    # Complex, filled through its real part: numpy's float64 @ complex128
+    # matmul is slower than complex @ complex, and every consumer is complex.
+    out = np.zeros((n, n), dtype=complex)
+    for c in range(m):
+        # Term c: a row with factor x in slot m-1-c receives the row of
+        # P_{m-1} without that slot, on the columns whose last factor is x.
+        # The reshape only splits axes, so it is a view into out.
+        pre, post = d ** (m - 1 - c), d**c
+        rows = out.real.reshape(pre, d, post, n // d, d)
+        scaled = (params.q**c * lower).reshape(pre, post, n // d)
+        for x in range(d):
+            rows[:, x, :, :, x] += scaled
+    return out
 
 
 def symmetrizer(params: FockParams, m: int) -> np.ndarray:

@@ -147,11 +147,6 @@ class ModeGradientVector:
         return float(np.sqrt(max(self.pairing(self).real, 0.0)))
 
 
-def poisson_derivation(k: int) -> ModeGradientVector:
-    """Class of the canonical derivation applied to a mode."""
-    return ModeGradientVector(((1.0, k, 0),))
-
-
 def poisson_s_image(k: int) -> ModeGradientVector:
     """Normalized derivation on the eigenvalue-|k| eigenspace; the
     zero mode maps to the fixed unit vector orthogonal to the range."""

@@ -3,6 +3,7 @@
 import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,21 +56,19 @@ def random_vector(rng, p, levels, real=False):
 
 
 def symmetrizer_by_definition(p, m):
-    """Direct permutation sum, independent of the production code path."""
+    """Sum over the symmetric group of q^inversions times the
+    permutation action, independent of the library's recursion."""
     n = p.dim**m
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros((n, n))
+    cols = np.arange(n)
+    window = cols.reshape((p.dim,) * m)
     for perm in itertools.permutations(range(m)):
-        inv = sum(
-            1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b]
-        )
-        mat = np.zeros((n, n))
-        for col in range(n):
-            digits = [(col // p.dim**(m - 1 - ax)) % p.dim for ax in range(m)]
-            permuted = [digits[perm[ax]] for ax in range(m)]
-            row = sum(d * p.dim**(m - 1 - ax) for ax, d in enumerate(permuted))
-            mat[row, col] = 1.0
-        out += p.q**inv * mat
-    return out
+        inv = sum(1 for a, b in itertools.combinations(range(m), 2) if perm[a] > perm[b])
+        # Row r receives the coefficient of the permuted basis vector;
+        # scattered, the gather rows of perm^-1 act as perm.
+        rows = np.transpose(window, np.argsort(perm)).reshape(-1)
+        out[rows, cols] += p.q**inv
+    return out.astype(complex)
 
 
 def split_tensor_by_definition(q, t, n, k, offset=0):
@@ -110,11 +109,44 @@ def test_symmetrizer_trivials():
     assert np.allclose(symmetrizer(p1, 2), np.array([[1.3]]))
 
 
-def test_symmetrizer_recursion_agrees_with_group_sum():
-    # The split-identity construction used above the group-sum cap must
-    # agree with the explicit sum where both are available.
-    p = FockParams(q=0.6, dim=2, max_level=6)
-    for m in (2, 3, 4, 5):
+# Levels where the group-sum oracle stays cheap: m <= 8 and dim^m <= 1024.
+GROUP_SUM_LEVELS = [(d, m) for d in (2, 3, 4) for m in range(2, 9) if d**m <= 1024]
+
+
+@pytest.mark.parametrize(
+    "dim,m,q",
+    [
+        (dim, m, q)
+        for dim, m in GROUP_SUM_LEVELS
+        for q in (-0.7, 0.3, 0.95)
+        # The dim-2, m-8 group sum takes about a second; one q is enough.
+        if m < 8 or q == 0.3
+    ],
+)
+def test_symmetrizer_matches_group_sum(dim, m, q):
+    p = FockParams(q=q, dim=dim, max_level=m)
+    want = symmetrizer_by_definition(p, m)
+    assert np.max(np.abs(symmetrizer(p, m) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("q", [-0.95, -0.7, 0.3, 0.95])
+def test_symmetrizer_at_dim_one_is_exact_q_factorial(q):
+    # At dim 1, P_m is the number [m]_q! = prod_{j<=m} (1 + q + ... + q^(j-1)),
+    # here in exact rational arithmetic on the binary value of q.
+    p = FockParams(q=q, dim=1, max_level=12)
+    exact = Fraction(1)
+    for m in range(1, 13):
+        exact *= sum(Fraction(q) ** i for i in range(m))
+        got = symmetrizer(p, m)
+        assert got.shape == (1, 1)
+        assert abs(got[0, 0] - float(exact)) <= 1e-14 * abs(float(exact)), m
+
+
+def test_dense_splitter_agrees_with_symmetrizer():
+    # The Gram is built without the dense (m-1, 1) splitter; the split
+    # identity P_m = (P_{m-1} (x) 1) R* ties the two together.
+    p = FockParams(q=0.6, dim=2, max_level=8)
+    for m in range(2, 9):
         expl = symmetrizer(p, m)
         rec = np.kron(symmetrizer(p, m - 1), np.eye(2)) @ splitter_matrix(p, (m - 1, 1))
         assert np.allclose(expl, rec, atol=1e-12)
@@ -142,6 +174,7 @@ def test_symmetrizer_apply_matches_matrix():
 def test_level_cache_is_shared_across_max_level():
     small, large = params(q=0.35, max_level=3), params(q=0.35, max_level=6)
     assert symmetrizer(small, 3) is symmetrizer(large, 3)
+    assert symmetrizer(small, 3).dtype == np.complex128
     assert splitter_matrix(small, (2, 1)) is splitter_matrix(large, (2, 1))
     assert pairing_form(small, 2) is pairing_form(large, 2)
     assert symmetrizer(small, 3) is not symmetrizer(params(q=0.36, max_level=3), 3)
