@@ -86,8 +86,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"verify needs max_level >= {VERIFY_MIN_LEVEL}, got {self.max_level}"
             )
-        if self.time_t < 0:
-            raise ConfigError(f"time must be >= 0, got {self.time_t}")
+        if not 0 <= self.time_t < np.inf:
+            raise ConfigError(f"time must be >= 0 and finite, got {self.time_t}")
+        if self.tol is not None and not 0 < self.tol < np.inf:
+            raise ConfigError(f"tol must be > 0 and finite, got {self.tol}")
         if self.p != float("inf") and self.p < 1:
             raise ConfigError(f"p must be >= 1, got {self.p}")
         if self.window < 1:
@@ -111,6 +113,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.semigroup not in ("heat", "poisson"):
             raise ConfigError(f"unknown semigroup {self.semigroup!r}")
+        if self.command == "threshold":
+            for q in parse_grid(self.grid):
+                if abs(q) > CONDITIONING_Q_CAP:
+                    raise ConfigError(f"grid point {q} outside |q| <= {CONDITIONING_Q_CAP}")
 
     def fock_params(self) -> FockParams:
         try:
@@ -127,6 +133,8 @@ def parse_grid(spec: str) -> list[float]:
         lo, hi, step = (float(part) for part in spec.split(":"))
     except ValueError as exc:
         raise ConfigError(f"grid must be lo:hi:step, got {spec!r}") from exc
+    if not all(np.isfinite((lo, hi, step))):
+        raise ConfigError(f"grid bounds and step must be finite, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad grid bounds {spec!r}")
     count = int(round((hi - lo) / step))
@@ -454,8 +462,6 @@ def cmd_threshold(cfg: ExperimentConfig) -> int:
     rows = []
     verdicts = []
     for q in grid:
-        if abs(q) > CONDITIONING_Q_CAP:
-            raise ConfigError(f"grid point {q} outside |q| <= {CONDITIONING_Q_CAP}")
         params = FockParams(q=q, dim=cfg.dim, max_level=cfg.max_level)
         a = wick(params, cfg.word_a)
         b = wick(params, cfg.word_b)

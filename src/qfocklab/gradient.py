@@ -38,6 +38,7 @@ from .wick import (
     Element,
     WickWord,
     _as_element,
+    graded_mul,
     partition_weighted_sum,
     triple_contraction_sum,
 )
@@ -60,8 +61,8 @@ def number_operator(params: FockParams) -> FockOperator:
 
 
 def _check_time(t: float) -> None:
-    if t < 0:
-        raise BadExponent(f"semigroup time must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise BadExponent(f"semigroup time must be finite and >= 0, got {t}")
 
 
 def semigroup_operator(params: FockParams, t: float) -> FockOperator:
@@ -76,18 +77,21 @@ def delta_element(x: Element) -> Element:
 
 
 def gamma(x: Element, y: Element, max_out: int | None = None) -> Element:
-    """Gradient form (carre du champ) as an algebra element.
+    """Gradient form (carre du champ) 1/2 ((D y)* x + y* D x - D(y* x))
+    as an algebra element, D the number operator.
+
+    The j-contraction term of words y* x sits at level l_x + l_y - 2j, so
+    the bracket weights it by 1/2 (l_y + l_x - (l_x + l_y - 2j)) = j, and
+    by bilinearity Gamma(x, y) = sum over j >= 1 of j (y* ._j x) for any
+    elements: one product pass that never forms the j = 0 outer product.
 
     ``max_out`` truncates the output levels; components up to the cut
     are exact, which suffices whenever the result is paired against
     vectors whose levels sum below the cut.
     """
-    y_adj = y.adjoint()
-    dy_adj = delta_element(y).adjoint()
-    t1 = dy_adj.mul(x, max_out)
-    t2 = y_adj.mul(delta_element(x), max_out)
-    t3 = delta_element(y_adj.mul(x, max_out))
-    return (t1 + t2 - t3).scaled(0.5)
+    _require_same_params(x.params, y.params)
+    levels = graded_mul(x.params, y.adjoint().levels, x.levels, max_out, weight=lambda j: j)
+    return Element(x.params, levels)
 
 
 def psi_element(a: Element, b: Element, x: Element, t: float = 0.0) -> Element:
@@ -476,23 +480,6 @@ class GradientVector:
         return not self.terms
 
 
-# Keyed by (params, operand bytes, cut); insertion is idempotent, so a
-# racing duplicate computation is wasted work, never a wrong value.
-_GAMMA_CACHE: dict[tuple, Element] = {}
-_GAMMA_CACHE_CAP = 4096
-
-
-def _gamma_cached(a: Element, b: Element, cut: int) -> Element:
-    key = (a.params, _byte_key(a), _byte_key(b), cut)
-    got = _GAMMA_CACHE.get(key)
-    if got is None:
-        got = gamma(a, b, max_out=cut)
-        if len(_GAMMA_CACHE) >= _GAMMA_CACHE_CAP:
-            _GAMMA_CACHE.clear()
-        _GAMMA_CACHE[key] = got
-    return got
-
-
 def _term_pairing(a: Element, xi, b: Element, eta) -> complex:
     """<a (x) xi, b (x) eta> = <Gamma(a, b) . xi, eta>.
 
@@ -504,8 +491,7 @@ def _term_pairing(a: Element, xi, b: Element, eta) -> complex:
     if isinstance(xi, GradientVector):
         return nabla_pairing_value(xi.left(gamma(a, b)), eta)
     cut = xi.top_level() + eta.top_level()
-    g = _gamma_cached(a, b, cut)
-    applied = g.mul(xi, max_out=eta.top_level())
+    applied = gamma(a, b, max_out=cut).mul(xi, max_out=eta.top_level())
     return applied.q_inner(eta)
 
 

@@ -73,12 +73,16 @@ def graded_mul(
     left: dict[int, np.ndarray],
     right: dict[int, np.ndarray],
     max_out: int | None = None,
+    weight=None,
 ) -> dict[int, np.ndarray]:
     """Exact product of two level-graded vacuum vectors.
 
     Each retained output level is exact; ``max_out`` drops higher output
     levels deliberately (callers use it only when a band argument shows
     the dropped part cannot contribute downstream).
+
+    ``weight(j)`` multiplies the j-contraction term (default 1); zero
+    weights are skipped before the term is formed.
     """
     out: dict[int, np.ndarray] = {}
     for la, ta in left.items():
@@ -89,9 +93,12 @@ def graded_mul(
                 lo = la + lb - 2 * j
                 if max_out is not None and lo > max_out:
                     continue
+                w = 1 if weight is None else weight(j)
+                if w == 0:
+                    continue
                 params.check_level_budget(lo)
                 term = _mul_term(params, ta, tb, j)
-                out[lo] = out.get(lo, 0) + term
+                out[lo] = out.get(lo, 0) + (term if w == 1 else w * term)
     return {m: t for m, t in out.items() if np.any(t)}
 
 

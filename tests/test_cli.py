@@ -26,6 +26,9 @@ def test_parse_grid():
         parse_grid("1:0:0.1")
     with pytest.raises(ConfigError):
         parse_grid("nope")
+    for spec in ("nan:1:0.1", "0.1:inf:0.1", "-inf:0.5:0.1", "0.1:0.5:nan"):
+        with pytest.raises(ConfigError):
+            parse_grid(spec)
 
 
 def test_parse_word():
@@ -247,6 +250,34 @@ def test_verify_minimum_level_runs():
 def test_negative_time_is_config_error(capsys):
     assert main(["decay", "--time", "-1", "--max-level", "4"]) == 2
     assert "time must be >= 0" in capsys.readouterr().err
+    for value in ("nan", "inf"):
+        assert main(["decay", "--time", value, "--max-level", "4"]) == 2
+        assert "time must be >= 0 and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["nan:1:0.1", "0.1:inf:0.1"])
+def test_threshold_non_finite_grid_is_config_error(spec, capsys):
+    assert main(["threshold", "--max-level", "4", "--grid", spec]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_threshold_grid_beyond_the_cap_fails_before_any_point(monkeypatch, capsys):
+    from qfocklab import cli
+
+    def solve(*args, **kwargs):
+        raise AssertionError("a grid point was solved")
+
+    monkeypatch.setattr(cli, "gradient_map", solve)
+    assert main(["threshold", "--max-level", "4", "--grid", "0.5:0.9:0.1"]) == 2
+    assert "grid point 0.9 outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
+def test_verify_bad_tolerance_is_config_error(value, capsys):
+    assert main(["verify", "--max-level", "3", "--tol", value]) == 2
+    captured = capsys.readouterr()
+    assert "tol must be > 0 and finite" in captured.err
+    assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
 
 
 def test_verify_corrupted_tolerance(tmp_path):

@@ -82,12 +82,14 @@ def test_number_operator_and_semigroup_laws():
 def test_negative_time_is_bad_exponent():
     p = params()
     a = wick(p, [1])
-    with pytest.raises(BadExponent):
-        semigroup_operator(p, -1.0)
-    with pytest.raises(BadExponent):
-        gradient_map(a, a, -1.0, "rstar")
-    with pytest.raises(BadExponent):
-        psi_element(a.element(), a.element(), Element.one(p), -1.0)
+    # a non-finite time is refused like a negative one
+    for t in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(BadExponent):
+            semigroup_operator(p, t)
+        with pytest.raises(BadExponent):
+            gradient_map(a, a, t, "rstar")
+        with pytest.raises(BadExponent):
+            psi_element(a.element(), a.element(), Element.one(p), t)
 
 
 def test_semigroup_is_trace_preserving_on_elements():
@@ -128,6 +130,42 @@ def test_gamma_examples_and_positivity():
         xi = random_element(rng, p, [0, 1, 2])
         val = gx.mul(xi).q_inner(xi)
         assert val.real >= -1e-9 * max(xi.q_norm() ** 2, 1.0)
+
+
+def gamma_by_definition(x, y, max_out=None):
+    """Gamma(x, y) = 1/2 ((D y)* x + y* D x - D(y* x)), three products."""
+    y_adj = y.adjoint()
+    t1 = delta_element(y).adjoint().mul(x, max_out)
+    t2 = y_adj.mul(delta_element(x), max_out)
+    t3 = delta_element(y_adj.mul(x, max_out))
+    return (t1 + t2 - t3).scaled(0.5)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("q", [-0.4, 0.0, 0.3, 0.7])
+def test_gamma_matches_definition(q, dim):
+    p = FockParams(q=q, dim=dim, max_level=4)
+    rng = np.random.default_rng(round(10 * q) + 10 * dim)
+
+    def complex_element(levels):
+        return Element(
+            p,
+            {
+                m: rng.standard_normal((dim,) * m) + 1j * rng.standard_normal((dim,) * m)
+                for m in levels
+            },
+        )
+
+    for x_levels, y_levels in [((0, 1, 2, 3, 4), (0, 1, 2, 3, 4)), ((0, 2, 3), (1, 4))]:
+        x, y = complex_element(x_levels), complex_element(y_levels)
+        for max_out in (None, 2, 4):
+            got = gamma(x, y, max_out)
+            want = gamma_by_definition(x, y, max_out)
+            # the definition leaves rounding residue on j = 0 levels, which
+            # the weighted contraction never forms
+            assert set(got.levels) <= set(want.levels)
+            gap = (got - want).q_norm() / max(want.q_norm(), 1.0)
+            assert gap < 1e-13, (max_out, gap)
 
 
 def test_psi_element_zero_cases():

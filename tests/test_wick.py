@@ -216,38 +216,87 @@ def test_graded_mul_max_out_truncates_exactly():
         assert np.allclose(cut[m], full[m])
 
 
-def graded_mul_by_tensordot(p, left, right):
-    """The two-word product contracted with tensordot, one j at a time."""
+def graded_mul_by_tensordot(p, left, right, weight=None):
+    """The two-word product contracted with tensordot, one j at a time,
+    with the j-contraction term multiplied by ``weight(j)``."""
     out = {}
     for la, ta in left.items():
         for lb, tb in right.items():
             for j in range(min(la, lb) + 1):
+                w = 1 if weight is None else weight(j)
+                if w == 0:
+                    continue
                 t1 = split_tensor(p.q, ta, la - j, j)
                 t2 = split_tensor(p.q, tb, j, lb - j)
                 b = pairing_form(p, j).reshape((p.dim,) * (2 * j))
                 step = np.tensordot(t1, b, axes=(list(range(la - j, la)), list(range(j))))
                 term = np.tensordot(step, t2, axes=(list(range(la - j, la)), list(range(j))))
-                out[la + lb - 2 * j] = out.get(la + lb - 2 * j, 0) + term
+                out[la + lb - 2 * j] = out.get(la + lb - 2 * j, 0) + w * term
     return out
+
+
+def random_graded(rng, dim, levels):
+    return {
+        m: rng.standard_normal((dim,) * m) + 1j * rng.standard_normal((dim,) * m)
+        for m in levels
+    }
 
 
 @pytest.mark.parametrize("q,dim", [(0.0, 2), (0.45, 2), (-0.6, 3), (0.3, 1)])
 def test_graded_mul_matches_tensordot_contraction(q, dim):
     p = FockParams(q=q, dim=dim, max_level=4)
     rng = np.random.default_rng(13)
-
-    def graded(levels):
-        return {
-            m: rng.standard_normal((dim,) * m) + 1j * rng.standard_normal((dim,) * m)
-            for m in levels
-        }
-
-    left, right = graded([0, 1, 2, 3]), graded([0, 2, 3])
+    left, right = random_graded(rng, dim, [0, 1, 2, 3]), random_graded(rng, dim, [0, 2, 3])
     got = graded_mul(p, left, right)
     want = graded_mul_by_tensordot(p, left, right)
     assert set(got) == set(want)
     for m in want:
         assert np.allclose(got[m], want[m], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("q,dim", [(0.0, 2), (-0.6, 3), (0.3, 1)])
+def test_graded_mul_weight_scales_each_contraction_term(q, dim):
+    p = FockParams(q=q, dim=dim, max_level=4)
+    rng = np.random.default_rng(15)
+    left, right = random_graded(rng, dim, [0, 1, 2, 3]), random_graded(rng, dim, [0, 2, 3])
+    # distinct per j, so a dropped or re-weighted j-term shows; zero at j = 0
+    weights = (0.0, 2.0, -0.5j, 3.0)
+    got = graded_mul(p, left, right, weight=weights.__getitem__)
+    want = graded_mul_by_tensordot(p, left, right, weights.__getitem__)
+    assert set(got) == set(want)
+    assert 6 not in got  # only j = 0 reaches level 3 + 3
+    for m in want:
+        assert np.allclose(got[m], want[m], rtol=0, atol=1e-12)
+
+
+def test_graded_mul_unit_weight_is_bit_identical():
+    p = FockParams(q=0.37, dim=2, max_level=4)
+    rng = np.random.default_rng(14)
+    left, right = random_graded(rng, 2, [0, 1, 2, 3]), random_graded(rng, 2, [0, 2, 3])
+    for max_out in (None, 3):
+        plain = graded_mul(p, left, right, max_out)
+        unit = graded_mul(p, left, right, max_out, weight=lambda j: 1)
+        assert set(unit) == set(plain)
+        for m in plain:
+            assert unit[m].tobytes() == plain[m].tobytes()
+
+
+def test_graded_mul_zero_weight_skips_the_term(monkeypatch):
+    from qfocklab import wick as wick_mod
+
+    seen = []
+    real = wick_mod._mul_term
+
+    def recording(params, left, right, j):
+        seen.append(j)
+        return real(params, left, right, j)
+
+    monkeypatch.setattr(wick_mod, "_mul_term", recording)
+    p = params(q=0.3)
+    rng = np.random.default_rng(16)
+    left, right = random_graded(rng, 2, [2]), random_graded(rng, 2, [1, 2])
+    graded_mul(p, left, right, weight=lambda j: j)
+    assert sorted(seen) == [1, 1, 2]
 
 
 def test_partition_products_need_pure_levels():
