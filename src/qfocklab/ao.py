@@ -126,11 +126,6 @@ def build_ou_model(params: FockParams, check: bool = True) -> FilteredModel:
     return model
 
 
-def subexponential_ratios(model: FilteredModel) -> list[float]:
-    lams = [l for l in model.eigenvalues if l > 0]
-    return [b / a for a, b in zip(lams, lams[1:])]
-
-
 def _derivation_class(params: FockParams, el: Element) -> GradientVector:
     return GradientVector(params, [(el, Element.one(params))])
 

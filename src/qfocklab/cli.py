@@ -40,6 +40,8 @@ from .reports import format_number, render_csv, write_json
 from .wick import Element, product_direct, product_partition, product_triple, wick
 
 CONDITIONING_Q_CAP = 0.8
+# Points of one parameter grid; threshold solves a gradient map per point.
+GRID_POINT_CAP = 1000
 # The torus ao-decay head statistic spans modes [K/8, K/4] of a window
 # of K modes, which is empty below K = 8.
 TORUS_TREND_MIN_WINDOW = 8
@@ -88,6 +90,8 @@ class ExperimentConfig:
             )
         if not 0 <= self.time_t < np.inf:
             raise ConfigError(f"time must be >= 0 and finite, got {self.time_t}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.tol is not None and not 0 < self.tol < np.inf:
             raise ConfigError(f"tol must be > 0 and finite, got {self.tol}")
         if self.p != float("inf") and self.p < 1:
@@ -137,7 +141,10 @@ def parse_grid(spec: str) -> list[float]:
         raise ConfigError(f"grid bounds and step must be finite, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad grid bounds {spec!r}")
-    count = int(round((hi - lo) / step))
+    steps = (hi - lo) / step
+    if not steps <= GRID_POINT_CAP - 1:  # counted before any point is made
+        raise ConfigError(f"grid {spec!r} has more than {GRID_POINT_CAP} points")
+    count = int(round(steps))
     values = [round(lo + i * step, 12) for i in range(count + 1)]
     return [v for v in values if v <= hi + 1e-12]
 

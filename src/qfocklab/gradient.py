@@ -5,8 +5,7 @@ The gradient map of a pair of Wick words is assembled by three routes
 that must agree on their common lossless region:
 
 * ``direct``   - the defining four-term generator expression, evaluated
-                 with exact element arithmetic one basis column at a
-                 time;
+                 with two-word products only;
 * ``partition`` - the segmented pair-partition expansion, where each
                  term is weighted by -2 times the number of pairs
                  joining the left word to the right word;
@@ -14,11 +13,10 @@ that must agree on their common lossless region:
                  summand reweighted by -2 times its left-right
                  contraction size.
 
-Both expansion routes are composed with -(1/2) times the semigroup, so
-all routes realize the same map.  Both are linear in the middle word,
-so each source level goes through one contraction whose middle word is
-the level's whole basis, the identity, in chunks of at most
-``BATCH_COLUMNS`` columns (``_batched_blocks``).
+All three are composed with -(1/2) times the semigroup and are linear
+in the middle word, so each source level goes through one evaluation
+whose middle word is the level's whole basis, the identity, in chunks
+of columns (``_batched_blocks``).
 """
 
 from __future__ import annotations
@@ -48,6 +46,10 @@ NABLA_GRAM_RTOL = 1e-8
 # is one contraction; at MATRIX_DIM_CAP the identity slice and each
 # output slice of a chunk take 64 MiB, a quarter of a full block.
 BATCH_COLUMNS = 1024
+# Entries of the widest intermediate level in one chunk of the direct
+# route (128 KiB).  Split tables gather up to C(L, j) copies of a level,
+# and wider chunks were no faster at dim 2, M 8 but raised peak RSS.
+BATCH_ENTRIES = 2**13
 
 
 # ---------------------------------------------------------------------------
@@ -94,20 +96,46 @@ def gamma(x: Element, y: Element, max_out: int | None = None) -> Element:
     return Element(x.params, levels)
 
 
+def _number_levels(levels: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    return {m: m * t for m, t in levels.items() if m}
+
+
+def _generator_bracket(params: FockParams, a: dict, b: dict, x: dict, cap: int, batched=False):
+    """D(axb) + a D(x) b - D(ax) b - a D(xb) on level dicts, D the number
+    operator, from two-word products only, up to output level ``cap``.
+
+    A product with a word of top level k lowers a level L to no less
+    than L - k, so ax and a D(x) are cut at cap + k and xb at cap + n
+    (n the top level of a): every kept level is exact.  With ``batched``,
+    the last axis of every level of ``x`` is a batch axis that rides
+    along as the last axis of every output level.
+    """
+    n, k = max(a, default=0), max(b, default=0)
+    xl, xr = ("left", "right") if batched else (None, None)
+    ax = graded_mul(params, a, x, cap + k, batched=xr)
+    adx = graded_mul(params, a, _number_levels(x), cap + k, batched=xr)
+    xb = graded_mul(params, x, b, cap + n, batched=xl)
+    total: dict[int, np.ndarray] = {}
+    for sign, levels in (
+        (1, _number_levels(graded_mul(params, ax, b, cap, batched=xl))),
+        (1, graded_mul(params, adx, b, cap, batched=xl)),
+        (-1, graded_mul(params, _number_levels(ax), b, cap, batched=xl)),
+        (-1, graded_mul(params, a, _number_levels(xb), cap, batched=xr)),
+    ):
+        for m, t in levels.items():
+            total[m] = total.get(m, 0) + sign * t
+    return {m: t for m, t in total.items() if np.any(t)}
+
+
 def psi_element(a: Element, b: Element, x: Element, t: float = 0.0) -> Element:
     """Gradient map applied to an element by the defining expression:
     -(1/2) Phi_t( D(axb) + a D(x) b - D(ax) b - a D(xb) )."""
     _check_time(t)
-    ax = a * x
-    xb = x * b
-    axb = ax * b
-    total = (
-        delta_element(axb)
-        + (a * delta_element(x)) * b
-        - delta_element(ax) * b
-        - a * delta_element(xb)
-    )
-    out = total.scaled(-0.5)
+    for el in (a, b):
+        _require_same_params(el.params, x.params)
+    top = a.top_level() + x.top_level() + b.top_level()  # no level is cut
+    out = Element(x.params, _generator_bracket(x.params, a.levels, b.levels, x.levels, top))
+    out = out.scaled(-0.5)
     return out.semigroup_applied(t) if t else out
 
 
@@ -143,19 +171,19 @@ def _assemble_blocks(params: FockParams, n: int, k: int, block_fn, max_source: i
     return blocks, frozenset(lossy)
 
 
-def _batched_blocks(params: FockParams, m: int, t: float, contract):
+def _batched_blocks(params: FockParams, m: int, t: float, contract, columns: int):
     """The blocks of source level m from a route that is linear in its
     middle word, composed with -(1/2) times the semigroup.
 
     ``contract(batch)`` takes identity columns with their row index
     unfolded into m tensor axes, so ``batch[..., j]`` is one basis
     tensor, and returns output levels whose trailing batch axis becomes
-    block columns.  At most ``BATCH_COLUMNS`` columns go through at once.
+    block columns.  At most ``columns`` columns go through at once.
     """
     size = params.level_dim(m)
     blocks: dict[int, np.ndarray] = {}
-    for start in range(0, size, BATCH_COLUMNS):
-        width = min(BATCH_COLUMNS, size - start)
+    for start in range(0, size, columns):
+        width = min(columns, size - start)
         # unnamed, so the identity slice is freed when the contraction returns
         levels = contract(
             np.eye(size, width, -start, dtype=complex).reshape((params.dim,) * m + (width,))
@@ -189,75 +217,45 @@ def gradient_map(
     if b.params != params:
         raise TruncationLoss("word pair built over different parameters")
     n, k = a.level, b.level
-    a_el, b_el = a.element(), b.element()
     a_sym = np.asarray(a.symbol, dtype=complex)
     b_sym = np.asarray(b.symbol, dtype=complex)
 
     if route == "direct":
+        a_el, b_el = a.element().levels, b.element().levels
 
-        def block(m):
-            # Element arithmetic has no batch axis: one column at a time.
-            size = params.level_dim(m)
-            out: dict[int, np.ndarray] = {}
-            for col in range(size):
-                basis = np.zeros(size, dtype=complex)
-                basis[col] = 1.0
-                x = Element(params, {m: basis.reshape((params.dim,) * m)})
-                for lvl, tensor in psi_element(a_el, b_el, x, t).levels.items():
-                    if lvl > params.max_level or not np.any(tensor):
-                        continue
-                    if lvl not in out:
-                        out[lvl] = np.zeros((params.level_dim(lvl), size), dtype=complex)
-                    out[lvl][:, col] = tensor.reshape(-1)
-            return out
+        def contract(m, batch):
+            return _generator_bracket(params, a_el, b_el, {m: batch}, params.max_level, True)
 
     elif route == "partition":
-        if n == 0 or k == 0:
-            def block(m):
+
+        def pair_count(part):
+            # pairs joining the left-word segment to the right-word
+            # segment of the (n, m, k) shape
+            right_start = n + (part.shape.total - n - k)
+            return sum(1 for l, r in part.pairs if l <= n and r > right_start)
+
+        def contract(m, batch):
+            if n == 0 or k == 0:
                 return {}
-        else:
-
-            def pair_count(part):
-                # pairs joining the left-word segment to the right-word
-                # segment of the (n, m, k) shape
-                left_end = n
-                right_start = n + (part.shape.total - n - k)
-                return sum(
-                    1 for l, r in part.pairs if l <= left_end and r > right_start
-                )
-
-            def block(m):
-                return _batched_blocks(
-                    params,
-                    m,
-                    t,
-                    lambda batch: partition_weighted_sum(
-                        params,
-                        [a_sym, batch, b_sym],
-                        weight=lambda part: -2.0 * pair_count(part),
-                        batched=True,
-                    ),
-                )
+            weight = lambda part: -2.0 * pair_count(part)
+            return partition_weighted_sum(params, [a_sym, batch, b_sym], weight, batched=True)
 
     elif route == "rstar":
 
-        def block(m):
-            return _batched_blocks(
-                params,
-                m,
-                t,
-                lambda batch: triple_contraction_sum(
-                    params,
-                    a_sym,
-                    batch,
-                    b_sym,
-                    weight=lambda j, r, s: -2.0 * r,
-                    batched=True,
-                ),
-            )
+        def contract(m, batch):
+            weight = lambda j, r, s: -2.0 * r
+            return triple_contraction_sum(params, a_sym, batch, b_sym, weight, batched=True)
 
     else:
         raise UnknownRoute(f"route must be direct/partition/rstar, got {route!r}")
+
+    def block(m):
+        columns = BATCH_COLUMNS
+        if route == "direct":
+            # the bracket's products grow above the output levels
+            widest = min(m + n + k, params.max_level + max(n, k))
+            columns = max(1, BATCH_ENTRIES // params.level_dim(widest))
+        return _batched_blocks(params, m, t, lambda batch: contract(m, batch), columns)
 
     cap = params.max_level if max_source is None else max_source
     blocks, lossy = _assemble_blocks(params, n, k, block, cap)

@@ -154,13 +154,3 @@ def subset_inversions(subset) -> int:
         raise ShapeMismatch("subset elements must be >= 1")
     return sum(a - pos for pos, a in enumerate(elems, start=1))
 
-
-def format_partition(partition: PairPartition) -> str:
-    """One-line debug dump: pairs, singletons and crossing statistics."""
-    cr = crossing_number(partition)
-    pairs = ",".join(f"({l},{r})" for l, r in partition.pairs)
-    singles = ",".join(str(s) for s in partition.singletons)
-    return (
-        f"pairs=[{pairs}] singles=[{singles}] "
-        f"c={cr.regular} d={cr.degenerate} cr={cr.total}"
-    )

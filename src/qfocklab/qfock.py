@@ -160,18 +160,20 @@ def split_tensor(q: float, t: np.ndarray, n: int, k: int, offset: int = 0) -> np
 
     Output axis order puts the chosen n axes first (inside the window),
     weighted by q^cost; the remaining axes of ``t`` are untouched.
-    When the window is the whole tensor and has at most MATRIX_DIM_CAP
-    entries, the cached split table applies it as one gather and
-    weighted sum; otherwise the permuted tensors are summed one term at
-    a time, which needs no table.
+    When the window is the tail of the tensor and has at most
+    MATRIX_DIM_CAP entries, the cached split table applies it to each
+    leading slice as one gather and weighted sum; otherwise the permuted
+    tensors are summed one term at a time, which needs no table.
     """
     if n < 0 or k < 0 or offset < 0 or offset + n + k > t.ndim:
         raise ShapeMismatch(f"split ({n},{k}) at offset {offset} does not fit ndim {t.ndim}")
     if n == 0 or k == 0:
         return t.astype(complex, copy=True)
-    dim = t.shape[0]
-    if t.ndim == n + k and t.shape == (dim,) * t.ndim and t.size <= MATRIX_DIM_CAP:
-        out = _split_weights(n, k, float(q)) @ t.reshape(-1).take(_split_rows(dim, n, k))
+    dim = t.shape[offset]
+    size = dim ** (n + k)
+    if t.shape[offset:] == (dim,) * (n + k) and size <= MATRIX_DIM_CAP:
+        rows = t.reshape(-1, size).take(_split_rows(dim, n, k), axis=1)
+        out = _split_weights(n, k, float(q)) @ rows
         return out.astype(complex, copy=False).reshape(t.shape)
     prefix = list(range(offset))
     suffix = list(range(offset + n + k, t.ndim))

@@ -58,14 +58,26 @@ def _pair_tensor(params: FockParams, j: int) -> np.ndarray:
     return pairing_form(params, j).reshape((params.dim,) * (2 * j))
 
 
-def _mul_term(params: FockParams, left: np.ndarray, right: np.ndarray, j: int) -> np.ndarray:
-    """One j-contraction term of the two-word product."""
-    la, lb = left.ndim, right.ndim
+def _mul_term(
+    params: FockParams, left: np.ndarray, right: np.ndarray, j: int, batched: str | None = None
+) -> np.ndarray:
+    """One j-contraction term of the two-word product.  With ``batched``
+    "left" or "right", the last axis of that operand is a batch axis that
+    rides along as the last axis of the term; the term is formed batch-first,
+    so each slice goes through the same products as unbatched, bit for bit."""
+    bl, br = int(batched == "left"), int(batched == "right")
+    left = np.moveaxis(left, -1, 0) if bl else left
+    right = np.moveaxis(right, -1, 0) if br else right
+    la, lb = left.ndim - bl, right.ndim - br
     inner = params.level_dim(j)
-    t1 = split_tensor(params.q, left, la - j, j).reshape(-1, inner)
-    t2 = split_tensor(params.q, right, j, lb - j).reshape(inner, -1)
-    prod = np.outer(t1, t2) if j == 0 else t1 @ pairing_form(params, j) @ t2
-    return prod.reshape((params.dim,) * (la + lb - 2 * j))
+    t1 = split_tensor(params.q, left, la - j, j, bl).reshape(left.shape[:bl] + (-1, inner))
+    t2 = split_tensor(params.q, right, j, lb - j, br).reshape(right.shape[:br] + (inner, -1))
+    # contiguous slices go through the same BLAS kernels as unbatched terms
+    t1, t2 = np.ascontiguousarray(t1), np.ascontiguousarray(t2)
+    prod = t1 * t2 if j == 0 else t1 @ pairing_form(params, j) @ t2
+    batch = left.shape[:bl] + right.shape[:br]
+    prod = prod.reshape(batch + (params.dim,) * (la + lb - 2 * j))
+    return np.moveaxis(prod, 0, -1) if batch else prod
 
 
 def graded_mul(
@@ -74,6 +86,7 @@ def graded_mul(
     right: dict[int, np.ndarray],
     max_out: int | None = None,
     weight=None,
+    batched: str | None = None,
 ) -> dict[int, np.ndarray]:
     """Exact product of two level-graded vacuum vectors.
 
@@ -83,6 +96,9 @@ def graded_mul(
 
     ``weight(j)`` multiplies the j-contraction term (default 1); zero
     weights are skipped before the term is formed.
+
+    With ``batched`` "left" or "right", the last axis of every level of that
+    operand (never both) is a batch axis that rides along to every output.
     """
     out: dict[int, np.ndarray] = {}
     for la, ta in left.items():
@@ -97,7 +113,7 @@ def graded_mul(
                 if w == 0:
                     continue
                 params.check_level_budget(lo)
-                term = _mul_term(params, ta, tb, j)
+                term = _mul_term(params, ta, tb, j, batched)
                 out[lo] = out.get(lo, 0) + (term if w == 1 else w * term)
     return {m: t for m, t in out.items() if np.any(t)}
 
@@ -287,14 +303,6 @@ def wick(params: FockParams, symbol) -> WickWord:
             f"symbol level {t.ndim} exceeds max_level {params.max_level}"
         )
     return WickWord(params, as_level_tensor(params, t.ndim, t))
-
-
-def wick_from_element(el: Element) -> FockOperator:
-    """Operator realization of a Wick-word sum (one word per level)."""
-    total = FockOperator(el.params, {})
-    for m in sorted(el.levels):
-        total = total.add(wick(el.params, el.levels[m]).realized)
-    return total
 
 
 def trace(x) -> complex:

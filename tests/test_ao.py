@@ -15,10 +15,15 @@ from qfocklab.ao import (
     s_basis_image,
     s_isometry_report,
     s_of_element,
-    subexponential_ratios,
     t_block_norm,
     t_images,
 )
+
+
+def subexponential_ratios(model):
+    """Ratios of consecutive positive generator eigenvalues."""
+    lams = [l for l in model.eigenvalues if l > 0]
+    return [b / a for a, b in zip(lams, lams[1:])]
 
 
 @pytest.fixture(scope="module")

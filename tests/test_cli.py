@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qfocklab.cli import ExperimentConfig, main, parse_grid, parse_word
+from qfocklab.cli import GRID_POINT_CAP, ExperimentConfig, main, parse_grid, parse_word
 from qfocklab.errors import ConfigError
 
 
@@ -28,6 +28,23 @@ def test_parse_grid():
         parse_grid("nope")
     for spec in ("nan:1:0.1", "0.1:inf:0.1", "-inf:0.5:0.1", "0.1:0.5:nan"):
         with pytest.raises(ConfigError):
+            parse_grid(spec)
+
+
+def test_parse_grid_is_bounded_before_any_point_is_made(monkeypatch):
+    from qfocklab import cli
+
+    assert len(parse_grid(f"0:{GRID_POINT_CAP - 1}:1")) == GRID_POINT_CAP
+    with pytest.raises(ConfigError, match="more than"):
+        parse_grid(f"0:{GRID_POINT_CAP}:1")
+
+    def no_points(*args):
+        raise AssertionError("grid points were made")
+
+    # the points come from range(); an oversized grid must fail before it
+    monkeypatch.setattr(cli, "range", no_points, raising=False)
+    for spec in ("0:0.8:1e-6", "0:1:1e-320"):  # 800001 points; an infinite count
+        with pytest.raises(ConfigError, match="more than"):
             parse_grid(spec)
 
 
@@ -270,6 +287,14 @@ def test_threshold_grid_beyond_the_cap_fails_before_any_point(monkeypatch, capsy
     monkeypatch.setattr(cli, "gradient_map", solve)
     assert main(["threshold", "--max-level", "4", "--grid", "0.5:0.9:0.1"]) == 2
     assert "grid point 0.9 outside" in capsys.readouterr().err
+
+
+def test_verify_negative_seed_is_config_error(capsys):
+    assert main(["verify", "--max-level", "3", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "seed must be >= 0" in captured.err
+    assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
+    assert main(["verify", "--max-level", "3", "--seed", "0"]) == 0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])

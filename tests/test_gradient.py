@@ -12,7 +12,7 @@ from qfocklab.errors import (
     TruncationLoss,
     UnknownRoute,
 )
-from qfocklab.qfock import FockParams
+from qfocklab.qfock import FockOperator, FockParams
 from qfocklab.wick import (
     Element,
     partition_weighted_sum,
@@ -46,6 +46,15 @@ def params(q=0.5, dim=2, max_level=6):
 
 def random_element(rng, p, levels):
     return Element(p, {m: rng.standard_normal((p.dim,) * m) for m in levels})
+
+
+def wick_from_element(el):
+    """Operator realization of a Wick-word sum (one word per level),
+    word by word from the realized blocks."""
+    total = FockOperator(el.params, {})
+    for m in sorted(el.levels):
+        total = total.add(wick(el.params, el.levels[m]).realized)
+    return total
 
 
 def map_deviation(pm_a, pm_b):
@@ -363,8 +372,6 @@ def test_bimodule_axioms():
 
 
 def test_left_action_is_bounded_by_operator_norm():
-    from qfocklab.wick import wick_from_element
-
     p = params(q=0.3, max_level=8)
     rng = np.random.default_rng(8)
     for _ in range(4):
@@ -609,7 +616,7 @@ def test_batched_blocks_match_column_oracle(route, q):
                 assert gap <= 1e-13 * scale, (dim, word_a, word_b, key, gap / scale)
 
 
-@pytest.mark.parametrize("route", ["partition", "rstar"])
+@pytest.mark.parametrize("route", ROUTES)
 def test_batched_blocks_in_chunks_match_one_batch(route, monkeypatch):
     # 7 columns per chunk: several chunks per level, the last one partial
     grad = importlib.import_module("qfocklab.gradient")
@@ -617,6 +624,9 @@ def test_batched_blocks_in_chunks_match_one_batch(route, monkeypatch):
     a, b = wick(p, [1]), wick(p, [2, 1])
     whole = gradient_map(a, b, 0.4, route).realized
     monkeypatch.setattr(grad, "BATCH_COLUMNS", 7)
+    # the direct route sizes chunks by its widest level: 7 * 2^6 entries
+    # give 7 columns at source level 3 and 3 at levels 4 and 5
+    monkeypatch.setattr(grad, "BATCH_ENTRIES", 7 * 2**6)
     chunked = gradient_map(a, b, 0.4, route).realized
     assert chunked.lossy_sources == whole.lossy_sources
     assert set(chunked.blocks) == set(whole.blocks)

