@@ -43,7 +43,6 @@ from .qfock import (
 )
 from .wick import (
     Element,
-    WickWord,
     product_direct,
     product_partition,
     product_triple,

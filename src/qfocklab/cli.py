@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -94,7 +95,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.tol is not None and not 0 < self.tol < np.inf:
             raise ConfigError(f"tol must be > 0 and finite, got {self.tol}")
-        if self.p != float("inf") and self.p < 1:
+        if not self.p >= 1:  # inf passes, nan does not
             raise ConfigError(f"p must be >= 1, got {self.p}")
         if self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
@@ -117,6 +118,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.semigroup not in ("heat", "poisson"):
             raise ConfigError(f"unknown semigroup {self.semigroup!r}")
+        for name in ("out", "json_out"):
+            path = getattr(self, name)
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ConfigError(f"{name} directory of {path!r} does not exist")
         if self.command == "threshold":
             for q in parse_grid(self.grid):
                 if abs(q) > CONDITIONING_Q_CAP:
@@ -591,14 +596,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    base: dict = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
+def _config_value(name: str, value):
+    """A config-file value checked against its field's type.  A word may
+    be given in the flag form "1,2", and an int field takes a whole float."""
+    kind = ExperimentConfig.__dataclass_fields__[name].type
+    if kind == "list[int]" and isinstance(value, str):
+        return parse_word(value)
+    if value is None and kind.endswith(" | None"):
+        return None
+    kind = kind.removesuffix(" | None")
+    if kind == "int" and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    ok = {
+        "int": isinstance(value, int),
+        "float": isinstance(value, (int, float)),
+        "str": isinstance(value, str),
+        "list[int]": isinstance(value, list) and all(isinstance(i, (int, float)) for i in value),
+    }[kind]
+    if not ok:
+        raise ConfigError(f"config key {name!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _read_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
             base = json.load(fh)
-        unknown = set(base) - set(ExperimentConfig.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON text
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(base, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(base).__name__}")
+    unknown = set(base) - (set(ExperimentConfig.__dataclass_fields__) - {"command"})
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return {name: _config_value(name, value) for name, value in base.items()}
+
+
+def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+    base = _read_config(args.config) if getattr(args, "config", None) else {}
     cfg = ExperimentConfig(command=args.command, **base)
     for name in ExperimentConfig.__dataclass_fields__:
         if name == "command":

@@ -34,8 +34,8 @@ from .errors import (
 from .qfock import FockOperator, FockParams, _require_same_params
 from .wick import (
     Element,
-    WickWord,
     _as_element,
+    _word_symbol,
     graded_mul,
     partition_weighted_sum,
     triple_contraction_sum,
@@ -149,8 +149,8 @@ class PsiMap:
     """Gradient map for a pair of Wick words, realized as level blocks."""
 
     params: FockParams
-    a: WickWord
-    b: WickWord
+    a: Element
+    b: Element
     t: float
     route: str
     realized: FockOperator
@@ -200,8 +200,8 @@ def _batched_blocks(params: FockParams, m: int, t: float, contract, columns: int
 
 
 def gradient_map(
-    a: WickWord,
-    b: WickWord,
+    a: Element,
+    b: Element,
     t: float = 0.0,
     route: str = "direct",
     max_source: int | None = None,
@@ -216,15 +216,15 @@ def gradient_map(
     params = a.params
     if b.params != params:
         raise TruncationLoss("word pair built over different parameters")
-    n, k = a.level, b.level
-    a_sym = np.asarray(a.symbol, dtype=complex)
-    b_sym = np.asarray(b.symbol, dtype=complex)
+    a_sym, b_sym = _word_symbol(params, a), _word_symbol(params, b)
+    n, k = a_sym.ndim, b_sym.ndim
 
     if route == "direct":
-        a_el, b_el = a.element().levels, b.element().levels
 
         def contract(m, batch):
-            return _generator_bracket(params, a_el, b_el, {m: batch}, params.max_level, True)
+            return _generator_bracket(
+                params, a.levels, b.levels, {m: batch}, params.max_level, True
+            )
 
     elif route == "partition":
 

@@ -1,19 +1,17 @@
 """Dense complex linear-algebra kernel.
 
-Thin, defensively-checked wrappers around LAPACK via numpy/scipy:
-Hermitian eigendecomposition, SVD, Schatten norms, positive square
-root and pseudo-inverse with a numerical-rank tolerance.  Everything is
+Thin, defensively-checked wrappers around LAPACK via numpy: Hermitian
+eigendecomposition and the pseudo-inverse square root of a positive
+semidefinite matrix with a numerical-rank tolerance.  Everything is
 deterministic (fixed LAPACK drivers, no randomized algorithms), so
 downstream golden values are stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BadExponent, EigenFailure, NotHermitianError, NotPositiveSemidefinite
+from .errors import EigenFailure, NotHermitianError, NotPositiveSemidefinite
 
 HERMITIAN_RTOL = 1e-10
 
@@ -52,51 +50,6 @@ def hermitian_eig(a, rtol: float = HERMITIAN_RTOL):
     return w, v
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    """Singular values (descending), numerical rank and the cutoff used."""
-
-    singular_values: np.ndarray
-    rank: int
-    tolerance_used: float
-
-
-def svd(a, rank_tol: float | None = None):
-    """Full SVD with a rank report.
-
-    Returns (SpectralReport, (u, s, vh)) with a = u @ diag(s) @ vh.
-    """
-    m = _as_matrix(a)
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenFailure(str(exc)) from exc
-    top = s[0] if s.size else 0.0
-    tol = rank_tolerance(max(m.shape, default=1), top) if rank_tol is None else rank_tol
-    rank = int(np.sum(s > tol))
-    return SpectralReport(s.copy(), rank, tol), (u, s, vh)
-
-
-def schatten_norm(a, p) -> float:
-    """(sum sigma_i^p)^(1/p); p = inf gives the operator norm."""
-    if p != np.inf and not p >= 1:
-        raise BadExponent(f"Schatten exponent must be >= 1, got {p}")
-    _, (_, s, _) = svd(a)
-    if s.size == 0:
-        return 0.0
-    if p == np.inf:
-        return float(s[0])
-    if p == 1:
-        return float(np.sum(s))
-    if p == 2:
-        return float(np.sqrt(np.sum(s * s)))
-    # Scale out the top singular value to dodge overflow for large p.
-    top = float(s[0])
-    if top == 0.0:
-        return 0.0
-    return float(top * np.sum((s / top) ** p) ** (1.0 / p))
-
-
 def _psd_eig(g, tol: float | None):
     w, v = hermitian_eig(g)
     lam_max = float(w[-1]) if w.size else 0.0
@@ -106,24 +59,6 @@ def _psd_eig(g, tol: float | None):
             f"matrix has eigenvalue {w[0]:.3e} below -{cut:.3e}"
         )
     return np.clip(w, 0.0, None), v, cut
-
-
-def psd_sqrt(g, tol: float | None = None) -> np.ndarray:
-    """Positive square root of a Hermitian PSD matrix (spectral calculus).
-
-    ``tol`` is relative to the largest eigenvalue; eigenvalues below
-    -tol*lam_max raise NOT_PSD, ones in [-tol*lam_max, 0] are clipped.
-    """
-    w, v, _ = _psd_eig(_as_matrix(g), tol)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def pinv(g, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose inverse of a Hermitian PSD matrix, zeroing
-    eigenvalues below the rank tolerance."""
-    w, v, cut = _psd_eig(_as_matrix(g), tol)
-    inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-    return (v * inv) @ v.conj().T
 
 
 def psd_inv_sqrt(g, tol: float | None = None) -> np.ndarray:

@@ -536,23 +536,6 @@ class FockOperator:
                 out[dst] = out.get(dst, 0) + contrib
         return FockVector(self.params, out, lossless)
 
-    def compose(self, other: "FockOperator") -> "FockOperator":
-        """self applied after other."""
-        _require_same_params(self.params, other.params)
-        blocks: dict[tuple[int, int], np.ndarray] = {}
-        for (src, mid), right in other.blocks.items():
-            for (mid2, dst), left in self.blocks.items():
-                if mid2 != mid:
-                    continue
-                key = (src, dst)
-                prod = left @ right
-                blocks[key] = blocks.get(key, 0) + prod
-        lossy = set(other.lossy_sources)
-        for (src, mid), right in other.blocks.items():
-            if mid in self.lossy_sources and np.any(right):
-                lossy.add(src)
-        return FockOperator(self.params, blocks, frozenset(lossy))
-
     def add(self, other: "FockOperator") -> "FockOperator":
         _require_same_params(self.params, other.params)
         blocks = {k: v.copy() for k, v in self.blocks.items()}

@@ -4,21 +4,22 @@ Three independent realizations of products are kept side by side and
 cross-validated:
 
 * ``Element`` multiplication / ``product_direct``: iterated two-word
-  contraction formula (split operators plus level pairings), which is
-  also how ``WickWord.realized`` assembles a word's level blocks, one
-  contraction per (source, target) block, on first read;
+  contraction formula (split operators plus level pairings);
 * ``product_partition``: the segmented pair-partition sum with
   crossing-number q-weights and plain single-factor pair weights;
 * ``product_triple``: the one-shot three-word contraction formula.
 
 The partition sum is never used to build matrices, so agreement of the
 three routes is a genuine consistency check rather than a tautology.
+
+A Wick word W(xi) is the unique operator sending the vacuum to xi, so
+it is identified with its vacuum vector: ``wick`` returns a one-level
+``Element``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -30,17 +31,14 @@ from .partitions import (
     enumerate_pair_partitions,
 )
 from .qfock import (
-    FockOperator,
     FockParams,
     FockVector,
     VECTOR_DIM_CAP,
-    as_level_tensor,
     basis_tensor,
     conjugate_tensor,
     pairing_form,
     split_tensor,
     split_tensor3,
-    splitter_matrix,
     _clean_levels,
     _levels_q_inner,
     _require_same_params,
@@ -237,63 +235,9 @@ class Element:
 # ---------------------------------------------------------------------------
 
 
-def _wick_blocks(params: FockParams, symbol: np.ndarray):
-    n = symbol.ndim
-    d = params.dim
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    lossy: set[int] = set()
-    for m in range(params.max_level + 1):
-        if n + m > params.max_level and np.any(symbol):
-            lossy.add(m)
-        for j in range(min(n, m) + 1):
-            dst = n + m - 2 * j
-            if dst > params.max_level:
-                continue
-            if j == 0:
-                top = np.kron(symbol.reshape(-1, 1), np.eye(d**m, dtype=complex))
-                blocks[(m, dst)] = blocks.get((m, dst), 0) + top
-                continue
-            t1 = split_tensor(params.q, symbol, n - j, j)
-            b = _pair_tensor(params, j)
-            step = np.tensordot(t1, b, axes=(list(range(n - j, n)), list(range(j))))
-            splitter = splitter_matrix(params, (j, m - j))
-            r3 = splitter.reshape((d,) * j + (d ** (m - j), d**m))
-            term = np.tensordot(step, r3, axes=(list(range(n - j, n)), list(range(j))))
-            blocks[(m, dst)] = blocks.get((m, dst), 0) + term.reshape(d**dst, d**m)
-    return blocks, frozenset(lossy)
-
-
-@dataclass
-class WickWord:
-    """An elementary Wick operator: its defining level-n symbol together
-    with the assembled block matrix on the truncated space."""
-
-    params: FockParams
-    symbol: np.ndarray
-
-    @cached_property
-    def realized(self) -> FockOperator:
-        """Block matrix on the truncated space, assembled on first read:
-        the product routes need only the symbol, and the blocks of a
-        top-level word hold dense splitters."""
-        blocks, lossy = _wick_blocks(self.params, self.symbol)
-        return FockOperator(self.params, blocks, lossy)
-
-    @property
-    def level(self) -> int:
-        return self.symbol.ndim
-
-    def element(self) -> Element:
-        return Element.from_symbol(self.params, self.symbol)
-
-    def apply(self, vec: FockVector) -> FockVector:
-        return self.realized.apply(vec)
-
-
-def wick(params: FockParams, symbol) -> WickWord:
-    """The unique operator sending the vacuum to the given symbol; its
-    block matrix is built from the two-word contraction formula when
-    ``realized`` is first read."""
+def wick(params: FockParams, symbol) -> Element:
+    """The Wick word of a symbol, or of 1-based basis indices: the unique
+    operator sending the vacuum to it, as its one-level vacuum vector."""
     if isinstance(symbol, (list, tuple)) and all(isinstance(i, (int, np.integer)) for i in symbol):
         t = basis_tensor(params, symbol)
     else:
@@ -302,24 +246,17 @@ def wick(params: FockParams, symbol) -> WickWord:
         raise LevelTooLarge(
             f"symbol level {t.ndim} exceeds max_level {params.max_level}"
         )
-    return WickWord(params, as_level_tensor(params, t.ndim, t))
+    return Element.from_symbol(params, t)
 
 
-def trace(x) -> complex:
+def trace(x: Element) -> complex:
     """Vacuum state: level-0 coefficient of x applied to the vacuum."""
-    if isinstance(x, WickWord):
-        return x.element().trace()
-    if isinstance(x, Element):
-        return x.trace()
-    if isinstance(x, FockOperator):
-        return x.vacuum_expectation()
-    raise ShapeMismatch(f"cannot trace {type(x).__name__}")
+    if not isinstance(x, Element):
+        raise ShapeMismatch(f"cannot trace {type(x).__name__}")
+    return x.trace()
 
 
 def _as_element(params: FockParams, w) -> Element:
-    if isinstance(w, WickWord):
-        _require_same_params(params, w.params)
-        return w.element()
     if isinstance(w, Element):
         _require_same_params(params, w.params)
         return w
@@ -327,6 +264,14 @@ def _as_element(params: FockParams, w) -> Element:
         _require_same_params(params, w.params)
         return Element.from_vector(w)
     return Element.from_symbol(params, np.asarray(w, dtype=complex))
+
+
+def _word_symbol(params: FockParams, w) -> np.ndarray:
+    """The symbol of a pure-level word; the zero word is level 0."""
+    levels = _as_element(params, w).levels
+    if len(levels) > 1:
+        raise ShapeMismatch(f"a word has one level, got levels {sorted(levels)}")
+    return next(iter(levels.values()), np.zeros((), dtype=complex))
 
 
 def product_direct(params: FockParams, words) -> Element:
@@ -427,12 +372,7 @@ def partition_weighted_sum(
 def product_partition(params: FockParams, words) -> FockVector:
     """Product of elementary Wick words applied to the vacuum, evaluated
     by the pair-partition formula."""
-    symbols = []
-    for w in words:
-        el = _as_element(params, w)
-        if len(el.levels) != 1:
-            raise ShapeMismatch("partition products need pure-level words")
-        symbols.append(next(iter(el.levels.values())))
+    symbols = [_word_symbol(params, w) for w in words]
     total = sum(t.ndim for t in symbols)
     if total > params.max_level:
         raise TruncationLoss(
@@ -522,13 +462,7 @@ def triple_contraction_sum(
 def product_triple(params: FockParams, left, mid, right) -> FockVector:
     """Triple product of Wick words on the vacuum via the one-shot
     contraction formula."""
-    tensors = []
-    for w in (left, mid, right):
-        el = _as_element(params, w)
-        if len(el.levels) > 1:
-            raise ShapeMismatch("triple products need pure-level words")
-        lvl = el.top_level()
-        tensors.append(el.component(lvl))
+    tensors = [_word_symbol(params, w) for w in (left, mid, right)]
     total = sum(t.ndim for t in tensors)
     if total > params.max_level:
         raise TruncationLoss(

@@ -268,7 +268,7 @@ def test_criterion_14_filtration_bands():
 def test_criterion_15_defect_decay_proxies():
     params = FockParams(q=0.3, dim=2, max_level=8)
     model = ao_mod.build_ou_model(params)
-    x = wick(params, [1]).element()
+    x = wick(params, [1])
     rows = ao_mod.ou_t_decay_table(model, x, x)
     values = [v for *_, v in rows]
     fock_verdict = ao_mod.decay_verdict(values, factor=0.5)

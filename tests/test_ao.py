@@ -106,7 +106,7 @@ def test_t_vanishes_for_scalars(model):
 
 
 def test_t_block_budget_guard(model):
-    x = wick(model.params, [1]).element()
+    x = wick(model.params, [1])
     with pytest.raises(TruncationLoss):
         t_block_norm(model, x, x, model.params.max_level - 1)
 
@@ -114,7 +114,7 @@ def test_t_block_budget_guard(model):
 def test_t_images_are_orthogonal_for_distant_blocks():
     p = FockParams(q=0.4, dim=2, max_level=8)
     model = build_ou_model(p)
-    x = wick(p, [1]).element()
+    x = wick(p, [1])
     near = t_images(model, x, x, 1)
     far = t_images(model, x, x, 6)
     for u in near:
@@ -125,7 +125,7 @@ def test_t_images_are_orthogonal_for_distant_blocks():
 def test_t_decay_trend():
     p = FockParams(q=0.3, dim=2, max_level=6)
     model = build_ou_model(p)
-    x = wick(p, [1]).element()
+    x = wick(p, [1])
     rows = ou_t_decay_table(model, x, x)
     assert [n for n, *_ in rows] == [1, 2, 3, 4]
     values = [v for *_, v in rows]

@@ -6,7 +6,15 @@ import sys
 
 import pytest
 
-from qfocklab.cli import GRID_POINT_CAP, ExperimentConfig, main, parse_grid, parse_word
+from qfocklab.cli import (
+    GRID_POINT_CAP,
+    ExperimentConfig,
+    build_parser,
+    main,
+    parse_grid,
+    parse_word,
+    resolve_config,
+)
 from qfocklab.errors import ConfigError
 
 
@@ -246,6 +254,48 @@ def test_unknown_config_key(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"qq": 0.4}))
     assert main(["decay", "--config", str(cfg_file)]) == 2
+
+
+# config-file text (or none), extra flags, and what the message must say
+BAD_CONFIG_INPUTS = {
+    "missing-config": (None, ["--config", "{tmp}/absent.json"], "cannot read config"),
+    "unreadable-config": (None, ["--config", "{tmp}"], "cannot read config"),
+    "invalid-json": ("{bad", [], "cannot read config"),
+    "json-array": ("[1, 2]", [], "must be a JSON object"),
+    "mistyped-field": ('{"q": "abc"}', [], "'q' must be float"),
+    "bad-string-word": ('{"word_a": "1,x"}', [], "comma-separated indices"),
+    "command-key": ('{"command": "verify"}', [], "unknown config keys: ['command']"),
+    "out-in-missing-dir": (None, ["--out", "{tmp}/absent/d.csv"], "does not exist"),
+    "json-out-in-missing-dir": (None, ["--json-out", "{tmp}/absent/d.json"], "does not exist"),
+    "nan-exponent": (None, ["--p", "nan"], "p must be >= 1, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIG_INPUTS)
+def test_bad_config_inputs_exit_2_before_any_work(case, tmp_path, monkeypatch, capsys):
+    from qfocklab import cli
+
+    def solve(*args, **kwargs):
+        raise AssertionError("a gradient map was solved")
+
+    monkeypatch.setattr(cli, "gradient_map", solve)
+    text, extra, says = BAD_CONFIG_INPUTS[case]
+    args = ["decay", "--max-level", "3"] + [a.format(tmp=tmp_path) for a in extra]
+    if text is not None:
+        (tmp_path / "cfg.json").write_text(text)
+        args += ["--config", str(tmp_path / "cfg.json")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert says in err, err
+
+
+def test_config_file_word_in_flag_form(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"word_a": "2,1", "dim": 2.0}))
+    args = build_parser().parse_args(["decay", "--config", str(cfg_file)])
+    cfg = resolve_config(args)
+    assert cfg.word_a == [2, 1] and cfg.dim == 2 and isinstance(cfg.dim, int)
 
 
 def test_verify_subprocess_smoke():

@@ -31,10 +31,10 @@ def params(q=0.4, dim=2, max_level=6):
 def test_zeroth_differential_is_commutator():
     p = params()
     one = Element.one(p)
-    xi = wick(p, [1]).element()
+    xi = wick(p, [1])
     space = TrivialBimodule(p)
     d0 = bar_differential(Cochain(p, 0, space, lambda: xi))
-    a = wick(p, [2]).element()
+    a = wick(p, [2])
     out = d0(a)
     expect = a * xi - xi * a
     assert (out - expect).q_norm() < 1e-12
@@ -48,8 +48,8 @@ def test_prefix_map_definition_unfolds():
     space = TrivialBimodule(p)
     ident = Cochain(p, 1, space, lambda a: a)
     g = gradient_prefix_map(ident)
-    a1 = wick(p, [1]).element()
-    a2 = wick(p, [2]).element()
+    a1 = wick(p, [1])
+    a2 = wick(p, [2])
     out = g(a1, a2)
     assert len(out.terms) == 1
     ga, gxi = out.terms[0]
@@ -64,7 +64,7 @@ def test_derivation_cocycle_values():
     d1 = derivation_cocycle(p, 1)
     one = Element.one(p)
     assert d1.space.norm(d1(one)) == pytest.approx(0.0, abs=1e-12)
-    a = wick(p, [1]).element()
+    a = wick(p, [1])
     assert d1.space.norm(d1(a)) ** 2 == pytest.approx(
         delta_element(a).q_inner(a).real, rel=1e-10
     )
@@ -75,7 +75,7 @@ def test_second_cocycle_lives_in_the_gradient_module():
     d2 = derivation_cocycle(p, 2)
     assert isinstance(d2.space, NablaBimodule)
     assert isinstance(d2.space.nabla(), NablaBimodule)
-    a1, a2 = wick(p, [1]).element(), wick(p, [2]).element()
+    a1, a2 = wick(p, [1]), wick(p, [2])
     ((coeff, carrier),) = d2(a1, a2).terms
     assert coeff is a1
     ((inner, vac),) = carrier.terms
@@ -128,9 +128,9 @@ def test_checks_detect_broken_differential():
 
     d_broken = Cochain(p, 2, space, broken)
     dd = bar_differential(d_broken)
-    a = wick(p, [1]).element()
-    b = wick(p, [2]).element()
-    c = wick(p, [1]).element()
+    a = wick(p, [1])
+    b = wick(p, [2])
+    c = wick(p, [1])
     assert space.norm(dd(a, b, c)) > 1e-4
 
 

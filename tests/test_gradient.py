@@ -1,6 +1,7 @@
 """Gradient maps by three routes, gradient-form module, Schatten decay."""
 
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from qfocklab.errors import (
     BadExponent,
     NotPositiveSemidefinite,
     ParamMismatch,
+    ShapeMismatch,
     TruncationLoss,
     UnknownRoute,
 )
-from qfocklab.qfock import FockOperator, FockParams
+from qfocklab.qfock import FockParams, annihilation, basis_vector, creation
 from qfocklab.wick import (
     Element,
     partition_weighted_sum,
@@ -48,15 +50,6 @@ def random_element(rng, p, levels):
     return Element(p, {m: rng.standard_normal((p.dim,) * m) for m in levels})
 
 
-def wick_from_element(el):
-    """Operator realization of a Wick-word sum (one word per level),
-    word by word from the realized blocks."""
-    total = FockOperator(el.params, {})
-    for m in sorted(el.levels):
-        total = total.add(wick(el.params, el.levels[m]).realized)
-    return total
-
-
 def map_deviation(pm_a, pm_b):
     worst = 0.0
     keys = set(pm_a.realized.blocks) | set(pm_b.realized.blocks)
@@ -79,10 +72,14 @@ def test_number_operator_and_semigroup_laws():
         else:
             assert np.allclose(blk, m * np.eye(p.dim**m))
     s, t = 0.3, 0.9
-    left = semigroup_operator(p, s).compose(semigroup_operator(p, t))
-    right = semigroup_operator(p, s + t)
-    for key in right.blocks:
-        assert np.allclose(left.blocks[key], right.blocks[key], atol=1e-12)
+    first, then, both = (semigroup_operator(p, u) for u in (t, s, s + t))
+    # column by column: every basis vector of every level
+    for m in range(p.max_level + 1):
+        for word in itertools.product(range(1, p.dim + 1), repeat=m):
+            vec = basis_vector(p, word)
+            left, right = then.apply(first.apply(vec)), both.apply(vec)
+            assert set(left.levels) == set(right.levels) == {m}
+            assert np.allclose(left.component(m), right.component(m), atol=1e-12)
     ident = semigroup_operator(p, 0.0)
     for m in range(p.max_level + 1):
         assert np.allclose(ident.blocks[(m, m)], np.eye(p.dim**m))
@@ -98,7 +95,7 @@ def test_negative_time_is_bad_exponent():
         with pytest.raises(BadExponent):
             gradient_map(a, a, t, "rstar")
         with pytest.raises(BadExponent):
-            psi_element(a.element(), a.element(), Element.one(p), t)
+            psi_element(a, a, Element.one(p), t)
 
 
 def test_semigroup_is_trace_preserving_on_elements():
@@ -111,7 +108,7 @@ def test_semigroup_is_trace_preserving_on_elements():
 def test_delta_examples():
     p = params()
     assert delta_element(Element.one(p)).is_zero()
-    w1 = wick(p, [1]).element()
+    w1 = wick(p, [1])
     d = delta_element(w1)
     assert np.allclose(d.component(1), w1.component(1))
     square = w1 * w1
@@ -125,7 +122,7 @@ def test_gamma_examples_and_positivity():
     p = params(q=0.41)
     one = Element.one(p)
     assert gamma(one, one).is_zero()
-    w1 = wick(p, [1]).element()
+    w1 = wick(p, [1])
     g = gamma(w1, w1)
     assert set(g.levels) == {0}
     assert g.trace() == pytest.approx(1.0)
@@ -189,7 +186,7 @@ def test_psi_element_zero_cases():
 
 def test_psi_scalar_example():
     p = FockParams(q=0.3, dim=1, max_level=4)
-    w = wick(p, [1]).element()
+    w = wick(p, [1])
     out = psi_element(w, w, Element.one(p))
     assert set(out.levels) == {0}
     assert out.trace() == pytest.approx(1.0)
@@ -221,13 +218,28 @@ def test_route_triangle_with_damping_and_unknown_route():
         gradient_map(a, a, 0.0, "magic")
 
 
+@pytest.mark.parametrize("route", ROUTES)
+def test_gradient_map_shares_the_word_contract(route):
+    p = params(q=0.4, max_level=5)
+    word = wick(p, [1, 2])
+    two_levels = word + wick(p, [1])
+    with pytest.raises(ShapeMismatch):
+        gradient_map(two_levels, word, 0.0, route)
+    with pytest.raises(ShapeMismatch):
+        gradient_map(word, two_levels, 0.0, route)
+    zero = gradient_map(wick(p, np.zeros((2, 2))), word, 0.0, route).realized
+    assert not zero.blocks
+    # the zero word is level 0: only sources m with 0 + m + 2 > 5 are cut
+    assert zero.lossy_sources == {4, 5}
+
+
 def test_psi_block_band_and_parity():
     p = params(q=0.4, max_level=6)
     rng = np.random.default_rng(3)
     a = wick(p, rng.standard_normal((2, 2)))
     b = wick(p, rng.standard_normal((2,)))
     pm = gradient_map(a, b, 0.0, "rstar")
-    n, k = a.level, b.level
+    n, k = a.top_level(), b.top_level()
     for (src, dst), blk in pm.realized.blocks.items():
         assert src - n - k <= dst <= src + n + k
         assert (dst - src - n - k) % 2 == 0
@@ -379,7 +391,9 @@ def test_left_action_is_bounded_by_operator_norm():
         a = random_element(rng, p, [1])
         xi = random_element(rng, p, [0, 1])
         v = GradientVector(p, [(a, xi)])
-        xnorm = wick_from_element(x).q_norm()
+        # W(x) = a*(x) + a(x) for a real level-one x
+        sym = x.component(1)
+        xnorm = creation(p, sym).add(annihilation(p, sym)).q_norm()
         assert nabla_norm(v.left(x)) <= xnorm * nabla_norm(v) + 1e-8
 
 
@@ -396,8 +410,8 @@ def test_pairing_identity_single_and_trivial():
         eta = random_element(rng, p, [0, 1, 2])
         lhs, rhs = nabla_pairing_two_ways(x, y, (a, xi), (b, eta), p)
         assert lhs == pytest.approx(rhs, abs=1e-8)
-    w2 = wick(p, [2]).element()
-    w1 = wick(p, [1]).element()
+    w2 = wick(p, [2])
+    w1 = wick(p, [1])
     lhs, rhs = nabla_pairing_two_ways(w1, w1, (w2, one), (w2, one), p)
     assert lhs == pytest.approx(rhs, abs=1e-10)
     lhs, rhs = nabla_pairing_two_ways(one, one, (w2, one), (w2, one), p)
@@ -548,15 +562,14 @@ def columns_to_blocks(p, n, k, column_fn, max_source):
 
 def column_oracle(route, a, b, t):
     """One source column of the gradient map by ``route``, unbatched."""
-    p, n, k = a.params, a.level, b.level
+    p, n, k = a.params, a.top_level(), b.top_level()
+    a_sym, b_sym = a.component(n), b.component(k)
 
     def finish(raw):
         return {lvl: np.exp(-t * lvl) * (-0.5 * arr) for lvl, arr in raw.items()}
 
     if route == "direct":
-        return lambda m, basis: psi_element(
-            a.element(), b.element(), Element(p, {m: basis}), t
-        ).levels
+        return lambda m, basis: psi_element(a, b, Element(p, {m: basis}), t).levels
     if route == "partition":
         if n == 0 or k == 0:
             return lambda m, basis: {}
@@ -567,12 +580,12 @@ def column_oracle(route, a, b, t):
 
         return lambda m, basis: finish(
             partition_weighted_sum(
-                p, [a.symbol, basis, b.symbol], weight=lambda part: -2.0 * joins(part)
+                p, [a_sym, basis, b_sym], weight=lambda part: -2.0 * joins(part)
             )
         )
     return lambda m, basis: finish(
         triple_contraction_sum(
-            p, a.symbol, basis, b.symbol, weight=lambda j, r, s: -2.0 * r
+            p, a_sym, basis, b_sym, weight=lambda j, r, s: -2.0 * r
         )
     )
 
@@ -604,7 +617,7 @@ def test_batched_blocks_match_column_oracle(route, q):
             cap = max_level - 2 if below else max_level
             got = gradient_map(a, b, t, route, max_source=cap if below else None)
             want, lossy = columns_to_blocks(
-                p, a.level, b.level, column_oracle(route, a, b, t), cap
+                p, a.top_level(), b.top_level(), column_oracle(route, a, b, t), cap
             )
             if below:
                 lossy |= set(range(cap + 1, max_level + 1))

@@ -481,9 +481,8 @@ def test_operator_algebra_and_q_norm():
     assert ident.q_norm() == pytest.approx(1.0)
     create = creation(p, [1.0, 0.0])
     kill = annihilation(p, [1.0, 0.0])
-    prod = kill.compose(create)
     # On the vacuum: annihilate(create(vacuum)) = vacuum.
-    out = prod.apply(vacuum(p))
+    out = kill.apply(create.apply(vacuum(p)))
     assert out.component(0) == pytest.approx(1.0)
 
 

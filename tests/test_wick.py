@@ -5,6 +5,7 @@ import pytest
 
 from qfocklab.errors import ShapeMismatch, TruncationLoss
 from qfocklab.qfock import (
+    FockOperator,
     FockParams,
     annihilation,
     basis_tensor,
@@ -14,8 +15,10 @@ from qfocklab.qfock import (
     pairing_form,
     q_inner,
     split_tensor,
+    splitter_matrix,
     vacuum,
 )
+from qfocklab.gradient import gradient_map
 from qfocklab.wick import (
     Element,
     graded_mul,
@@ -35,21 +38,52 @@ def random_symbol(rng, p, level):
     return rng.standard_normal((p.dim,) * level)
 
 
+def wick_operator(params, symbol) -> FockOperator:
+    """Oracle: the block matrix of the Wick word of ``symbol`` (a tensor or
+    basis indices) on the truncated space.  Each (source, target) block
+    sums the two-word contraction formula over the contraction size, with
+    dense splitters; sources whose image leaves the space are lossy."""
+    word = wick(params, symbol)
+    n = word.top_level()
+    symbol = word.component(n)
+    d = params.dim
+    blocks: dict[tuple[int, int], np.ndarray] = {}
+    lossy = set()
+    for m in range(params.max_level + 1):
+        if n + m > params.max_level and np.any(symbol):
+            lossy.add(m)
+        for j in range(min(n, m) + 1):
+            dst = n + m - 2 * j
+            if dst > params.max_level:
+                continue
+            if j == 0:
+                top = np.kron(symbol.reshape(-1, 1), np.eye(d**m, dtype=complex))
+                blocks[(m, dst)] = blocks.get((m, dst), 0) + top
+                continue
+            t1 = split_tensor(params.q, symbol, n - j, j)
+            b = pairing_form(params, j).reshape((d,) * (2 * j))
+            step = np.tensordot(t1, b, axes=(list(range(n - j, n)), list(range(j))))
+            r3 = splitter_matrix(params, (j, m - j)).reshape((d,) * j + (d ** (m - j), d**m))
+            term = np.tensordot(step, r3, axes=(list(range(n - j, n)), list(range(j))))
+            blocks[(m, dst)] = blocks.get((m, dst), 0) + term.reshape(d**dst, d**m)
+    return FockOperator(params, blocks, frozenset(lossy))
+
+
 def test_wick_of_vacuum_symbol_is_identity():
     p = params()
-    w = wick(p, np.array(1.0))
+    w = wick_operator(p, np.array(1.0))
     for m in range(p.max_level + 1):
-        blk = w.realized.blocks.get((m, m))
+        blk = w.blocks.get((m, m))
         assert blk is not None and np.allclose(blk, np.eye(p.dim**m))
 
 
 def test_wick_level_one_is_creation_plus_annihilation():
     p = params(q=0.37, max_level=4)
-    w = wick(p, [1])
+    w = wick_operator(p, [1])
     direct = creation(p, [1.0, 0.0]).add(annihilation(p, [1.0, 0.0]))
-    for key in set(w.realized.blocks) | set(direct.blocks):
+    for key in set(w.blocks) | set(direct.blocks):
         assert np.allclose(
-            w.realized.blocks.get(key, 0.0), direct.blocks.get(key, 0.0), atol=1e-12
+            w.blocks.get(key, 0.0), direct.blocks.get(key, 0.0), atol=1e-12
         ), key
 
 
@@ -58,7 +92,8 @@ def test_wick_reproduces_symbol_on_vacuum():
     rng = np.random.default_rng(0)
     for level in range(4):
         sym = random_symbol(rng, p, level)
-        out = wick(p, sym).apply(vacuum(p))
+        assert np.array_equal(wick(p, sym).component(level), np.asarray(sym, dtype=complex))
+        out = wick_operator(p, sym).apply(vacuum(p))
         assert np.array_equal(out.component(level), np.asarray(sym, dtype=complex))
 
 
@@ -66,8 +101,8 @@ def test_wick_block_band_and_parity():
     p = params(q=0.3, dim=2, max_level=6)
     rng = np.random.default_rng(1)
     for n in (1, 2, 3):
-        w = wick(p, random_symbol(rng, p, n))
-        for (src, dst), blk in w.realized.blocks.items():
+        w = wick_operator(p, random_symbol(rng, p, n))
+        for (src, dst), blk in w.blocks.items():
             assert abs(dst - src) <= n
             assert (dst - src - n) % 2 == 0
             assert np.any(blk)
@@ -86,7 +121,7 @@ def test_element_product_matches_matrix_action():
     rng = np.random.default_rng(2)
     for na, nb in [(1, 1), (2, 1), (1, 3), (2, 2)]:
         a, b = random_symbol(rng, p, na), random_symbol(rng, p, nb)
-        via_matrix = wick(p, a).realized.apply(wick(p, b).apply(vacuum(p)))
+        via_matrix = wick_operator(p, a).apply(wick_operator(p, b).apply(vacuum(p)))
         via_mul = Element.from_symbol(p, a) * Element.from_symbol(p, b)
         for m in set(via_mul.levels) | set(via_matrix.levels):
             assert np.allclose(
@@ -164,7 +199,7 @@ def test_trace_examples():
     assert trace(wick(p, np.array(1.0))) == pytest.approx(1.0)
     w = wick(p, [1])
     assert trace(w) == 0.0
-    assert trace(w.element() * w.element()) == pytest.approx(1.0)
+    assert trace(w * w) == pytest.approx(1.0)
 
 
 def test_trace_is_tracial():
@@ -181,8 +216,8 @@ def test_wick_adjoint_is_conjugated_symbol():
     rng = np.random.default_rng(10)
     for n in (1, 2, 3):
         sym = random_symbol(rng, p, n)
-        adj = wick(p, sym).realized.gram_adjoint()
-        flipped = wick(p, conjugate_tensor(np.asarray(sym, dtype=complex))).realized
+        adj = wick_operator(p, sym).gram_adjoint()
+        flipped = wick_operator(p, conjugate_tensor(np.asarray(sym, dtype=complex)))
         for key, blk in flipped.blocks.items():
             src, dst = key
             if src + n > p.max_level or dst + n > p.max_level:
@@ -333,48 +368,41 @@ def test_partition_products_need_pure_levels():
     mixed = Element(p, {1: basis_tensor(p, [1]), 2: basis_tensor(p, [1, 1])})
     with pytest.raises(ShapeMismatch):
         product_partition(p, [mixed])
+    with pytest.raises(ShapeMismatch):
+        product_triple(p, mixed, Element.word(p, [1]), Element.word(p, [2]))
 
 
-def test_wick_realizes_blocks_only_when_read():
+def test_zero_word_is_level_0_and_gives_the_zero_product():
+    p = params(q=0.4, max_level=5)
+    word = wick(p, [1, 2])
+    zero = wick(p, np.zeros((2, 2)))
+    assert zero.levels == {}
+    # at level 0 the level sum 2 + 0 + 2 fits in the truncation
+    assert product_direct(p, [word, zero, word]).is_zero()
+    assert not product_partition(p, [word, zero, word]).levels
+    assert not product_triple(p, word, zero, word).levels
+
+
+SPLITTER_FREE = {
+    "product_direct": lambda p, a, b: product_direct(p, [a, b, a]),
+    "product_partition": lambda p, a, b: product_partition(p, [a, b, a]),
+    "product_triple": lambda p, a, b: product_triple(p, a, b, a),
+    "gradient_map-direct": lambda p, a, b: gradient_map(a, b, 0.0, "direct"),
+    "gradient_map-partition": lambda p, a, b: gradient_map(a, b, 0.0, "partition"),
+    "gradient_map-rstar": lambda p, a, b: gradient_map(a, b, 0.0, "rstar"),
+}
+
+
+@pytest.mark.parametrize("route", SPLITTER_FREE)
+def test_no_product_or_gradient_map_route_builds_a_dense_splitter(route):
     from qfocklab.qfock import _splitter_matrix
 
-    # a q no other test uses, so every splitter the blocks need is new
-    p = params(q=0.3719, dim=2, max_level=5)
+    # a q no other test or route uses, so any splitter it built would be new
+    p = params(q=0.3719 + 1e-4 * list(SPLITTER_FREE).index(route), dim=2, max_level=5)
     before = _splitter_matrix.cache_info().currsize
-    word = wick(p, [1, 2])
-    # the product routes read the symbol only
-    product_triple(p, word, word, wick(p, [1]))
+    # the routes read the symbols only
+    SPLITTER_FREE[route](p, wick(p, [1, 2]), wick(p, [1]))
     assert _splitter_matrix.cache_info().currsize == before
-    assert "realized" not in vars(word)
-    got = word.realized.apply(vacuum(p))
-    assert _splitter_matrix.cache_info().currsize > before
-    assert np.allclose(got.component(2), basis_tensor(p, [1, 2]))
-
-
-def test_wick_realized_is_built_once_from_wick_blocks(monkeypatch):
-    import qfocklab.wick as wick_mod
-
-    calls = []
-    real = wick_mod._wick_blocks
-
-    def counted(p, symbol):
-        calls.append(symbol.ndim)
-        return real(p, symbol)
-
-    monkeypatch.setattr(wick_mod, "_wick_blocks", counted)
-    p = params(q=-0.3, dim=2, max_level=4)
-    rng = np.random.default_rng(12)
-    word = wick(p, rng.standard_normal((2, 2)))
-    assert calls == []
-    first = word.realized
-    assert word.realized is first
-    assert calls == [2]
-    blocks, lossy = real(p, word.symbol)
-    assert first.lossy_sources == lossy
-    nonzero = {key for key, blk in blocks.items() if np.any(blk)}
-    assert set(first.blocks) == nonzero
-    for key in nonzero:
-        assert np.array_equal(first.blocks[key], blocks[key])
 
 
 def test_package_attributes_named_after_submodules_are_the_submodules():
