@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FiltrationViolation, TruncationLoss
-from .numerics import psd_inv_sqrt
-from .qfock import FockParams, symmetrizer
+from .qfock import FockParams, symmetrizer_inv_sqrt
 from .wick import Element
 from .gradient import GradientVector, nabla_gram, nabla_pairing_value, nabla_norm
 
@@ -48,7 +47,7 @@ class FilteredModel:
 def _orthonormal_words(params: FockParams, level: int) -> list[Element]:
     if level == 0:
         return [Element.one(params)]
-    half_inv = psd_inv_sqrt(symmetrizer(params, level))
+    half_inv = symmetrizer_inv_sqrt(params, level)
     shape = (params.dim,) * level
     return [
         Element(params, {level: half_inv[:, j].reshape(shape)})

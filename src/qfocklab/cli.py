@@ -276,8 +276,8 @@ def _check_wick_triangle(cfg, params):
             levels = rng.integers(1, 3, size=3)
         syms = [rng.standard_normal((params.dim,) * int(n)) for n in levels]
         direct = product_direct(params, syms)
-        part = Element.from_vector(product_partition(params, syms))
-        trip = Element.from_vector(product_triple(params, *syms))
+        part = product_partition(params, syms)
+        trip = product_triple(params, *syms)
         worst = max(worst, _relative_gap(part, direct), _relative_gap(trip, direct))
     return worst, 1e-9
 

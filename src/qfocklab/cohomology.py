@@ -3,8 +3,10 @@ numerical cocycle verification at truncation.
 
 Cochains are evaluated pointwise on sampled tuples of algebra elements;
 no global differential matrix is ever assembled.  Values live in the
-trivial bimodule (vacuum vectors) or in the gradient module, whose
-carriers may themselves be gradient vectors (its iterates).  The
+trivial bimodule (vacuum vectors, ``Element``) or in the gradient module
+(``GradientVector``, whose carriers may themselves be gradient vectors:
+its iterates).  Each value carries its own ``+``, ``scaled``, ``left``
+and ``right``, and each check measures it by its own norm.  The
 identities checked here - the differential squaring to zero, the
 prefix map anticommuting with it, the Leibniz rule and the
 derivation-norm identity - are exact algebra, so their numerical
@@ -27,61 +29,6 @@ SAMPLE_TOLERANCE = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# coefficient bimodules
-# ---------------------------------------------------------------------------
-
-
-class _Bimodule:
-    """Linear structure and actions shared by the coefficient bimodules:
-    each value carries its own ``+``, ``scaled``, ``left`` and ``right``."""
-
-    def __init__(self, params: FockParams) -> None:
-        self.params = params
-
-    def add(self, u, v):
-        return u + v
-
-    def scale(self, u, c):
-        return u.scaled(c)
-
-    def left(self, x: Element, u):
-        return u.left(x)
-
-    def right(self, u, y: Element):
-        return u.right(y)
-
-
-class TrivialBimodule(_Bimodule):
-    """Vacuum vectors with multiplication as both actions."""
-
-    def zero(self):
-        return Element.zero(self.params)
-
-    def norm(self, u) -> float:
-        return u.q_norm()
-
-    def nabla(self) -> "NablaBimodule":
-        return NablaBimodule(self.params)
-
-
-class NablaBimodule(_Bimodule):
-    """The gradient module over the trivial module or over a gradient
-    module; the iterates share one ``GradientVector`` class."""
-
-    def zero(self):
-        return GradientVector(self.params, [])
-
-    def norm(self, u) -> float:
-        return nabla_norm(u)
-
-    def tensor(self, a: Element, base_value):
-        return GradientVector(self.params, [(a, base_value)])
-
-    def nabla(self) -> "NablaBimodule":
-        return self
-
-
-# ---------------------------------------------------------------------------
 # cochains and differentials
 # ---------------------------------------------------------------------------
 
@@ -93,7 +40,6 @@ class Cochain:
 
     params: FockParams
     arity: int
-    space: object
     fn: Callable
 
     def __call__(self, *args: Element):
@@ -107,43 +53,40 @@ def bar_differential(f: Cochain) -> Cochain:
 
     Arity 0 cochains are constants xi, with (d xi)(a) = a.xi - xi.a.
     """
-    n, sp = f.arity, f.space
+    n = f.arity
 
     def df(*args):
-        out = sp.left(args[0], f(*args[1:]))
+        out = f(*args[1:]).left(args[0])
         for k in range(1, n + 1):
             merged = args[: k - 1] + (args[k - 1] * args[k],) + args[k + 1 :]
-            out = sp.add(out, sp.scale(f(*merged), (-1.0) ** k))
-        out = sp.add(out, sp.scale(sp.right(f(*args[:n]), args[n]), (-1.0) ** (n + 1)))
-        return out
+            out = out + f(*merged).scaled((-1.0) ** k)
+        return out + f(*args[:n]).right(args[n]).scaled((-1.0) ** (n + 1))
 
-    return Cochain(f.params, n + 1, sp, df)
+    return Cochain(f.params, n + 1, df)
 
 
 def gradient_prefix_map(f: Cochain) -> Cochain:
     """Send f to (a1, ..., an) -> a1 (x)_grad f(a2, ..., an); raises the
     coefficient module by one gradient tensoring."""
-    target = f.space.nabla()
 
     def gf(*args):
-        return target.tensor(args[0], f(*args[1:]))
+        return GradientVector(f.params, [(args[0], f(*args[1:]))])
 
-    return Cochain(f.params, f.arity + 1, target, gf)
+    return Cochain(f.params, f.arity + 1, gf)
 
 
 def derivation_cocycle(params: FockParams, n: int) -> Cochain:
     """The canonical n-cocycle a1 (x) ... (x) an (x) vacuum."""
     if n not in (1, 2):
         raise NotImplementedError("desk scale covers n in {1, 2}")
-    space = NablaBimodule(params)
 
     def fn(*args):
         value = Element.one(params)
         for a in reversed(args):
-            value = space.tensor(a, value)
+            value = GradientVector(params, [(a, value)])
         return value
 
-    return Cochain(params, n, space, fn)
+    return Cochain(params, n, fn)
 
 
 def product_cochain(params: FockParams, frames: list[Element]) -> Cochain:
@@ -152,7 +95,6 @@ def product_cochain(params: FockParams, frames: list[Element]) -> Cochain:
     n = len(frames) - 1
     if n < 0:
         raise ValueError("need at least one frame element")
-    space = TrivialBimodule(params)
 
     def fn(*args):
         acc = frames[0]
@@ -160,7 +102,7 @@ def product_cochain(params: FockParams, frames: list[Element]) -> Cochain:
             acc = acc * a * r
         return acc
 
-    return Cochain(params, n, space, fn)
+    return Cochain(params, n, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +148,10 @@ def verify_bar_square(
     dd2 = bar_differential(bar_differential(f2))
     for i in range(samples):
         args = _sample_tuple(rng, params, 3, max_word_level)
-        rows.append(CheckRow("d_squared_arity1", i, dd1.space.norm(dd1(*args)), tol))
+        rows.append(CheckRow("d_squared_arity1", i, dd1(*args).q_norm(), tol))
     for i in range(samples):
         args = _sample_tuple(rng, params, 4, 1)
-        rows.append(CheckRow("d_squared_arity2", i, dd2.space.norm(dd2(*args)), tol))
+        rows.append(CheckRow("d_squared_arity2", i, dd2(*args).q_norm(), tol))
     return rows
 
 
@@ -230,8 +172,8 @@ def verify_prefix_anticommutes(
     rows = []
     for i in range(samples):
         args = _sample_tuple(rng, params, gd.arity, max_word_level)
-        combo = gd.space.add(gd(*args), dg(*args))
-        rows.append(CheckRow("prefix_anticommutator", i, gd.space.norm(combo), tol))
+        combo = gd(*args) + dg(*args)
+        rows.append(CheckRow("prefix_anticommutator", i, nabla_norm(combo), tol))
     return rows
 
 
@@ -245,15 +187,11 @@ def verify_leibniz(
     """The arity-1 cocycle obeys the product rule."""
     rng = np.random.default_rng(seed)
     d1 = derivation_cocycle(params, 1)
-    space = d1.space
     rows = []
     for i in range(samples):
         a, b = _sample_tuple(rng, params, 2, max_word_level)
-        residual = space.add(
-            d1(a * b),
-            space.add(space.left(a, d1(b)), space.right(d1(a), b)).scaled(-1.0),
-        )
-        rows.append(CheckRow("leibniz", i, space.norm(residual), tol))
+        residual = d1(a * b) + (d1(b).left(a) + d1(a).right(b)).scaled(-1.0)
+        rows.append(CheckRow("leibniz", i, nabla_norm(residual), tol))
     return rows
 
 
@@ -270,7 +208,7 @@ def verify_derivation_norm(
     rows = []
     for i in range(samples):
         a = _random_element(rng, params, max_word_level)
-        lhs = d1.space.norm(d1(a)) ** 2
+        lhs = nabla_norm(d1(a)) ** 2
         rhs = delta_element(a).q_inner(a).real
         scale = max(abs(rhs), 1.0)
         rows.append(CheckRow("derivation_norm", i, abs(lhs - rhs) / scale, tol))
@@ -291,9 +229,7 @@ def verify_second_cocycle(
     rows = []
     for i in range(samples):
         args = _sample_tuple(rng, params, 3, max_word_level)
-        rows.append(
-            CheckRow("second_cocycle", i, closed.space.norm(closed(*args)), tol)
-        )
+        rows.append(CheckRow("second_cocycle", i, nabla_norm(closed(*args)), tol))
     return rows
 
 
@@ -319,8 +255,8 @@ def verify_multilinearity(
         args_u[slot] = u
         args_v[slot] = v
         lhs = f(*args_mixed)
-        rhs = f.space.add(f.space.scale(f(*args_u), c), f(*args_v))
-        residual = f.space.norm(f.space.add(lhs, f.space.scale(rhs, -1.0)))
+        rhs = f(*args_u).scaled(c) + f(*args_v)
+        residual = (lhs + rhs.scaled(-1.0)).q_norm()
         rows.append(CheckRow("multilinearity", i, residual, tol))
     return rows
 

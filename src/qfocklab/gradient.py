@@ -25,12 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadExponent,
-    NotPositiveSemidefinite,
-    TruncationLoss,
-    UnknownRoute,
-)
+from .errors import BadExponent, TruncationLoss, UnknownRoute
+from .numerics import _psd_eig
 from .qfock import FockOperator, FockParams, _require_same_params
 from .wick import (
     Element,
@@ -156,21 +152,6 @@ class PsiMap:
     realized: FockOperator
 
 
-def _assemble_blocks(params: FockParams, n: int, k: int, block_fn, max_source: int):
-    """Assemble the map from ``block_fn(m)``, which returns the blocks
-    of source level m as {target level: matrix}, none above the cap;
-    sources whose top output exceeds the cap are lossy."""
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    lossy = set()
-    cap = params.max_level
-    for m in range(min(cap, max_source) + 1):
-        if n + m + k > cap:
-            lossy.add(m)
-        for lvl, block in block_fn(m).items():
-            blocks[(m, lvl)] = block
-    return blocks, frozenset(lossy)
-
-
 def _batched_blocks(params: FockParams, m: int, t: float, contract, columns: int):
     """The blocks of source level m from a route that is linear in its
     middle word, composed with -(1/2) times the semigroup.
@@ -210,12 +191,12 @@ def gradient_map(
 
     ``max_source`` restricts the assembled source levels (the map is
     block-columned, so a sub-range is a faithful restriction); levels
-    above it count as truncated.
+    above it count as truncated, as do sources whose top output level
+    n + m + k exceeds ``max_level``.
     """
     _check_time(t)
     params = a.params
-    if b.params != params:
-        raise TruncationLoss("word pair built over different parameters")
+    _require_same_params(params, b.params)
     a_sym, b_sym = _word_symbol(params, a), _word_symbol(params, b)
     n, k = a_sym.ndim, b_sym.ndim
 
@@ -249,18 +230,18 @@ def gradient_map(
     else:
         raise UnknownRoute(f"route must be direct/partition/rstar, got {route!r}")
 
-    def block(m):
+    top = params.max_level
+    cap = top if max_source is None else min(max_source, top)
+    blocks: dict[tuple[int, int], np.ndarray] = {}
+    for m in range(cap + 1):
         columns = BATCH_COLUMNS
         if route == "direct":
             # the bracket's products grow above the output levels
-            widest = min(m + n + k, params.max_level + max(n, k))
+            widest = min(m + n + k, top + max(n, k))
             columns = max(1, BATCH_ENTRIES // params.level_dim(widest))
-        return _batched_blocks(params, m, t, lambda batch: contract(m, batch), columns)
-
-    cap = params.max_level if max_source is None else max_source
-    blocks, lossy = _assemble_blocks(params, n, k, block, cap)
-    if cap < params.max_level:
-        lossy = frozenset(lossy | set(range(cap + 1, params.max_level + 1)))
+        level = _batched_blocks(params, m, t, lambda batch: contract(m, batch), columns)
+        blocks.update(((m, lvl), blk) for lvl, blk in level.items())
+    lossy = frozenset(m for m in range(top + 1) if m > cap or n + m + k > top)
     return PsiMap(params, a, b, t, route, FockOperator(params, blocks, lossy))
 
 
@@ -501,26 +482,21 @@ def nabla_pairing_value(u: GradientVector, v: GradientVector) -> complex:
     return complex(total)
 
 
-def nabla_gram(vectors: list[GradientVector]) -> np.ndarray:
-    n = len(vectors)
+def _hermitian_gram(items: list, pairing) -> np.ndarray:
+    """Gram matrix of ``pairing`` over ``items``, filled on i <= j and
+    mirrored by conjugation."""
+    n = len(items)
     g = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(i, n):
-            val = nabla_pairing_value(vectors[i], vectors[j])
+            val = pairing(items[i], items[j])
             g[i, j] = val
             g[j, i] = np.conj(val)
     return g
 
 
-def _clip_gram(g: np.ndarray, tol: float) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (g + g.conj().T))
-    lam_max = max(float(w[-1]), 0.0) if w.size else 0.0
-    floor = tol * max(lam_max, 1e-300)
-    if w.size and float(w[0]) < -floor:
-        raise NotPositiveSemidefinite(
-            f"gradient Gram has eigenvalue {w[0]:.3e} below -{floor:.3e}"
-        )
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+def nabla_gram(vectors: list[GradientVector]) -> np.ndarray:
+    return _hermitian_gram(vectors, nabla_pairing_value)
 
 
 def nabla_norm(v: GradientVector, tol: float = NABLA_GRAM_RTOL) -> float:
@@ -528,10 +504,10 @@ def nabla_norm(v: GradientVector, tol: float = NABLA_GRAM_RTOL) -> float:
     and evaluate the quadratic form on the all-ones coefficient vector."""
     if not v.terms:
         return 0.0
-    singles = [GradientVector(v.params, [term]) for term in v.terms]
-    g = _clip_gram(nabla_gram(singles), tol)
+    g = _hermitian_gram(v.terms, lambda s, t: _term_pairing(*s, *t))
+    w, u, _ = _psd_eig(0.5 * (g + g.conj().T), tol)
     ones = np.ones(len(v.terms))
-    return float(np.sqrt(max((ones @ g @ ones).real, 0.0)))
+    return float(np.sqrt(max((ones @ ((u * w) @ u.conj().T) @ ones).real, 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -563,10 +563,6 @@ class FockOperator:
             lossy = {self.params.max_level}
         return FockOperator(self.params, blocks, frozenset(lossy))
 
-    def vacuum_expectation(self) -> complex:
-        blk = self.blocks.get((0, 0))
-        return complex(blk[0, 0]) if blk is not None else 0.0 + 0.0j
-
     def source_levels(self) -> list[int]:
         return sorted({src for src, _ in self.blocks})
 

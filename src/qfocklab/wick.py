@@ -125,7 +125,7 @@ class Element:
     """Element of the truncated *-algebra, identified with its vacuum
     vector.  Unlike ``FockVector`` it may occupy levels above the
     operator truncation, because exact products of retained words
-    legitimately do; conversion back to ``FockVector`` records loss."""
+    legitimately do."""
 
     __slots__ = ("params", "levels")
 
@@ -141,10 +141,6 @@ class Element:
     @classmethod
     def zero(cls, params: FockParams) -> "Element":
         return cls(params, {})
-
-    @classmethod
-    def from_vector(cls, vec: FockVector) -> "Element":
-        return cls(vec.params, dict(vec.levels))
 
     @classmethod
     def from_symbol(cls, params: FockParams, symbol) -> "Element":
@@ -181,7 +177,8 @@ class Element:
     def __mul__(self, other: "Element") -> "Element":
         return self.mul(other)
 
-    # trivial-bimodule actions, the carrier protocol of gradient vectors
+    # trivial-bimodule actions: the value protocol that cochains and
+    # gradient vectors share
     def left(self, x: "Element") -> "Element":
         return x.mul(self)
 
@@ -219,13 +216,6 @@ class Element:
             return got
         return np.zeros((self.params.dim,) * m, dtype=complex)
 
-    def vector(self) -> FockVector:
-        """Truncate back to the operator window, flagging dropped mass."""
-        cap = self.params.max_level
-        kept = {m: t for m, t in self.levels.items() if m <= cap}
-        lossless = len(kept) == len(self.levels)
-        return FockVector(self.params, kept, lossless)
-
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(np.max(np.abs(t)) <= tol for t in self.levels.values())
 
@@ -262,7 +252,7 @@ def _as_element(params: FockParams, w) -> Element:
         return w
     if isinstance(w, FockVector):
         _require_same_params(params, w.params)
-        return Element.from_vector(w)
+        return Element(w.params, dict(w.levels))
     return Element.from_symbol(params, np.asarray(w, dtype=complex))
 
 
@@ -369,7 +359,7 @@ def partition_weighted_sum(
     return {m: t for m, t in out.items() if np.any(t)}
 
 
-def product_partition(params: FockParams, words) -> FockVector:
+def product_partition(params: FockParams, words) -> Element:
     """Product of elementary Wick words applied to the vacuum, evaluated
     by the pair-partition formula."""
     symbols = [_word_symbol(params, w) for w in words]
@@ -378,7 +368,7 @@ def product_partition(params: FockParams, words) -> FockVector:
         raise TruncationLoss(
             f"total level {total} exceeds max_level {params.max_level}"
         )
-    return FockVector(params, partition_weighted_sum(params, symbols))
+    return Element(params, partition_weighted_sum(params, symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +449,7 @@ def triple_contraction_sum(
     return {lvl: t for lvl, t in out.items() if np.any(t)}
 
 
-def product_triple(params: FockParams, left, mid, right) -> FockVector:
+def product_triple(params: FockParams, left, mid, right) -> Element:
     """Triple product of Wick words on the vacuum via the one-shot
     contraction formula."""
     tensors = [_word_symbol(params, w) for w in (left, mid, right)]
@@ -468,5 +458,4 @@ def product_triple(params: FockParams, left, mid, right) -> FockVector:
         raise TruncationLoss(
             f"total level {total} exceeds max_level {params.max_level}"
         )
-    out = triple_contraction_sum(params, *tensors)
-    return FockVector(params, out)
+    return Element(params, triple_contraction_sum(params, *tensors))

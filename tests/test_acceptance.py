@@ -83,11 +83,11 @@ def test_criterion_04_product_oracle_triangle():
         params = FockParams(q=q, dim=dim, max_level=6)
         syms = [rng.standard_normal((dim,) * n) for n in levels]
         direct = product_direct(params, syms)
-        part = Element.from_vector(product_partition(params, syms))
+        part = product_partition(params, syms)
         scale = max(direct.q_norm(), 1.0)
         worst = max(worst, (part - direct).q_norm() / scale)
         if count == 3:
-            trip = Element.from_vector(product_triple(params, *syms))
+            trip = product_triple(params, *syms)
             worst = max(worst, (trip - direct).q_norm() / scale)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 30.0

@@ -233,6 +233,28 @@ def test_gradient_map_shares_the_word_contract(route):
     assert zero.lossy_sources == {4, 5}
 
 
+@pytest.mark.parametrize("route", ROUTES)
+def test_gradient_map_over_different_params_is_a_param_mismatch(route):
+    p, o = params(q=0.5), params(q=0.3)
+    with pytest.raises(ParamMismatch):
+        gradient_map(wick(p, [1]), wick(o, [1]), 0.0, route)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_max_source_outside_the_levels(route):
+    p = params(q=0.4, max_level=5)
+    a, b = wick(p, [1]), wick(p, [2, 1])
+    full = gradient_map(a, b, 0.0, route).realized
+    above = gradient_map(a, b, 0.0, route, max_source=9).realized
+    assert above.lossy_sources == full.lossy_sources == {3, 4, 5}
+    assert set(above.blocks) == set(full.blocks)
+    for key, blk in full.blocks.items():
+        assert np.array_equal(above.blocks[key], blk)
+    below = gradient_map(a, b, 0.0, route, max_source=-1).realized
+    assert not below.blocks
+    assert below.lossy_sources == set(range(6))
+
+
 def test_psi_block_band_and_parity():
     p = params(q=0.4, max_level=6)
     rng = np.random.default_rng(3)
@@ -357,10 +379,10 @@ def test_nabla_norm_raises_on_corrupt_gram():
     # duplicate-with-flip makes a singular Gram (fine), but a hand-built
     # indefinite Gram must raise
     assert nabla_norm(bad) == pytest.approx(0.0, abs=1e-8)
-    from qfocklab.gradient import _clip_gram
+    from qfocklab.numerics import _psd_eig
 
     with pytest.raises(NotPositiveSemidefinite):
-        _clip_gram(np.diag([1.0, -0.5]), 1e-8)
+        _psd_eig(np.diag([1.0, -0.5]), 1e-8)
 
 
 def test_bimodule_axioms():
@@ -502,7 +524,8 @@ def test_nested_carrier_over_other_params_is_rejected():
 
 
 def test_depth_two_norm_is_the_clipped_term_gram_form():
-    from qfocklab.gradient import NABLA_GRAM_RTOL, _clip_gram
+    from qfocklab.gradient import NABLA_GRAM_RTOL
+    from qfocklab.numerics import _psd_eig
 
     p = params(q=0.3, max_level=6)
     rng = np.random.default_rng(24)
@@ -521,10 +544,32 @@ def test_depth_two_norm_is_the_clipped_term_gram_form():
         [[nabla_pairing_value(v.left(gamma(a, b)), w) for b, w in u.terms] for a, v in u.terms]
     )
     ones = np.ones(3)
-    expect = np.sqrt(max((ones @ _clip_gram(g, NABLA_GRAM_RTOL) @ ones).real, 0.0))
+    w, v, _ = _psd_eig(0.5 * (g + g.conj().T), NABLA_GRAM_RTOL)
+    expect = np.sqrt(max((ones @ ((v * w) @ v.conj().T) @ ones).real, 0.0))
     assert nabla_norm(u) == pytest.approx(expect, rel=1e-12)
     assert nabla_norm(u) ** 2 == pytest.approx(nabla_pairing_value(u, u).real, rel=1e-8)
     assert nabla_norm(GradientVector(p, [(one, terms[0][1])])) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_nabla_gram_is_the_pairing_matrix_on_complex_vectors():
+    # complex pairings tell the conjugated lower triangle from a copy
+    p = params(q=0.44, max_level=6)
+    rng = np.random.default_rng(26)
+
+    def rand(levels):
+        return Element(
+            p,
+            {
+                m: rng.standard_normal((p.dim,) * m) + 1j * rng.standard_normal((p.dim,) * m)
+                for m in levels
+            },
+        )
+
+    vectors = [GradientVector(p, [(rand([1, 2]), rand([0, 1]))]) for _ in range(3)]
+    g = nabla_gram(vectors)
+    for i, u in enumerate(vectors):
+        for j, v in enumerate(vectors):
+            assert g[i, j] == pytest.approx(nabla_pairing_value(u, v), rel=1e-10)
 
 
 def test_nabla_pairing_conjugate_symmetry():
@@ -657,3 +702,23 @@ def test_schatten_diagnostic_judges_the_zero_map_only_over_two_levels():
     shallow = FockParams(q=0.5, dim=2, max_level=1)
     with pytest.raises(TruncationLoss):
         schatten_diagnostic(gradient_map(wick(shallow, []), wick(shallow, [1]), 0.0, "rstar"), 2)
+
+
+def test_nabla_norm_builds_no_gradient_vector(monkeypatch):
+    p = params(q=0.3, max_level=6)
+    rng = np.random.default_rng(25)
+    v = GradientVector(
+        p, [(random_element(rng, p, [1, 2]), random_element(rng, p, [0, 1])) for _ in range(4)]
+    )
+    assert len(v.terms) == 4
+    built = []
+    original = GradientVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GradientVector, "__post_init__", counting)
+    norm = nabla_norm(v)
+    assert not built
+    assert norm == pytest.approx(np.sqrt(nabla_pairing_value(v, v).real), rel=1e-8)

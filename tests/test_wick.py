@@ -145,7 +145,7 @@ def test_product_partition_matches_direct_three_words():
     syms = [random_symbol(rng, p, n) for n in (2, 1, 2)]
     via_part = product_partition(p, syms)
     via_direct = product_direct(p, syms)
-    num = (Element.from_vector(via_part) - via_direct).q_norm()
+    num = (via_part - via_direct).q_norm()
     assert num <= 1e-9 * max(via_direct.q_norm(), 1.0)
 
 
@@ -155,7 +155,7 @@ def test_product_triple_reduces_with_scalar_operand():
     a, b = random_symbol(rng, p, 2), random_symbol(rng, p, 1)
     with_scalar = product_triple(p, a, np.array(1.0), b)
     two = product_direct(p, [a, b])
-    assert (Element.from_vector(with_scalar) - two).q_norm() <= 1e-10
+    assert (with_scalar - two).q_norm() <= 1e-10
 
 
 @pytest.mark.parametrize("qval", [0.4, -0.5])
@@ -165,8 +165,8 @@ def test_route_triangle(qval, levels):
     rng = np.random.default_rng(hash(levels) % 2**32)
     syms = [random_symbol(rng, p, n) for n in levels]
     direct = product_direct(p, syms)
-    part = Element.from_vector(product_partition(p, syms))
-    trip = Element.from_vector(product_triple(p, *syms))
+    part = product_partition(p, syms)
+    trip = product_triple(p, *syms)
     scale = max(direct.q_norm(), 1.0)
     assert (part - direct).q_norm() <= 1e-9 * scale
     assert (trip - direct).q_norm() <= 1e-9 * scale
@@ -177,8 +177,8 @@ def test_route_triangle_dim3():
     rng = np.random.default_rng(7)
     syms = [random_symbol(rng, p, n) for n in (2, 2, 2)]
     direct = product_direct(p, syms)
-    part = Element.from_vector(product_partition(p, syms))
-    trip = Element.from_vector(product_triple(p, *syms))
+    part = product_partition(p, syms)
+    trip = product_triple(p, *syms)
     scale = max(direct.q_norm(), 1.0)
     assert (part - direct).q_norm() <= 1e-9 * scale
     assert (trip - direct).q_norm() <= 1e-9 * scale
