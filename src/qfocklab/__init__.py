@@ -21,8 +21,6 @@ from .partitions import (
     SegmentShape,
     crossing_number,
     enumerate_pair_partitions,
-    permutation_inversions,
-    subset_inversions,
 )
 from .qfock import (
     FockOperator,
@@ -34,7 +32,6 @@ from .qfock import (
     conjugation,
     creation,
     pairing_norm,
-    pairing_value,
     q_inner,
     r_star,
     r_star3,
@@ -51,16 +48,13 @@ from .wick import (
 from .gradient import (
     GradientVector,
     PsiMap,
-    delta_element,
     gamma,
     gradient_map,
     level_norm,
     nabla_norm,
     nabla_pairing_value,
-    number_operator,
     psi_element,
     schatten_diagnostic,
-    semigroup_operator,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

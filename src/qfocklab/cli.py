@@ -288,10 +288,9 @@ def _check_psi_triangle(cfg, params):
     for n, k in [(1, 1), (2, 1)]:
         a = wick(params, rng.standard_normal((params.dim,) * n))
         b = wick(params, rng.standard_normal((params.dim,) * k))
-        cap = max(params.max_level - 4, 0)
-        base = gradient_map(a, b, cfg.time_t, "direct", max_source=cap)
+        base = gradient_map(a, b, cfg.time_t, "direct")
         for route in ("partition", "rstar"):
-            other = gradient_map(a, b, cfg.time_t, route, max_source=cap)
+            other = gradient_map(a, b, cfg.time_t, route)
             for key in set(base.realized.blocks) | set(other.realized.blocks):
                 gap = np.abs(
                     np.asarray(base.realized.blocks.get(key, 0.0))

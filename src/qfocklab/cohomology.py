@@ -23,7 +23,7 @@ import numpy as np
 
 from .qfock import FockParams
 from .wick import Element
-from .gradient import GradientVector, delta_element, nabla_norm
+from .gradient import GradientVector, nabla_norm
 
 SAMPLE_TOLERANCE = 1e-8
 
@@ -209,7 +209,7 @@ def verify_derivation_norm(
     for i in range(samples):
         a = _random_element(rng, params, max_word_level)
         lhs = nabla_norm(d1(a)) ** 2
-        rhs = delta_element(a).q_inner(a).real
+        rhs = a.number_applied().q_inner(a).real
         scale = max(abs(rhs), 1.0)
         rows.append(CheckRow("derivation_norm", i, abs(lhs - rhs) / scale, tol))
     return rows

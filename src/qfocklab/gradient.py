@@ -53,25 +53,9 @@ BATCH_ENTRIES = 2**13
 # ---------------------------------------------------------------------------
 
 
-def number_operator(params: FockParams) -> FockOperator:
-    """Diagonal generator: level m scaled by m."""
-    return FockOperator.diagonal(params, lambda m: float(m))
-
-
 def _check_time(t: float) -> None:
     if not 0 <= t < np.inf:
         raise BadExponent(f"semigroup time must be finite and >= 0, got {t}")
-
-
-def semigroup_operator(params: FockParams, t: float) -> FockOperator:
-    """Diagonal semigroup exp(-t * generator)."""
-    _check_time(t)
-    return FockOperator.diagonal(params, lambda m: float(np.exp(-t * m)))
-
-
-def delta_element(x: Element) -> Element:
-    """Generator applied to an algebra element (quantized level weight)."""
-    return x.number_applied()
 
 
 def gamma(x: Element, y: Element, max_out: int | None = None) -> Element:
@@ -185,14 +169,13 @@ def gradient_map(
     b: Element,
     t: float = 0.0,
     route: str = "direct",
-    max_source: int | None = None,
 ) -> PsiMap:
     """Assemble the gradient map of the word pair on the truncated space.
 
-    ``max_source`` restricts the assembled source levels (the map is
-    block-columned, so a sub-range is a faithful restriction); levels
-    above it count as truncated, as do sources whose top output level
-    n + m + k exceeds ``max_level``.
+    Only the lossless sources are assembled: a source level m maps into
+    levels up to n + m + k (n, k the levels of the words), so blocks are
+    built for m <= max_level - n - k, and the sources above count as
+    truncated and carry no blocks.
     """
     _check_time(t)
     params = a.params
@@ -231,17 +214,16 @@ def gradient_map(
         raise UnknownRoute(f"route must be direct/partition/rstar, got {route!r}")
 
     top = params.max_level
-    cap = top if max_source is None else min(max_source, top)
+    cap = top - n - k
     blocks: dict[tuple[int, int], np.ndarray] = {}
     for m in range(cap + 1):
         columns = BATCH_COLUMNS
         if route == "direct":
-            # the bracket's products grow above the output levels
-            widest = min(m + n + k, top + max(n, k))
-            columns = max(1, BATCH_ENTRIES // params.level_dim(widest))
+            # the bracket's products reach level m + n + k
+            columns = max(1, BATCH_ENTRIES // params.level_dim(m + n + k))
         level = _batched_blocks(params, m, t, lambda batch: contract(m, batch), columns)
         blocks.update(((m, lvl), blk) for lvl, blk in level.items())
-    lossy = frozenset(m for m in range(top + 1) if m > cap or n + m + k > top)
+    lossy = frozenset(range(max(cap + 1, 0), top + 1))
     return PsiMap(params, a, b, t, route, FockOperator(params, blocks, lossy))
 
 

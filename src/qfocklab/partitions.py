@@ -126,31 +126,3 @@ def crossing_number(partition: PairPartition) -> CrossingCount:
     singles = partition.singletons
     degenerate = sum(1 for (l, r) in pairs for s in singles if l < s < r)
     return CrossingCount(regular, degenerate)
-
-
-def permutation_inversions(sigma) -> int:
-    """Number of pairs a < b with sigma(a) > sigma(b).
-
-    ``sigma`` is the image sequence (sigma(1), ..., sigma(n)); any
-    0-based or 1-based bijection works since only relative order counts.
-    """
-    values = list(sigma)
-    if sorted(values) != sorted(set(values)):
-        raise ShapeMismatch("sigma is not a bijection")
-    return sum(
-        1
-        for a, b in itertools.combinations(range(len(values)), 2)
-        if values[a] > values[b]
-    )
-
-
-def subset_inversions(subset) -> int:
-    """Cost of moving the subset to the left: sum of (i_l - l) over the
-    sorted elements i_1 < ... < i_n (1-based)."""
-    elems = sorted(int(a) for a in subset)
-    if len(set(elems)) != len(elems):
-        raise ShapeMismatch("subset has repeated elements")
-    if elems and elems[0] < 1:
-        raise ShapeMismatch("subset elements must be >= 1")
-    return sum(a - pos for pos, a in enumerate(elems, start=1))
-

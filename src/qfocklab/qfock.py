@@ -20,6 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +37,11 @@ from .numerics import psd_inv_sqrt
 MATRIX_DIM_CAP = 4096
 # Largest N^m for coefficient tensors in vector arithmetic.
 VECTOR_DIM_CAP = 65536
+# (q, dim) pairs whose Grams, splitters and pairing forms stay cached, so a
+# long q sweep holds a bounded amount; verify touches three values of q.
+MEMO_PARAM_PAIRS = 4
+
+MemoInfo = namedtuple("MemoInfo", "pairs currsize")
 
 
 @dataclass(frozen=True)
@@ -197,22 +204,35 @@ def split_tensor3(q: float, t: np.ndarray, p1: int, p2: int, p3: int, offset: in
 
 
 def _memo_per_level(build):
-    """Memoize ``build(params, key)`` with ``functools.cache`` on
-    ``(float(params.q), params.dim, key)``.  ``max_level`` is not part
-    of the key, so every truncation of one (q, dim) shares the entries.
-    Entries are read-only and stay for the life of the process; a
-    racing duplicate build wastes work but never stores a wrong value.
-    ``cache_info`` reports the entries as for ``functools.cache``."""
-
-    @functools.cache
-    def cached(q: float, dim: int, key) -> np.ndarray:
-        return _read_only(build(FockParams(q, dim, max_level=0), key))
+    """Memoize ``build(params, key)`` on ``(float(params.q), params.dim, key)``
+    for the ``MEMO_PARAM_PAIRS`` most recently used (q, dim) pairs; a new
+    pair drops the least recently used one with all its entries.
+    ``max_level`` is not part of the key, so every truncation of one
+    (q, dim) shares the entries.  Entries are read-only; a racing
+    duplicate build wastes work but never stores a wrong value.
+    ``cache_info()`` counts the pairs kept and the cached arrays
+    (``currsize``)."""
+    pairs: OrderedDict[tuple[float, int], dict] = OrderedDict()
+    lock = threading.Lock()
 
     @functools.wraps(build)
     def lookup(params: FockParams, key) -> np.ndarray:
-        return cached(float(params.q), params.dim, key)
+        pair = (float(params.q), params.dim)
+        with lock:
+            entries = pairs.pop(pair, {})
+            pairs[pair] = entries
+            if len(pairs) > MEMO_PARAM_PAIRS:
+                pairs.popitem(last=False)
+        got = entries.get(key)
+        if got is None:
+            got = entries[key] = _read_only(build(FockParams(*pair, max_level=0), key))
+        return got
 
-    lookup.cache_info = cached.cache_info
+    def cache_info() -> MemoInfo:
+        with lock:
+            return MemoInfo(len(pairs), sum(map(len, pairs.values())))
+
+    lookup.cache_info = cache_info
     return lookup
 
 
@@ -333,16 +353,6 @@ def pairing_form(params: FockParams, j: int) -> np.ndarray:
 def _pairing_form(params: FockParams, j: int) -> np.ndarray:
     # Factor reversal is an involution: its gather rows scatter it too.
     return symmetrizer(params, j)[_permutation_rows(params.dim, tuple(reversed(range(j))))]
-
-
-def pairing_value(params: FockParams, v: np.ndarray, w: np.ndarray) -> complex:
-    """Contract two same-level tensors: q-inner product of the
-    conjugated-and-reversed left factor against the right factor."""
-    if v.shape != w.shape:
-        raise ShapeMismatch(f"pairing operands differ: {v.shape} vs {w.shape}")
-    j = v.ndim
-    b = pairing_form(params, j)
-    return complex(v.reshape(-1) @ b @ w.reshape(-1))
 
 
 def pairing_norm(params: FockParams, j: int) -> float:
@@ -481,7 +491,8 @@ class FockOperator:
 
     ``blocks`` maps (source level, target level) -> dense matrix of
     shape (N^target, N^source).  ``lossy_sources`` lists source levels
-    whose image was cut at the truncation boundary; applying the
+    whose image was cut at the truncation boundary; ``creation`` and
+    ``gradient_map`` build no blocks from them, and applying the
     operator to mass at those levels clears the result's flag.
     """
 
@@ -509,16 +520,6 @@ class FockOperator:
             (m, m): np.eye(params.level_dim(m), dtype=complex)
             for m in range(params.max_level + 1)
         }
-        return cls(params, blocks)
-
-    @classmethod
-    def diagonal(cls, params: FockParams, weight) -> "FockOperator":
-        """Block-diagonal operator scaling level m by weight(m)."""
-        blocks = {}
-        for m in range(params.max_level + 1):
-            w = complex(weight(m))
-            if w != 0:
-                blocks[(m, m)] = w * np.eye(params.level_dim(m), dtype=complex)
         return cls(params, blocks)
 
     def apply(self, vec: FockVector) -> FockVector:

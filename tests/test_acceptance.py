@@ -104,15 +104,12 @@ def test_criterion_05_gradient_map_triangle():
             for k in (1, 2):
                 a = wick(params, rng.standard_normal((2,) * n))
                 b = wick(params, rng.standard_normal((2,) * k))
-                cap = params.max_level - 4
                 maps = {
-                    route: gradient_map(a, b, 0.0, route, max_source=cap)
+                    route: gradient_map(a, b, 0.0, route)
                     for route in ("direct", "partition", "rstar")
                 }
                 keys = set().union(*(m.realized.blocks for m in maps.values()))
                 for key in keys:
-                    if key[0] > cap:
-                        continue
                     mats = [
                         np.asarray(m.realized.blocks.get(key, 0.0))
                         for m in maps.values()

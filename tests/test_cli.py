@@ -414,3 +414,19 @@ def test_verify_records_a_raising_check_and_runs_the_rest(tmp_path, monkeypatch)
     assert payload["failed_checks"] == [checks[1][0]]
     others = payload["checks"][:1] + payload["checks"][2:]
     assert all(c["passed"] and "error" not in c for c in others)
+
+
+def test_threshold_sweep_keeps_a_bounded_number_of_param_pairs(tmp_path, capsys):
+    from qfocklab.qfock import MEMO_PARAM_PAIRS, FockParams, _symmetrizer, symmetrizer
+
+    # six values of q no other test uses, at dim 3
+    args = ["threshold", "--dim", "3", "--max-level", "4", "--grid", "0.11:0.16:0.01"]
+    assert main([*args, "--out", str(tmp_path / "t.csv")]) == 0
+    assert _symmetrizer.cache_info().pairs == MEMO_PARAM_PAIRS
+    # the last four grid points are kept and the first two dropped
+    size = _symmetrizer.cache_info().currsize
+    for q in (0.13, 0.14, 0.15, 0.16):
+        symmetrizer(FockParams(q=q, dim=3, max_level=4), 2)
+    assert _symmetrizer.cache_info() == (MEMO_PARAM_PAIRS, size)
+    symmetrizer(FockParams(q=0.11, dim=3, max_level=4), 2)
+    assert _symmetrizer.cache_info().currsize < size

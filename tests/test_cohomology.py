@@ -5,7 +5,7 @@ import pytest
 
 from qfocklab.qfock import FockParams
 from qfocklab.wick import Element, wick
-from qfocklab.gradient import delta_element, nabla_norm
+from qfocklab.gradient import nabla_norm
 from qfocklab.cohomology import (
     ALL_IDENTITY_CHECKS,
     Cochain,
@@ -62,7 +62,7 @@ def test_derivation_cocycle_values():
     assert nabla_norm(d1(one)) == pytest.approx(0.0, abs=1e-12)
     a = wick(p, [1])
     assert nabla_norm(d1(a)) ** 2 == pytest.approx(
-        delta_element(a).q_inner(a).real, rel=1e-10
+        a.number_applied().q_inner(a).real, rel=1e-10
     )
 
 

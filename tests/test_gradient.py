@@ -23,7 +23,6 @@ from qfocklab.wick import (
 )
 from qfocklab.gradient import (
     GradientVector,
-    delta_element,
     fit_log_slope,
     gamma,
     gradient_map,
@@ -33,10 +32,8 @@ from qfocklab.gradient import (
     nabla_norm,
     nabla_pairing_two_ways,
     nabla_pairing_value,
-    number_operator,
     psi_element,
     schatten_diagnostic,
-    semigroup_operator,
 )
 
 ROUTES = ("direct", "partition", "rstar")
@@ -64,25 +61,21 @@ def map_deviation(pm_a, pm_b):
 
 def test_number_operator_and_semigroup_laws():
     p = params()
-    num = number_operator(p)
-    for m in range(p.max_level + 1):
-        blk = num.blocks.get((m, m))
-        if m == 0:
-            assert blk is None  # kernel is the vacuum level
-        else:
-            assert np.allclose(blk, m * np.eye(p.dim**m))
     s, t = 0.3, 0.9
-    first, then, both = (semigroup_operator(p, u) for u in (t, s, s + t))
     # column by column: every basis vector of every level
     for m in range(p.max_level + 1):
         for word in itertools.product(range(1, p.dim + 1), repeat=m):
-            vec = basis_vector(p, word)
-            left, right = then.apply(first.apply(vec)), both.apply(vec)
+            x = Element.word(p, word)
+            num = x.number_applied()
+            if m == 0:
+                assert num.is_zero()  # kernel is the vacuum level
+            else:
+                assert set(num.levels) == {m}
+                assert np.allclose(num.component(m), m * x.component(m))
+            left, right = x.semigroup_applied(t).semigroup_applied(s), x.semigroup_applied(s + t)
             assert set(left.levels) == set(right.levels) == {m}
             assert np.allclose(left.component(m), right.component(m), atol=1e-12)
-    ident = semigroup_operator(p, 0.0)
-    for m in range(p.max_level + 1):
-        assert np.allclose(ident.blocks[(m, m)], np.eye(p.dim**m))
+            assert np.array_equal(x.semigroup_applied(0.0).component(m), x.component(m))
 
 
 def test_negative_time_is_bad_exponent():
@@ -90,8 +83,6 @@ def test_negative_time_is_bad_exponent():
     a = wick(p, [1])
     # a non-finite time is refused like a negative one
     for t in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(BadExponent):
-            semigroup_operator(p, t)
         with pytest.raises(BadExponent):
             gradient_map(a, a, t, "rstar")
         with pytest.raises(BadExponent):
@@ -107,12 +98,12 @@ def test_semigroup_is_trace_preserving_on_elements():
 
 def test_delta_examples():
     p = params()
-    assert delta_element(Element.one(p)).is_zero()
+    assert Element.one(p).number_applied().is_zero()
     w1 = wick(p, [1])
-    d = delta_element(w1)
+    d = w1.number_applied()
     assert np.allclose(d.component(1), w1.component(1))
     square = w1 * w1
-    d2 = delta_element(square)
+    d2 = square.number_applied()
     # the vacuum part of the square is killed, the level-2 word doubled
     assert d2.component(0) == 0
     assert np.allclose(d2.component(2), 2 * square.component(2))
@@ -131,7 +122,7 @@ def test_gamma_examples_and_positivity():
         x = random_element(rng, p, [1, 2])
         gx = gamma(x, x)
         assert gx.trace() == pytest.approx(
-            delta_element(x).q_inner(x).real, rel=1e-9
+            x.number_applied().q_inner(x).real, rel=1e-9
         )
         xi = random_element(rng, p, [0, 1, 2])
         val = gx.mul(xi).q_inner(xi)
@@ -141,9 +132,9 @@ def test_gamma_examples_and_positivity():
 def gamma_by_definition(x, y, max_out=None):
     """Gamma(x, y) = 1/2 ((D y)* x + y* D x - D(y* x)), three products."""
     y_adj = y.adjoint()
-    t1 = delta_element(y).adjoint().mul(x, max_out)
-    t2 = y_adj.mul(delta_element(x), max_out)
-    t3 = delta_element(y_adj.mul(x, max_out))
+    t1 = y.number_applied().adjoint().mul(x, max_out)
+    t2 = y_adj.mul(x.number_applied(), max_out)
+    t3 = y_adj.mul(x, max_out).number_applied()
     return (t1 + t2 - t3).scaled(0.5)
 
 
@@ -203,8 +194,8 @@ def test_route_triangle_against_direct(route, levels):
     rng = np.random.default_rng(sum(levels))
     a = wick(p, rng.standard_normal((p.dim,) * levels[0]))
     b = wick(p, rng.standard_normal((p.dim,) * levels[1]))
-    base = gradient_map(a, b, 0.0, "direct", max_source=4)
-    other = gradient_map(a, b, 0.0, route, max_source=4)
+    base = gradient_map(a, b, 0.0, "direct")
+    other = gradient_map(a, b, 0.0, route)
     assert map_deviation(base, other) < 1e-8
 
 
@@ -241,18 +232,22 @@ def test_gradient_map_over_different_params_is_a_param_mismatch(route):
 
 
 @pytest.mark.parametrize("route", ROUTES)
-def test_max_source_outside_the_levels(route):
+def test_gradient_map_builds_only_its_lossless_sources(route):
     p = params(q=0.4, max_level=5)
-    a, b = wick(p, [1]), wick(p, [2, 1])
-    full = gradient_map(a, b, 0.0, route).realized
-    above = gradient_map(a, b, 0.0, route, max_source=9).realized
-    assert above.lossy_sources == full.lossy_sources == {3, 4, 5}
-    assert set(above.blocks) == set(full.blocks)
-    for key, blk in full.blocks.items():
-        assert np.array_equal(above.blocks[key], blk)
-    below = gradient_map(a, b, 0.0, route, max_source=-1).realized
-    assert not below.blocks
-    assert below.lossy_sources == set(range(6))
+    psi = gradient_map(wick(p, [1]), wick(p, [2, 1]), 0.0, route)
+    realized = psi.realized
+    # source m reaches level 1 + m + 2, so only m <= 2 is lossless
+    assert realized.blocks
+    assert all(src <= 2 for src, _ in realized.blocks)
+    assert realized.lossy_sources == {3, 4, 5}
+    assert realized.apply(basis_vector(p, [1, 2])).lossless
+    assert not realized.apply(basis_vector(p, [1, 2, 1])).lossless
+    with pytest.raises(TruncationLoss):
+        level_norm(psi, 3)
+    # words of levels 3 and 3 fit no source under level 5
+    none = gradient_map(wick(p, [1, 2, 1]), wick(p, [2, 1, 2]), 0.0, route).realized
+    assert not none.blocks
+    assert none.lossy_sources == set(range(6))
 
 
 def test_psi_block_band_and_parity():
@@ -353,7 +348,7 @@ def test_gradient_vector_norms():
         a = random_element(rng, p, [1, 2])
         v = GradientVector(p, [(a, one)])
         assert nabla_norm(v) ** 2 == pytest.approx(
-            delta_element(a).q_inner(a).real, rel=1e-9
+            a.number_applied().q_inner(a).real, rel=1e-9
         )
 
 
@@ -582,22 +577,23 @@ def test_nabla_pairing_conjugate_symmetry():
     )
 
 
-def columns_to_blocks(p, n, k, column_fn, max_source):
-    """Column-by-column assembly: each basis tensor of each source level
-    is pushed through ``column_fn`` on its own.  The oracle for the
-    batched blocks of ``gradient_map``."""
+def columns_to_blocks(p, n, k, column_fn):
+    """Column-by-column assembly: each basis tensor of each lossless
+    source level (n + m + k <= max_level) is pushed through
+    ``column_fn`` on its own.  The oracle for the batched blocks of
+    ``gradient_map``."""
     blocks, lossy = {}, set()
-    cap = p.max_level
-    for m in range(min(cap, max_source) + 1):
-        if n + m + k > cap:
+    for m in range(p.max_level + 1):
+        if n + m + k > p.max_level:
             lossy.add(m)
+            continue
         dim_src = p.level_dim(m)
         for col in range(dim_src):
             idx = np.unravel_index(col, (p.dim,) * m) if m else ()
             basis = np.zeros((p.dim,) * m, dtype=complex)
             basis[idx] = 1.0
             for lvl, tensor in column_fn(m, basis).items():
-                if lvl > cap or not np.any(tensor):
+                if not np.any(tensor):
                     continue
                 if (m, lvl) not in blocks:
                     blocks[(m, lvl)] = np.zeros((p.level_dim(lvl), dim_src), dtype=complex)
@@ -636,13 +632,13 @@ def column_oracle(route, a, b, t):
 
 
 BATCH_CASES = [
-    # word a, word b, time, max_source below max_level
-    ([1], [1], 0.0, False),
-    ([1], [2, 1], 0.4, False),
-    ([1, 2], [2], 0.0, True),
-    ([], [1], 0.0, False),
-    ([2, 2], [1, 2], 0.0, False),
-    ("random", "random", 0.7, True),
+    # word a, word b, time
+    ([1], [1], 0.0),
+    ([1], [2, 1], 0.4),
+    ([1, 2], [2], 0.0),
+    ([], [1], 0.0),
+    ([2, 2], [1, 2], 0.0),
+    ("random", "random", 0.7),
 ]
 
 
@@ -652,20 +648,17 @@ def test_batched_blocks_match_column_oracle(route, q):
     rng = np.random.default_rng(13)
     for dim, max_level in [(1, 6), (2, 5), (3, 3)]:
         p = FockParams(q=q, dim=dim, max_level=max_level)
-        for word_a, word_b, t, below in BATCH_CASES:
+        for word_a, word_b, t in BATCH_CASES:
             if word_a == "random":
                 a = wick(p, rng.standard_normal((dim,) * 2))
                 b = wick(p, rng.standard_normal((dim,)))
             else:
                 a = wick(p, [min(i, dim) for i in word_a])
                 b = wick(p, [min(i, dim) for i in word_b])
-            cap = max_level - 2 if below else max_level
-            got = gradient_map(a, b, t, route, max_source=cap if below else None)
+            got = gradient_map(a, b, t, route)
             want, lossy = columns_to_blocks(
-                p, a.top_level(), b.top_level(), column_oracle(route, a, b, t), cap
+                p, a.top_level(), b.top_level(), column_oracle(route, a, b, t)
             )
-            if below:
-                lossy |= set(range(cap + 1, max_level + 1))
             assert got.realized.lossy_sources == lossy
             assert set(got.realized.blocks) == set(want)
             for key, blk in want.items():
@@ -676,15 +669,17 @@ def test_batched_blocks_match_column_oracle(route, q):
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_batched_blocks_in_chunks_match_one_batch(route, monkeypatch):
-    # 7 columns per chunk: several chunks per level, the last one partial
+    # 7 columns per chunk: the lossless sources are 0..5, and the 32
+    # columns of source 5 go in chunks of 7, 7, 7, 7 and 4
     grad = importlib.import_module("qfocklab.gradient")
-    p = FockParams(q=0.3, dim=2, max_level=5)
-    a, b = wick(p, [1]), wick(p, [2, 1])
+    p = FockParams(q=0.3, dim=2, max_level=7)
+    a, b = wick(p, [1]), wick(p, [1])
     whole = gradient_map(a, b, 0.4, route).realized
     monkeypatch.setattr(grad, "BATCH_COLUMNS", 7)
-    # the direct route sizes chunks by its widest level: 7 * 2^6 entries
-    # give 7 columns at source level 3 and 3 at levels 4 and 5
-    monkeypatch.setattr(grad, "BATCH_ENTRIES", 7 * 2**6)
+    # the direct route sizes chunks by its widest level m + 2: 7 * 2^7
+    # entries give 7 columns at source level 5 (of 32) and 14 at level 4
+    # (of 16); levels up to 3 fit in one chunk
+    monkeypatch.setattr(grad, "BATCH_ENTRIES", 7 * 2**7)
     chunked = gradient_map(a, b, 0.4, route).realized
     assert chunked.lossy_sources == whole.lossy_sources
     assert set(chunked.blocks) == set(whole.blocks)

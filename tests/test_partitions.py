@@ -3,8 +3,6 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qfocklab.errors import ShapeMismatch
 from qfocklab.partitions import (
@@ -13,8 +11,6 @@ from qfocklab.partitions import (
     SegmentShape,
     crossing_number,
     enumerate_pair_partitions,
-    permutation_inversions,
-    subset_inversions,
 )
 
 
@@ -126,29 +122,6 @@ def test_intra_segment_rule_enforced():
     for p in enumerate_pair_partitions(SegmentShape((3, 3))):
         for l, r in p.pairs:
             assert p.shape.segment_of(l) != p.shape.segment_of(r)
-
-
-def test_permutation_inversions():
-    assert permutation_inversions([1, 2, 3, 4]) == 0
-    assert permutation_inversions([2, 1, 3]) == 1
-    for n in (2, 5, 7):
-        assert permutation_inversions(list(range(n, 0, -1))) == n * (n - 1) // 2
-
-
-@given(st.permutations(list(range(1, 7))))
-@settings(max_examples=40, deadline=None)
-def test_permutation_inversions_pair_count(perm):
-    expect = sum(
-        1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
-    )
-    assert permutation_inversions(perm) == expect
-
-
-def test_subset_inversions():
-    assert subset_inversions(range(1, 6)) == 0
-    n, k = 3, 4
-    assert subset_inversions(range(k + 1, k + n + 1)) == n * k
-    assert subset_inversions([1, 3]) == 1
 
 
 def format_partition(partition: PairPartition) -> str:

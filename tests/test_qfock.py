@@ -26,7 +26,6 @@ from qfocklab.qfock import (
     creation,
     pairing_form,
     pairing_norm,
-    pairing_value,
     q_inner,
     r_star,
     r_star3,
@@ -439,6 +438,12 @@ def test_symmetrizer_norm_is_q_factorial(q):
         assert w[-1] == pytest.approx(q_factorial(q, m), rel=1e-10)
         e1 = basis_tensor(p, [1] * m).reshape(-1)
         assert np.allclose(g @ e1, q_factorial(q, m) * e1, atol=1e-10)
+
+
+def pairing_value(p, v, w):
+    """Contract two same-level tensors through the bilinear pairing form."""
+    assert v.shape == w.shape
+    return complex(v.reshape(-1) @ pairing_form(p, v.ndim) @ w.reshape(-1))
 
 
 def test_pairing_values_and_norm():
