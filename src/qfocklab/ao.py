@@ -7,6 +7,19 @@ the square root of its eigenvalue; the commutation-defect maps measure
 how far that normalization is from being bimodular.  Compactness cannot
 be certified at truncation, so the artifact only reports block-norm
 decay tables and head/tail trend verdicts.
+
+Both witnesses are gradient-module Grams.  On vacuum carriers, with D
+the number operator and tau the vacuum state (a trace, for which D is
+symmetric), the pairing has the trace form
+
+    <a (x) xi, b (x) eta> = <Gamma(a, b) xi, eta>
+        = 1/2 [<a xi, D(b) eta> + <D(a) xi, b eta> - <D(b* a) xi, eta>],
+
+the inner product of the Cipriani-Sauvageot gradient bimodule written
+as three q-inner products.  Every image is a sum of terms in which one
+factor is linear in the basis element, so the level's whole basis goes
+on a batch axis and ``gradient.batched_nabla_gram`` fills a block with
+one U^H P_m V per level and bracket.
 """
 
 from __future__ import annotations
@@ -17,8 +30,14 @@ import numpy as np
 
 from .errors import FiltrationViolation, TruncationLoss
 from .qfock import FockParams, symmetrizer_inv_sqrt
-from .wick import Element
-from .gradient import GradientVector, nabla_gram, nabla_pairing_value, nabla_norm
+from .wick import Element, graded_mul
+from .gradient import (
+    BatchedTerm,
+    GradientVector,
+    batched_nabla_gram,
+    nabla_norm,
+    nabla_pairing_value,
+)
 
 FILTRATION_TOL = 1e-9
 
@@ -129,30 +148,23 @@ def _derivation_class(params: FockParams, el: Element) -> GradientVector:
     return GradientVector(params, [(el, Element.one(params))])
 
 
-def s_of_element(model: FilteredModel, el: Element) -> GradientVector:
-    """Normalized derivation applied to an algebra element, eigenspace
-    by eigenspace; the eigenvalue-0 component rides on the convention
-    vector."""
-    params = model.params
-    if el.top_level() > params.max_level:
-        raise TruncationLoss("element leaves the modeled eigenspace window")
-    out = GradientVector(params, [])
-    for m, t in el.levels.items():
-        if m == 0:
-            out = out.add(model.vacuum_unit.scaled(complex(t)))
-            continue
-        lam = model.eigenvalues[m]
-        piece = _derivation_class(params, Element(params, {m: t}))
-        out = out.add(piece.scaled(lam**-0.5))
-    return out
+def _basis_batch(model: FilteredModel, n: int) -> np.ndarray:
+    """The level-n eigenbasis as one tensor whose trailing axis runs over
+    the basis elements."""
+    return np.stack([el.levels[n] for el in model.bases[n]], axis=-1)
 
 
-def s_basis_image(model: FilteredModel, n: int, i: int) -> GradientVector:
-    if n == 0:
-        return model.vacuum_unit
-    return _derivation_class(model.params, model.bases[n][i]).scaled(
-        model.eigenvalues[n] ** -0.5
-    )
+def _scaled(levels: dict, c: float) -> dict:
+    return {m: c * t for m, t in levels.items()}
+
+
+def _vacuum_unit_terms(model: FilteredModel, coeffs: np.ndarray) -> list[BatchedTerm]:
+    """The eigenvalue-0 convention vector times one coefficient per column."""
+    terms = []
+    for a, xi in model.vacuum_unit.terms:
+        scaled = {m: np.multiply.outer(t, coeffs) for m, t in xi.levels.items()}
+        terms.append(BatchedTerm(a.levels, scaled, "xi"))
+    return terms
 
 
 @dataclass
@@ -162,43 +174,76 @@ class IsometryReport:
     labels: list[tuple[int, int]]
 
 
-def s_isometry_report(model: FilteredModel, max_eigenvalue: int | None = None) -> IsometryReport:
+def s_isometry_report(model: FilteredModel) -> IsometryReport:
     """Gram of the normalized-derivation images of the orthonormal
-    eigenbasis (including the eigenvalue-0 convention vector)."""
-    cap = model.eigenspace_count() - 1 if max_eigenvalue is None else max_eigenvalue
-    images, labels = [], []
-    for n, i, _ in model.flat_basis():
-        if n > cap:
-            continue
-        images.append(s_basis_image(model, n, i))
-        labels.append((n, i))
-    gram = nabla_gram(images)
-    dev = float(np.max(np.abs(gram - np.eye(len(images)))))
+    eigenbasis (including the eigenvalue-0 convention vector).
+
+    The images are n^(-1/2) (e (x) 1) for the level-n basis elements e
+    and the convention vector at level 0.  Each level is one column
+    block with its basis on a batch axis, and ``batched_nabla_gram``
+    pairs the blocks through the trace form of the pairing,
+    <a (x) xi, b (x) eta> = 1/2 [<a xi, D(b) eta> + <D(a) xi, b eta>
+    - <D(b* a) xi, eta>], one U^H P_m V per level and bracket.
+    """
+    params = model.params
+    one = Element.one(params).levels
+    blocks = [(1, _vacuum_unit_terms(model, np.ones(1)))]
+    labels = [(0, 0)]
+    for n in range(1, model.eigenspace_count()):
+        batch = _basis_batch(model, n)
+        scaled = batch * model.eigenvalues[n] ** -0.5
+        blocks.append((batch.shape[-1], [BatchedTerm({n: scaled}, one, "a")]))
+        labels.extend((n, i) for i in range(batch.shape[-1]))
+    gram = batched_nabla_gram(params, blocks)
+    dev = float(np.max(np.abs(gram - np.eye(len(labels)))))
     return IsometryReport(gram, dev, labels)
 
 
-def t_images(model: FilteredModel, x: Element, y: Element, n: int) -> list[GradientVector]:
-    """Commutation defect x S(.) y - S(x . y) on the level-n eigenbasis."""
+def _t_terms(model: FilteredModel, x: Element, y: Element, n: int) -> list[BatchedTerm]:
+    """Term families of the commutation defect x S(e) y - S(x e y) with
+    the level-n basis e on a batch axis:
+    n^(-1/2) (xe, y), -n^(-1/2) (x, ey), -m^(-1/2) ((xey)_m, 1) for every
+    level m >= 1, and the convention vector times -(xey)_0."""
+    params = model.params
+    one = Element.one(params).levels
+    c = model.eigenvalues[n] ** -0.5
+    e = {n: _basis_batch(model, n)}
+    xe = graded_mul(params, x.levels, e, batched="right")
+    ey = graded_mul(params, e, y.levels, batched="left")
+    xey = graded_mul(params, xe, y.levels, batched="left")
+    terms = [
+        BatchedTerm(_scaled(xe, c), y.levels, "a"),
+        BatchedTerm(x.levels, _scaled(ey, -c), "xi"),
+    ]
+    for m, t in sorted(xey.items()):
+        if m:
+            terms.append(BatchedTerm({m: -(model.eigenvalues[m] ** -0.5) * t}, one, "a"))
+    if 0 in xey:
+        terms.extend(_vacuum_unit_terms(model, -xey[0]))
+    return terms
+
+
+def _t_block_gram(model: FilteredModel, x: Element, y: Element, n: int) -> np.ndarray:
     params = model.params
     if n + x.top_level() + y.top_level() > params.max_level:
         raise TruncationLoss(
             f"products from level {n} with the given words leave the window"
         )
-    out = []
-    for el in model.bases[n]:
-        se = s_of_element(model, el)
-        moved = se.left(x).right(y)
-        prod = (x * el) * y
-        out.append(moved.add(s_of_element(model, prod).scaled(-1.0)))
-    return out
+    return batched_nabla_gram(params, [(params.level_dim(n), _t_terms(model, x, y, n))])
 
 
 def t_block_norm(model: FilteredModel, x: Element, y: Element, n: int) -> float:
-    """Operator norm of the commutation defect on the eigenvalue-n
-    block, through the gradient-module Gram of the images."""
-    images = t_images(model, x, y, n)
-    gram = nabla_gram(images)
-    vals = np.linalg.eigvalsh(gram)
+    """Operator norm of the commutation defect T = x S(.) y - S(x . y)
+    on the eigenvalue-n block, through the gradient-module Gram of the
+    images.
+
+    The Gram is built by ``batched_nabla_gram`` from the term families
+    of ``_t_terms``, each with the level-n basis on a batch axis, paired
+    through the trace form of the pairing,
+    <a (x) xi, b (x) eta> = 1/2 [<a xi, D(b) eta> + <D(a) xi, b eta>
+    - <D(b* a) xi, eta>], one U^H P_m V per level and bracket.
+    """
+    vals = np.linalg.eigvalsh(_t_block_gram(model, x, y, n))
     return float(np.sqrt(max(float(vals[-1]), 0.0)))
 
 

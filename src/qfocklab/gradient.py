@@ -17,6 +17,13 @@ All three are composed with -(1/2) times the semigroup and are linear
 in the middle word, so each source level goes through one evaluation
 whose middle word is the level's whole basis, the identity, in chunks
 of columns (``_batched_blocks``).
+
+Gradient-module Grams come two ways.  ``nabla_gram`` pairs explicit
+gradient vectors term by term, one gradient form per pair of terms.
+``batched_nabla_gram`` pairs families of terms whose columns ride on a
+batch axis, through the trace form of the pairing, so a Gram block
+costs a few products per pair of families instead of one gradient form
+per pair of entries and terms.
 """
 
 from __future__ import annotations
@@ -27,7 +34,13 @@ import numpy as np
 
 from .errors import BadExponent, TruncationLoss, UnknownRoute
 from .numerics import _psd_eig
-from .qfock import FockOperator, FockParams, _require_same_params
+from .qfock import (
+    FockOperator,
+    FockParams,
+    _require_same_params,
+    _sym_apply_front,
+    conjugate_tensor,
+)
 from .wick import (
     Element,
     _as_element,
@@ -490,6 +503,114 @@ def nabla_norm(v: GradientVector, tol: float = NABLA_GRAM_RTOL) -> float:
     w, u, _ = _psd_eig(0.5 * (g + g.conj().T), tol)
     ones = np.ones(len(v.terms))
     return float(np.sqrt(max((ones @ ((u * w) @ u.conj().T) @ ones).real, 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# batched gradient-module Grams (trace form of the pairing)
+# ---------------------------------------------------------------------------
+
+
+class BatchedTerm:
+    """A family of terms a (x) xi on vacuum carriers, one per column.
+
+    The levels of ``a`` (``side`` "a") or of ``xi`` (``side`` "xi")
+    carry a trailing batch axis whose slices are the columns; the other
+    factor is shared by every column.
+    """
+
+    __slots__ = ("a", "xi", "side")
+
+    def __init__(self, a: dict[int, np.ndarray], xi: dict[int, np.ndarray], side: str) -> None:
+        self.a, self.xi, self.side = a, xi, side
+
+
+def _top(levels: dict) -> int:
+    return max(levels, default=0)
+
+
+def _adjoint_levels(levels: dict) -> dict[int, np.ndarray]:
+    return {m: conjugate_tensor(t) for m, t in levels.items()}
+
+
+def _batched_q_inner(params: FockParams, left: dict, right: dict):
+    """q-inner products of every left column with every right column,
+    sum over the common levels m of U_m^H P_m V_m (both operands carry
+    trailing batch axes)."""
+    total = 0
+    for m, u in left.items():
+        v = right.get(m)
+        if v is None:
+            continue
+        size = params.level_dim(m)
+        pv = _sym_apply_front(params, v, m).reshape(size, -1)
+        total = total + u.reshape(size, -1).conj().T @ pv
+    return total
+
+
+def _term_products(params: FockParams, term: BatchedTerm):
+    """a xi and D(a) xi of a term family, D the number operator."""
+    flag = "left" if term.side == "a" else "right"
+    return (
+        graded_mul(params, term.a, term.xi, batched=flag),
+        graded_mul(params, _number_levels(term.a), term.xi, batched=flag),
+    )
+
+
+def _pair_batched_terms(params: FockParams, s: BatchedTerm, t: BatchedTerm, s_prods, t_prods):
+    """Matrix of <a_i (x) xi_i, b_j (x) eta_j> over the columns i of ``s``
+    and j of ``t``, by the trace form of the pairing (D the number
+    operator, tau the vacuum state, which is a trace, and D tau-symmetric):
+
+        <Gamma(a, b) xi, eta> = 1/2 [<a xi, D(b) eta> + <D(a) xi, b eta> - X],
+        X = <D(b* a) xi, eta> = <a, b D(eta xi*)> = <xi, D(a* b) eta>.
+
+    The first two brackets pair the families' own products (``s_prods``
+    and ``t_prods`` from ``_term_products``).  X takes the form in which
+    every product has at most one batched operand, and each product is
+    cut at the top level of the factor it is paired against.
+    """
+    a, xi, b, eta = s.a, s.xi, t.a, t.xi
+    head = _batched_q_inner(params, s_prods[0], t_prods[1])
+    head = head + _batched_q_inner(params, s_prods[1], t_prods[0])
+    if s.side == "a" and t.side == "a":
+        z = graded_mul(params, eta, _adjoint_levels(xi), _top(a) + _top(b))
+        u, v = a, graded_mul(params, b, _number_levels(z), _top(a), batched="left")
+    elif s.side == "a":
+        z = graded_mul(params, _adjoint_levels(b), a, _top(xi) + _top(eta), batched="right")
+        u, v = graded_mul(params, _number_levels(z), xi, _top(eta), batched="left"), eta
+    else:
+        b_flag = "right" if t.side == "a" else None
+        z = graded_mul(params, _adjoint_levels(a), b, _top(xi) + _top(eta), batched=b_flag)
+        z_flag = "left" if t.side == "a" else "right"
+        u, v = xi, graded_mul(params, _number_levels(z), eta, _top(xi), batched=z_flag)
+    return 0.5 * (head - _batched_q_inner(params, u, v))
+
+
+def batched_nabla_gram(params: FockParams, blocks) -> np.ndarray:
+    """Gram of gradient vectors given by column blocks.
+
+    ``blocks`` lists (width, term families); each column of a block is
+    the sum over the block's families of that column's term.  Every two
+    families are paired once by ``_pair_batched_terms``, the reversed
+    pair is its conjugate transpose, and the result is symmetrized as
+    1/2 (G + G^H), so it reads the same from either triangle.
+    """
+    offsets = np.cumsum([0] + [width for width, _ in blocks])
+    flat = [
+        (slice(offsets[r], offsets[r + 1]), term, _term_products(params, term))
+        for r, (_, terms) in enumerate(blocks)
+        for term in terms
+        if term.a and term.xi
+    ]
+    g = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
+    for i, (rows, s, s_prods) in enumerate(flat):
+        for j in range(i, len(flat)):
+            cols, t, t_prods = flat[j]
+            val = _pair_batched_terms(params, s, t, s_prods, t_prods)
+            g[rows, cols] += val
+            if j != i:
+                g[cols, rows] += np.conj(val).T
+    return 0.5 * (g + g.conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -155,10 +155,18 @@ def _split_rows(dim: int, n: int, k: int) -> np.ndarray:
     return _read_only(np.stack(rows))
 
 
-@functools.cache
+# A split table covers at most MATRIX_DIM_CAP entries, so at dim >= 2 its
+# window level n + k is at most 12, and one q sees at most 12 * 11 / 2 = 66
+# splits with n, k >= 1.
+_SPLIT_LEVEL_CAP = MATRIX_DIM_CAP.bit_length() - 1
+
+
+@functools.lru_cache(maxsize=MEMO_PARAM_PAIRS * _SPLIT_LEVEL_CAP * (_SPLIT_LEVEL_CAP - 1) // 2)
 def _split_weights(n: int, k: int, q: float) -> np.ndarray:
     """q^cost of each term of ``_split_terms``, in the order of
-    ``_split_rows``."""
+    ``_split_rows``.  Kept for the splits of MEMO_PARAM_PAIRS values of
+    q, least recently used first out, so a q sweep holds a bounded
+    number."""
     return _read_only(np.array([q**cost for _, cost in _split_terms(n, k)]))
 
 

@@ -3,21 +3,68 @@
 import numpy as np
 import pytest
 
+from qfocklab import ao, gradient
 from qfocklab.errors import TruncationLoss
 from qfocklab.qfock import FockParams
 from qfocklab.wick import Element, wick
-from qfocklab.gradient import nabla_gram, nabla_norm, nabla_pairing_value
+from qfocklab.gradient import GradientVector, nabla_gram, nabla_norm, nabla_pairing_value
 from qfocklab.ao import (
+    _derivation_class,
     build_ou_model,
     decay_verdict,
     filtration_check,
     ou_t_decay_table,
-    s_basis_image,
     s_isometry_report,
-    s_of_element,
     t_block_norm,
-    t_images,
 )
+
+
+# ---------------------------------------------------------------------------
+# per-pair oracles: the normalized derivation and the commutation defect as
+# explicit gradient vectors, paired term by term through nabla_gram
+# ---------------------------------------------------------------------------
+
+
+def s_of_element(model, el):
+    """Normalized derivation applied to an algebra element, eigenspace
+    by eigenspace; the eigenvalue-0 component rides on the convention
+    vector."""
+    params = model.params
+    if el.top_level() > params.max_level:
+        raise TruncationLoss("element leaves the modeled eigenspace window")
+    out = GradientVector(params, [])
+    for m, t in el.levels.items():
+        if m == 0:
+            out = out.add(model.vacuum_unit.scaled(complex(t)))
+            continue
+        lam = model.eigenvalues[m]
+        piece = _derivation_class(params, Element(params, {m: t}))
+        out = out.add(piece.scaled(lam**-0.5))
+    return out
+
+
+def s_basis_image(model, n, i):
+    if n == 0:
+        return model.vacuum_unit
+    return _derivation_class(model.params, model.bases[n][i]).scaled(
+        model.eigenvalues[n] ** -0.5
+    )
+
+
+def t_images(model, x, y, n):
+    """Commutation defect x S(.) y - S(x . y) on the level-n eigenbasis."""
+    params = model.params
+    if n + x.top_level() + y.top_level() > params.max_level:
+        raise TruncationLoss(
+            f"products from level {n} with the given words leave the window"
+        )
+    out = []
+    for el in model.bases[n]:
+        se = s_of_element(model, el)
+        moved = se.left(x).right(y)
+        prod = (x * el) * y
+        out.append(moved.add(s_of_element(model, prod).scaled(-1.0)))
+    return out
 
 
 def subexponential_ratios(model):
@@ -137,3 +184,98 @@ def test_t_decay_trend():
 def test_decay_verdict_requires_two_points():
     with pytest.raises(TruncationLoss):
         decay_verdict([1.0], 0.5)
+
+
+# ---------------------------------------------------------------------------
+# batched Grams against the per-pair oracles
+# ---------------------------------------------------------------------------
+
+GRAM_RTOL = 1e-12
+# (dim, max_level) of each oracle model: the per-pair Gram costs one gamma
+# call per pair of terms of every pair of images
+ORACLE_SIZES = [(1, 6), (2, 5), (3, 4)]
+
+
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _oracle_words(p, rng):
+    """The words ``1``, ``2`` and ``2,1`` (those that fit the dimension),
+    the level-0 word and random complex level-1 and level-2 elements."""
+    words = {"1": wick(p, [1]), "0": Element.one(p)}
+    if p.dim >= 2:
+        words["2"] = wick(p, [2])
+        words["2,1"] = wick(p, [2, 1])
+    words["r1"] = Element(p, {1: _complex(rng, p.dim)})
+    words["r2"] = Element(p, {2: _complex(rng, p.dim, p.dim)})
+    return words
+
+
+def _assert_gram_close(batched, oracle):
+    gap = np.max(np.abs(batched - oracle))
+    assert gap <= GRAM_RTOL * np.max(np.abs(oracle))
+
+
+# word pairs (x, y): x = y, x != y, level-0 words and complex elements
+T_PAIRS = [
+    ("1", "1"), ("2,1", "2"), ("2", "2,1"), ("0", "r2"), ("r1", "r2"), ("r2", "0"), ("0", "0"),
+]
+
+
+@pytest.mark.parametrize("q", [-0.4, 0.0, 0.3, 0.7])
+@pytest.mark.parametrize("dim,max_level", ORACLE_SIZES)
+def test_batched_t_gram_matches_pairwise_oracle(q, dim, max_level):
+    p = FockParams(q=q, dim=dim, max_level=max_level)
+    model = build_ou_model(p, check=False)
+    words = _oracle_words(p, np.random.default_rng(int(10 * q) + 7 * dim))
+    for xs, ys in T_PAIRS:
+        if xs not in words or ys not in words:
+            continue
+        x, y = words[xs], words[ys]
+        for n in range(1, min(2, max_level - x.top_level() - y.top_level()) + 1):
+            oracle = nabla_gram(t_images(model, x, y, n))
+            _assert_gram_close(ao._t_block_gram(model, x, y, n), oracle)
+            top = np.sqrt(max(np.linalg.eigvalsh(oracle)[-1], 0.0))
+            assert t_block_norm(model, x, y, n) == pytest.approx(top, rel=1e-10, abs=1e-12)
+
+
+def test_batched_t_gram_with_vacuum_unit_terms():
+    # x = y = e1 on the level-2 block: x e y has a level-0 part, which
+    # brings in the convention-vector terms
+    for q in (-0.4, 0.7):
+        p = FockParams(q=q, dim=2, max_level=4)
+        model = build_ou_model(p, check=False)
+        x = wick(p, [1])
+        assert any(((x * el) * x).trace() != 0 for el in model.bases[2])
+        oracle = nabla_gram(t_images(model, x, x, 2))
+        _assert_gram_close(ao._t_block_gram(model, x, x, 2), oracle)
+
+
+@pytest.mark.parametrize("q", [-0.4, 0.3, 0.7])
+@pytest.mark.parametrize("dim,max_level", [(1, 6), (2, 4), (3, 3)])
+def test_batched_s_gram_matches_pairwise_oracle(q, dim, max_level):
+    model = build_ou_model(FockParams(q=q, dim=dim, max_level=max_level), check=False)
+    rep = s_isometry_report(model)
+    assert rep.labels == [(n, i) for n, i, _ in model.flat_basis()]
+    oracle = nabla_gram([s_basis_image(model, n, i) for n, i in rep.labels])
+    _assert_gram_close(rep.gram, oracle)
+
+
+def test_batched_grams_make_no_pairwise_calls(model, monkeypatch):
+    calls = []
+    for name in ("gamma", "nabla_pairing_value"):
+        original = getattr(gradient, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for mod in (gradient, ao):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    x = wick(model.params, [1])
+    for n in (1, 2, 3, 4):
+        t_block_norm(model, x, x, n)
+    s_isometry_report(model)
+    assert calls == []

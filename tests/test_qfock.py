@@ -14,10 +14,13 @@ from qfocklab.errors import LevelTooLarge, NotHermitianError, ParamMismatch, Sha
 from qfocklab.numerics import hermitian_eig
 from qfocklab.qfock import (
     MATRIX_DIM_CAP,
+    MEMO_PARAM_PAIRS,
     FockOperator,
     FockParams,
     FockVector,
     _split_rows,
+    _split_terms,
+    _split_weights,
     annihilation,
     basis_tensor,
     basis_vector,
@@ -426,6 +429,26 @@ def test_split_tensor_above_table_cap_keeps_term_loop():
     got = split_tensor(-0.4, t, n, k)
     assert np.allclose(got, split_tensor_by_definition(-0.4, t, n, k), atol=1e-12)
     assert _split_rows.cache_info().currsize == tables
+
+
+def test_split_weights_stay_bounded_over_a_q_sweep():
+    # a table window holds at most 2^12 entries at dim >= 2, so one q sees
+    # at most 12 * 11 / 2 splits (n, k >= 1); MEMO_PARAM_PAIRS values of q
+    # are kept
+    bound = MEMO_PARAM_PAIRS * 12 * 11 // 2
+    rng = np.random.default_rng(9)
+    qs = [-0.9 + 0.11 * i + 1e-3 for i in range(16)]
+    for q in qs:
+        for n, k in itertools.product(range(1, 8), repeat=2):
+            if n + k <= 8:
+                t = rng.standard_normal((2,) * (n + k))
+                split_tensor(q, t, n, k)
+        assert _split_weights.cache_info().currsize <= bound
+    # evicted and rebuilt weights are byte-identical to their definition
+    for q in (qs[0], qs[-1]):
+        for n, k in [(1, 1), (3, 5), (6, 6)]:
+            want = np.array([q**cost for _, cost in _split_terms(n, k)])
+            assert _split_weights(n, k, q).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 0.8])
