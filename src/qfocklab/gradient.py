@@ -244,8 +244,8 @@ def level_norm(psi: PsiMap, m: int) -> float:
     """Operator norm of the restriction of the map to source level m,
     measured between the q-metric source and the graded q-metric target.
 
-    Computed through the symmetric pencil, which is the same number as
-    conjugating by the Gram square roots.
+    Computed from the Cholesky standard form of the Gram pencil, which
+    gives the same number as conjugating by the Gram square roots.
     """
     if m in psi.realized.lossy_sources:
         raise TruncationLoss(f"source level {m} was truncated during assembly")

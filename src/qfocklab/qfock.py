@@ -5,8 +5,8 @@ Level-m tensors are numpy arrays of shape (N,)*m in the standard
 scalar.  The q-inner product is <u, v>_q = vdot(u, P_m v) with P_m the
 q-symmetrizer, so all inner products here are conjugate-linear in the
 FIRST argument.  Norm computations change basis with the positive
-square root of the Gram (or the equivalent symmetric pencil), never the
-raw coordinates.
+square root of the Gram or its Cholesky factor, never the raw
+coordinates.
 
 Truncation contract: vector-level arithmetic is exact; block operators
 record which source levels had output dropped at the max-level
@@ -28,10 +28,11 @@ import numpy as np
 
 from .errors import (
     LevelTooLarge,
+    NotPositiveSemidefinite,
     ParamMismatch,
     ShapeMismatch,
 )
-from .numerics import psd_inv_sqrt
+from .numerics import psd_inv_sqrt, tril_inv
 
 # Largest N^m for materialized level matrices (Grams, operator blocks).
 MATRIX_DIM_CAP = 4096
@@ -577,8 +578,15 @@ class FockOperator:
 
     def q_singular_values(self, sources) -> np.ndarray:
         """Singular values, largest first, of the operator restricted to
-        the given source levels, between the q-metric spaces.  Solved as
-        the symmetric pencil, so no Gram square root is materialized."""
+        the given source levels, between the q-metric spaces.
+
+        These are the square roots of the pencil (B^H P B, (+)_m P_m),
+        with B the stacked blocks and P the target Gram.  Each source
+        Gram P_m is positive definite for |q| < 1, so with P_m = L_m L_m^H
+        the pencil has the eigenvalues of the standard Hermitian matrix
+        L^-1 (B^H P B) L^-H, L = (+)_m L_m, applied block by block; no
+        Gram square root is materialized.  Raises ``NOT_PSD`` when a
+        source Gram has no Cholesky factor."""
         offs, total = {}, 0
         for m in sources:
             offs[m] = total
@@ -593,15 +601,20 @@ class FockOperator:
                 if d == dst and src in offs:
                     stacked[:, offs[src] : offs[src] + mat.shape[1]] = mat
             quad += stacked.conj().T @ symmetrizer(self.params, dst) @ stacked
-        gram = np.zeros((total, total), dtype=complex)
-        for m in sources:
-            lo, hi = offs[m], offs[m] + self.params.level_dim(m)
-            gram[lo:hi, lo:hi] = symmetrizer(self.params, m)
-        # Imported here, its only use: scipy costs about 0.3 s to import
-        # and the commands that never reach a pencil should not pay it.
-        import scipy.linalg
-
-        vals = scipy.linalg.eigh(quad, gram, eigvals_only=True)
+        # Reduce the pencil in place to its standard form L^-1 quad L^-H.
+        for m, lo in offs.items():
+            hi = lo + self.params.level_dim(m)
+            try:
+                low = np.linalg.cholesky(symmetrizer(self.params, m))
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveSemidefinite(
+                    f"level {m} Gram at q={self.params.q}, dim={self.params.dim} "
+                    "has no Cholesky factor"
+                ) from exc
+            inv = tril_inv(low)
+            quad[lo:hi, :] = inv @ quad[lo:hi, :]
+            quad[:, lo:hi] = quad[:, lo:hi] @ inv.conj().T
+        vals = np.linalg.eigvalsh(quad)
         return np.sqrt(np.clip(vals[::-1], 0.0, None))
 
     def q_norm(self) -> float:

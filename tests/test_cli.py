@@ -1,11 +1,13 @@
 """Command-line harness: exit codes, report determinism, schemas."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qfocklab
 from qfocklab.cli import (
     GRID_POINT_CAP,
     ExperimentConfig,
@@ -302,6 +304,30 @@ def test_verify_subprocess_smoke():
     proc = run_cli(["verify", "--max-level", "4"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("[PASS]") == 13
+
+
+def test_subcommands_never_import_scipy(tmp_path):
+    # scipy costs about 0.3 s to import; the pencils are solved in numpy,
+    # so no subcommand may load it.
+    runs = [
+        ["decay", "--q", "0.5", "--max-level", "5", "--word-a", "1", "--word-b", "1"],
+        ["threshold", "--dim", "2", "--max-level", "5", "--grid", "0.4:0.6:0.2"],
+        ["ao-decay", "--model", "ou", "--q", "0.3", "--max-level", "4"],
+        ["verify", "--max-level", "3"],
+    ]
+    script = (
+        "import sys\n"
+        "from qfocklab.cli import main\n"
+        f"codes = [main(args) for args in {runs!r}]\n"
+        "print(codes, 'scipy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qfocklab.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
 
 
 @pytest.mark.parametrize("max_level", [0, 1, 2])

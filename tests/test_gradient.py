@@ -14,6 +14,7 @@ from qfocklab.errors import (
     TruncationLoss,
     UnknownRoute,
 )
+from qfocklab import qfock
 from qfocklab.qfock import FockParams, annihilation, basis_vector, creation
 from qfocklab.wick import (
     Element,
@@ -279,6 +280,39 @@ def test_level_norm_examples():
     pm_t = gradient_map(a, a, 0.6, "rstar")
     for m in range(2, 7):
         assert level_norm(pm_t, m) <= np.exp(-0.6 * (m - 2)) * level_norm(pm, m) * ((1) + 1e-12)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("q", [-0.4, 0.3, 0.5, 0.7])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_level_norm_of_psi_one_one_is_a_power_of_q(route, q, dim):
+    # Closed form at t = 0: the restriction of psi(e1, e1) to source
+    # level m has q-metric norm |q|^m, on every lossless source.
+    p = FockParams(q=q, dim=dim, max_level=6 if dim < 3 else 5)
+    a = wick(p, [1])
+    pm = gradient_map(a, a, 0.0, route)
+    for m in range(p.max_level - 1):
+        assert level_norm(pm, m) == pytest.approx(abs(q) ** m, rel=1e-12)
+
+
+def test_level_norm_raises_not_psd_for_an_indefinite_gram(monkeypatch):
+    p = params(q=0.5, max_level=6)
+    a = wick(p, [1])
+    pm = gradient_map(a, a, 0.0, "rstar")
+    real = qfock.symmetrizer
+
+    def indefinite_at_three(params, m):
+        if m != 3:
+            return real(params, m)
+        g = np.eye(params.level_dim(m), dtype=complex)
+        g[-1, -1] = -1.0
+        return g
+
+    monkeypatch.setattr(qfock, "symmetrizer", indefinite_at_three)
+    with pytest.raises(NotPositiveSemidefinite, match=r"level 3 .*q=0\.5, dim=2") as err:
+        level_norm(pm, 3)
+    assert err.value.code == "NOT_PSD"
+    assert level_norm(pm, 2) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_level_norm_refuses_truncated_source():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qfocklab.errors import NotHermitianError, NotPositiveSemidefinite
-from qfocklab.numerics import hermitian_eig, psd_inv_sqrt
+from qfocklab.numerics import TRIL_INV_LEAF, hermitian_eig, psd_inv_sqrt, tril_inv
 
 
 def random_matrix(rng, n, m=None):
@@ -61,3 +61,16 @@ def test_psd_inv_sqrt_rank_tolerance():
     assert out[1, 1] == 0.0
     out = psd_inv_sqrt(g, tol=1e-30)
     assert out[1, 1] == pytest.approx(1e10, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [TRIL_INV_LEAF - 1, TRIL_INV_LEAF, TRIL_INV_LEAF + 1, 127, 1024])
+def test_tril_inv_matches_general_inverse(n):
+    # Sizes on each side of the leaf, where the halving starts, and an
+    # uneven split (127) and a deep one (1024).
+    rng = np.random.default_rng(n)
+    a = random_matrix(rng, n)
+    low = np.linalg.cholesky(a @ a.conj().T + n * np.eye(n))
+    got = tril_inv(low)
+    want = np.linalg.inv(low)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert not np.any(np.triu(got, 1))

@@ -47,6 +47,10 @@ def params(q=0.5, dim=2, max_level=4):
     return FockParams(q=q, dim=dim, max_level=max_level)
 
 
+def random_matrix(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
 def random_vector(rng, p, levels, real=False):
     data = {}
     for m in levels:
@@ -235,6 +239,40 @@ def test_q_singular_values_on_a_source_subset():
         assert np.allclose(got, want, atol=1e-10)
     assert op.q_singular_values([]).size == 0
     assert op.q_norm() == pytest.approx(max(op.q_singular_values([m])[0] for m in range(4)))
+
+
+@pytest.mark.parametrize("q", [-0.6, 0.0, 0.3, 0.8])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_q_singular_values_match_the_generalized_pencil(q, dim):
+    # Several sources with rectangular blocks into shared targets, and a
+    # source (level 3) with no block, against scipy's solver of the
+    # pencil (B^H P B, (+)_m P_m).
+    import scipy.linalg
+
+    p = FockParams(q=q, dim=dim, max_level=3)
+    rng = np.random.default_rng(dim)
+    pairs = [(0, 1), (1, 1), (1, 3), (2, 0), (2, 3)]
+    blocks = {
+        (src, dst): random_matrix(rng, p.level_dim(dst), p.level_dim(src))
+        for src, dst in pairs
+    }
+    sources = [0, 1, 2, 3]
+    offs = np.cumsum([0] + [p.level_dim(m) for m in sources])
+    quad = np.zeros((offs[-1], offs[-1]), dtype=complex)
+    gram = np.zeros_like(quad)
+    for i, m in enumerate(sources):
+        gram[offs[i] : offs[i + 1], offs[i] : offs[i + 1]] = symmetrizer(p, m)
+    for dst in range(p.max_level + 1):
+        stacked = np.zeros((p.level_dim(dst), offs[-1]), dtype=complex)
+        for (src, d), mat in blocks.items():
+            if d == dst:
+                stacked[:, offs[src] : offs[src + 1]] = mat
+        quad += stacked.conj().T @ symmetrizer(p, dst) @ stacked
+    vals = scipy.linalg.eigh(quad, gram, eigvals_only=True)
+    want = np.sqrt(np.clip(vals[::-1], 0.0, None))
+    got = FockOperator(p, blocks).q_singular_values(sources)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * want[0]
 
 
 def test_q_inner_examples():
