@@ -55,6 +55,7 @@ from .gradient import (
     nabla_pairing_value,
     psi_element,
     schatten_diagnostic,
+    truncated_schatten_norm,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

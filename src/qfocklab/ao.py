@@ -20,6 +20,13 @@ as three q-inner products.  Every image is a sum of terms in which one
 factor is linear in the basis element, so the level's whole basis goes
 on a batch axis and ``gradient.batched_nabla_gram`` fills a block with
 one U^H P_m V per level and bracket.
+
+The model is built on the same batches.  The convention vector at
+eigenvalue 0 is a candidate minus its projection on the images of the
+normalized derivation, with one batched pairing per level for the
+coefficients; the eigenspace check is one U^H P U diagonal per level,
+and the band check multiplies each element of the smaller basis by the
+whole larger one.
 """
 
 from __future__ import annotations
@@ -34,9 +41,11 @@ from .wick import Element, graded_mul
 from .gradient import (
     BatchedTerm,
     GradientVector,
+    _batched_q_inner,
+    _pair_batched_terms,
+    _term_products,
     batched_nabla_gram,
     nabla_norm,
-    nabla_pairing_value,
 )
 
 FILTRATION_TOL = 1e-9
@@ -74,44 +83,81 @@ def _orthonormal_words(params: FockParams, level: int) -> list[Element]:
     ]
 
 
-def out_of_band_mass(params: FockParams, prod: Element, low: int, high: int, parity: int) -> float:
-    """Euclidean mass of the components outside [low, high] or with the
-    wrong parity."""
-    bad = 0.0
-    for m, t in prod.levels.items():
-        if low <= m <= high and (m - parity) % 2 == 0:
-            continue
-        bad += float(np.sum(np.abs(t) ** 2))
-    return float(np.sqrt(bad))
+def _basis_batch(model: FilteredModel, n: int) -> dict[int, np.ndarray]:
+    """The level-n eigenbasis as level tensors whose trailing axis runs
+    over the basis elements; a level that an element lacks is zero in
+    its column."""
+    basis = model.bases[n]
+    levels = sorted({m for el in basis for m in el.levels})
+    return {m: np.stack([el.component(m) for el in basis], axis=-1) for m in levels}
+
+
+def _scaled(levels: dict, c: float) -> dict:
+    return {m: c * t for m, t in levels.items()}
+
+
+def _s_image_terms(model: FilteredModel, n: int) -> BatchedTerm:
+    """The normalized-derivation images n^(-1/2) (e (x) 1) of the level-n
+    eigenbasis, one column per basis element."""
+    one = Element.one(model.params).levels
+    return BatchedTerm(_scaled(_basis_batch(model, n), model.eigenvalues[n] ** -0.5), one, "a")
 
 
 def filtration_check(model: FilteredModel, m: int, n: int):
     """Products of eigenbasis elements must stay inside the level band
-    [|m-n|, m+n] with the parity of m+n; returns the worst leakage."""
+    [|m-n|, m+n] with the parity of m+n; returns the worst leakage, the
+    Euclidean mass of a product's components outside the band.
+
+    Each element of the smaller basis multiplies the whole larger basis
+    at once, on a batch axis, and the mass is taken per column.
+    """
     params = model.params
     if m + n > params.max_level:
         raise TruncationLoss(f"band {m}+{n} exceeds max_level {params.max_level}")
+    if len(model.bases[m]) <= len(model.bases[n]):
+        batch = _basis_batch(model, n)
+        prods = (graded_mul(params, e.levels, batch, batched="right") for e in model.bases[m])
+    else:
+        batch = _basis_batch(model, m)
+        prods = (graded_mul(params, batch, f.levels, batched="left") for f in model.bases[n])
+    low, high = abs(m - n), m + n
     worst = 0.0
-    for e in model.bases[m]:
-        for f in model.bases[n]:
-            prod = e * f
-            worst = max(worst, out_of_band_mass(params, prod, abs(m - n), m + n, (m + n) % 2))
+    for prod in prods:
+        mass = 0.0
+        for lvl, t in prod.items():
+            if not (low <= lvl <= high and (lvl - high) % 2 == 0):
+                mass = mass + np.sum(np.abs(t) ** 2, axis=tuple(range(lvl)))
+        worst = max(worst, float(np.sqrt(np.max(mass))))
     return worst
 
 
-def _build_vacuum_unit(params: FockParams, s_images: list[GradientVector]) -> GradientVector:
+def _build_vacuum_unit(model: FilteredModel) -> GradientVector:
     """Deterministic unit vector of the gradient module orthogonal to
-    the normalized derivation images (the eigenvalue-0 convention)."""
+    the normalized-derivation images (the eigenvalue-0 convention).
+
+    The images n^(-1/2) (e (x) 1) are orthonormal, so a candidate c
+    leaves their span in one step: with E_n the level-n basis on a
+    batch axis and c_n the column of pairings of its images with c, the
+    remainder is c - (sum_n n^(-1/2) E_n c_n) (x) 1.  Each c_n is one
+    batched pairing of the level's image family with the candidate.
+    """
+    params = model.params
     one = Element.one(params)
-    candidates = [
-        GradientVector(params, [(Element.word(params, [1]), Element.word(params, [1]))]),
-        GradientVector(params, [(Element.word(params, [1]) * Element.word(params, [1]), one)]),
-    ]
-    for cand in candidates:
-        reduced = cand
-        for s in s_images:
-            coeff = nabla_pairing_value(s, reduced)
-            reduced = reduced.add(s.scaled(-coeff))
+    e1 = Element.word(params, [1])
+    images = [_s_image_terms(model, n) for n in range(1, model.eigenspace_count())]
+    image_prods = [_term_products(params, s) for s in images]
+    for a, xi in ((e1, e1), (e1 * e1, one)):
+        column = BatchedTerm({m: t[..., None] for m, t in a.levels.items()}, xi.levels, "a")
+        column_prods = _term_products(params, column)
+        shift: dict[int, np.ndarray] = {}
+        for n, (s, s_prods) in enumerate(zip(images, image_prods), start=1):
+            # the pairing is a scalar zero when no level meets
+            coeffs = np.zeros((len(model.bases[n]), 1), dtype=complex) + _pair_batched_terms(
+                params, s, column, s_prods, column_prods
+            )
+            for m, u in s.a.items():
+                shift[m] = shift.get(m, 0) - (u @ coeffs)[..., 0]
+        reduced = GradientVector(params, [(a, xi), (Element(params, shift), one)])
         norm = nabla_norm(reduced)
         if norm > 1e-6:
             return reduced.scaled(1.0 / norm)
@@ -119,43 +165,33 @@ def _build_vacuum_unit(params: FockParams, s_images: list[GradientVector]) -> Gr
 
 
 def build_ou_model(params: FockParams, check: bool = True) -> FilteredModel:
-    """Number-operator model: eigenvalue n carries the level-n words."""
+    """Number-operator model: eigenvalue n carries the level-n words.
+
+    The convention vector takes one batched pairing per level
+    (``_build_vacuum_unit``).  With ``check``, each level's basis is
+    checked to be an eigenspace through one batched U^H P U diagonal of
+    (D - lambda) U, D the number operator, and the products of levels
+    m + n <= 5 to stay in their bands (``filtration_check``).
+    """
     eigenvalues = [float(n) for n in range(params.max_level + 1)]
     bases = [_orthonormal_words(params, n) for n in range(params.max_level + 1)]
     model = FilteredModel(params, "ou-qfock", eigenvalues, bases, None)
-    s_images = []
-    for n in range(1, params.max_level + 1):
-        for el in bases[n]:
-            s_images.append(_derivation_class(params, el).scaled(eigenvalues[n] ** -0.5))
-    model.vacuum_unit = _build_vacuum_unit(params, s_images)
+    model.vacuum_unit = _build_vacuum_unit(model)
     if check:
         for n, lam in enumerate(eigenvalues):
-            for el in bases[n]:
-                dev = (el.number_applied() - el.scaled(lam)).q_norm()
-                if dev > 1e-10:
-                    raise FiltrationViolation(
-                        f"basis element at eigenvalue {lam} deviates by {dev:.2e}"
-                    )
+            defect = {m: (m - lam) * t for m, t in _basis_batch(model, n).items()}
+            gram = _batched_q_inner(params, defect, defect)
+            dev = float(np.sqrt(max(np.max(gram.diagonal().real), 0.0)))
+            if dev > 1e-10:
+                raise FiltrationViolation(
+                    f"basis element at eigenvalue {lam} deviates by {dev:.2e}"
+                )
         cap = min(params.max_level, 5)
         for m in range(cap + 1):
             for n in range(cap + 1 - m):
                 if filtration_check(model, m, n) > FILTRATION_TOL:
                     raise FiltrationViolation(f"band leak at levels ({m}, {n})")
     return model
-
-
-def _derivation_class(params: FockParams, el: Element) -> GradientVector:
-    return GradientVector(params, [(el, Element.one(params))])
-
-
-def _basis_batch(model: FilteredModel, n: int) -> np.ndarray:
-    """The level-n eigenbasis as one tensor whose trailing axis runs over
-    the basis elements."""
-    return np.stack([el.levels[n] for el in model.bases[n]], axis=-1)
-
-
-def _scaled(levels: dict, c: float) -> dict:
-    return {m: c * t for m, t in levels.items()}
 
 
 def _vacuum_unit_terms(model: FilteredModel, coeffs: np.ndarray) -> list[BatchedTerm]:
@@ -185,16 +221,13 @@ def s_isometry_report(model: FilteredModel) -> IsometryReport:
     <a (x) xi, b (x) eta> = 1/2 [<a xi, D(b) eta> + <D(a) xi, b eta>
     - <D(b* a) xi, eta>], one U^H P_m V per level and bracket.
     """
-    params = model.params
-    one = Element.one(params).levels
     blocks = [(1, _vacuum_unit_terms(model, np.ones(1)))]
     labels = [(0, 0)]
     for n in range(1, model.eigenspace_count()):
-        batch = _basis_batch(model, n)
-        scaled = batch * model.eigenvalues[n] ** -0.5
-        blocks.append((batch.shape[-1], [BatchedTerm({n: scaled}, one, "a")]))
-        labels.extend((n, i) for i in range(batch.shape[-1]))
-    gram = batched_nabla_gram(params, blocks)
+        width = len(model.bases[n])
+        blocks.append((width, [_s_image_terms(model, n)]))
+        labels.extend((n, i) for i in range(width))
+    gram = batched_nabla_gram(model.params, blocks)
     dev = float(np.max(np.abs(gram - np.eye(len(labels)))))
     return IsometryReport(gram, dev, labels)
 
@@ -207,7 +240,7 @@ def _t_terms(model: FilteredModel, x: Element, y: Element, n: int) -> list[Batch
     params = model.params
     one = Element.one(params).levels
     c = model.eigenvalues[n] ** -0.5
-    e = {n: _basis_batch(model, n)}
+    e = _basis_batch(model, n)
     xe = graded_mul(params, x.levels, e, batched="right")
     ey = graded_mul(params, e, y.levels, batched="left")
     xey = graded_mul(params, xe, y.levels, batched="left")

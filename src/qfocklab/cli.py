@@ -29,6 +29,7 @@ from .gradient import (
     gradient_map,
     nabla_pairing_two_ways,
     schatten_diagnostic,
+    truncated_schatten_norm,
 )
 from .numerics import hermitian_eig
 from .partitions import (
@@ -439,6 +440,7 @@ def cmd_decay(cfg: ExperimentConfig) -> int:
     b = wick(params, cfg.word_b)
     psi = gradient_map(a, b, cfg.time_t, cfg.route)
     report = schatten_diagnostic(psi, cfg.p)
+    schatten_norm = truncated_schatten_norm(psi, cfg.p)
     header = ["m", "level_norm", "sp_bound", "partial_sum", "ratio"]
     rows = [
         [r.level, r.level_norm, r.sp_bound, r.partial_sum, r.ratio]
@@ -453,7 +455,7 @@ def cmd_decay(cfg: ExperimentConfig) -> int:
         "config": cfg.as_dict(),
         "ratio_estimate": report.ratio_estimate,
         "verdict": report.verdict,
-        "truncated_schatten_norm": report.truncated_schatten_norm,
+        "truncated_schatten_norm": schatten_norm,
         "fitted_log_slope": slope,
         "fitted_log_intercept": intercept,
         "log_abs_q": float(np.log(abs(params.q))) if params.q else None,

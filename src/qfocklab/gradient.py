@@ -278,8 +278,17 @@ class SchattenReport:
     ratio_estimate: float
     margin: float
     verdict: str
-    truncated_schatten_norm: float
     threshold_ratio: float = field(default=float("nan"))
+
+
+def _check_exponent(p: float) -> None:
+    if p != np.inf and not p >= 1:
+        raise BadExponent(f"Schatten exponent must be >= 1, got {p}")
+
+
+def _lossless_sources(psi: PsiMap) -> list[int]:
+    lossy = psi.realized.lossy_sources
+    return [m for m in range(psi.params.max_level + 1) if m not in lossy]
 
 
 def schatten_diagnostic(psi: PsiMap, p: float, margin: float = 0.02) -> SchattenReport:
@@ -292,22 +301,15 @@ def schatten_diagnostic(psi: PsiMap, p: float, margin: float = 0.02) -> Schatten
     ratio there is no estimate, and the diagnostic raises
     ``TruncationLoss`` instead of judging; the one exception is a map
     whose bounds are all zero over two or more lossless levels, judged
-    CONVERGENT with estimate 0.  The Schatten
-    norm of the assembled truncation is reported alongside for
-    reference.
+    CONVERGENT with estimate 0.  Only one-level pencils are solved; the
+    Schatten norm of the whole truncation is ``truncated_schatten_norm``.
     """
-    if p != np.inf and not p >= 1:
-        raise BadExponent(f"Schatten exponent must be >= 1, got {p}")
+    _check_exponent(p)
     params = psi.params
-    sources = [
-        m
-        for m in range(params.max_level + 1)
-        if m not in psi.realized.lossy_sources
-    ]
     rows: list[DecayRow] = []
     partial = 0.0
     prev_bound = None
-    for m in sources:
+    for m in _lossless_sources(psi):
         ln = level_norm(psi, m)
         bound = params.dim ** (m / p) * ln if p != np.inf else ln
         partial += bound
@@ -328,23 +330,28 @@ def schatten_diagnostic(psi: PsiMap, p: float, margin: float = 0.02) -> Schatten
         # the bounds fell to zero, or vanish on every lossless level
         estimate = 0.0
     verdict = "CONVERGENT" if estimate < 1.0 - margin else "DIVERGENT"
-    svals = psi.realized.q_singular_values(sources)
-    if svals.size == 0:
-        ref = 0.0
-    elif p == np.inf:
-        ref = float(svals[0])
-    else:
-        top = float(svals[0])
-        ref = 0.0 if top == 0 else float(top * np.sum((svals / top) ** p) ** (1 / p))
     return SchattenReport(
         p=float(p),
         rows=rows,
         ratio_estimate=estimate,
         margin=margin,
         verdict=verdict,
-        truncated_schatten_norm=ref,
         threshold_ratio=abs(params.q) * params.dim ** (1 / p),
     )
+
+
+def truncated_schatten_norm(psi: PsiMap, p: float) -> float:
+    """Schatten-p norm of the assembled truncation on its lossless
+    sources, from one joint pencil over all of them (a reference value
+    beside the level-by-level bounds of ``schatten_diagnostic``)."""
+    _check_exponent(p)
+    svals = psi.realized.q_singular_values(_lossless_sources(psi))
+    if svals.size == 0:
+        return 0.0
+    top = float(svals[0])
+    if p == np.inf:
+        return top
+    return 0.0 if top == 0 else float(top * np.sum((svals / top) ** p) ** (1 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,21 @@ crossing number supplies the q-exponent of each term.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ShapeMismatch
 
 
 @dataclass(frozen=True)
 class SegmentShape:
-    """Ordered segment sizes; ``total`` is the size of the ground set."""
+    """Ordered segment sizes; ``total`` is the size of the ground set.
+
+    Equality and hashing use ``sizes`` only; the index -> segment table
+    is built once, at construction.
+    """
 
     sizes: tuple[int, ...]
+    _segments: tuple[int, ...] = field(compare=False, repr=False)
 
     def __init__(self, sizes) -> None:
         object.__setattr__(self, "sizes", tuple(int(s) for s in sizes))
@@ -27,21 +32,18 @@ class SegmentShape:
             raise ShapeMismatch("shape needs at least one segment")
         if any(s < 1 for s in self.sizes):
             raise ShapeMismatch(f"segment sizes must be >= 1, got {self.sizes}")
+        segments = tuple(seg for seg, size in enumerate(self.sizes) for _ in range(size))
+        object.__setattr__(self, "_segments", segments)
 
     @property
     def total(self) -> int:
-        return sum(self.sizes)
+        return len(self._segments)
 
     def segment_of(self, index: int) -> int:
         """0-based segment number containing the 1-based index."""
         if not 1 <= index <= self.total:
             raise ShapeMismatch(f"index {index} outside [1, {self.total}]")
-        upper = 0
-        for seg, size in enumerate(self.sizes):
-            upper += size
-            if index <= upper:
-                return seg
-        raise AssertionError("unreachable")
+        return self._segments[index - 1]
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from qfocklab import ao, gradient
-from qfocklab.errors import TruncationLoss
+from qfocklab.errors import FiltrationViolation, TruncationLoss
 from qfocklab.qfock import FockParams
 from qfocklab.wick import Element, wick
 from qfocklab.gradient import GradientVector, nabla_gram, nabla_norm, nabla_pairing_value
 from qfocklab.ao import (
-    _derivation_class,
+    FILTRATION_TOL,
+    FilteredModel,
     build_ou_model,
     decay_verdict,
     filtration_check,
@@ -21,8 +22,13 @@ from qfocklab.ao import (
 
 # ---------------------------------------------------------------------------
 # per-pair oracles: the normalized derivation and the commutation defect as
-# explicit gradient vectors, paired term by term through nabla_gram
+# explicit gradient vectors, paired term by term through nabla_gram; the
+# convention vector by sequential projection; the band check pair by pair
 # ---------------------------------------------------------------------------
+
+
+def _derivation_class(params, el):
+    return GradientVector(params, [(el, Element.one(params))])
 
 
 def s_of_element(model, el):
@@ -49,6 +55,43 @@ def s_basis_image(model, n, i):
     return _derivation_class(model.params, model.bases[n][i]).scaled(
         model.eigenvalues[n] ** -0.5
     )
+
+
+def sequential_vacuum_unit(model):
+    """The eigenvalue-0 convention vector by projecting each candidate
+    off the normalized-derivation images one image at a time."""
+    params = model.params
+    one = Element.one(params)
+    e1 = Element.word(params, [1])
+    images = [s_basis_image(model, n, i) for n, i, _ in model.flat_basis() if n]
+    for cand in (GradientVector(params, [(e1, e1)]), GradientVector(params, [(e1 * e1, one)])):
+        reduced = cand
+        for s in images:
+            coeff = nabla_pairing_value(s, reduced)
+            reduced = reduced.add(s.scaled(-coeff))
+        norm = nabla_norm(reduced)
+        if norm > 1e-6:
+            return reduced.scaled(1.0 / norm)
+    raise FiltrationViolation("no unit vector orthogonal to the derivation range")
+
+
+def out_of_band_mass(prod, low, high, parity):
+    """Euclidean mass of the components outside [low, high] or with the
+    wrong parity."""
+    bad = 0.0
+    for m, t in prod.levels.items():
+        if low <= m <= high and (m - parity) % 2 == 0:
+            continue
+        bad += float(np.sum(np.abs(t) ** 2))
+    return float(np.sqrt(bad))
+
+
+def pairwise_filtration_check(model, m, n):
+    worst = 0.0
+    for e in model.bases[m]:
+        for f in model.bases[n]:
+            worst = max(worst, out_of_band_mass(e * f, abs(m - n), m + n, (m + n) % 2))
+    return worst
 
 
 def t_images(model, x, y, n):
@@ -262,7 +305,8 @@ def test_batched_s_gram_matches_pairwise_oracle(q, dim, max_level):
     _assert_gram_close(rep.gram, oracle)
 
 
-def test_batched_grams_make_no_pairwise_calls(model, monkeypatch):
+def _record_pairwise_calls(monkeypatch):
+    """Record every call of ``gamma`` and ``nabla_pairing_value``."""
     calls = []
     for name in ("gamma", "nabla_pairing_value"):
         original = getattr(gradient, name)
@@ -274,8 +318,68 @@ def test_batched_grams_make_no_pairwise_calls(model, monkeypatch):
         for mod in (gradient, ao):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_batched_grams_make_no_pairwise_calls(model, monkeypatch):
+    calls = _record_pairwise_calls(monkeypatch)
     x = wick(model.params, [1])
     for n in (1, 2, 3, 4):
         t_block_norm(model, x, x, n)
     s_isometry_report(model)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the batched model build against its oracles
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [-0.4, 0.3, 0.7])
+@pytest.mark.parametrize("dim,max_level", [(1, 6), (2, 4), (3, 3)])
+def test_batched_build_matches_sequential_oracles(q, dim, max_level):
+    model = build_ou_model(FockParams(q=q, dim=dim, max_level=max_level), check=False)
+    oracle = sequential_vacuum_unit(model)
+    assert nabla_norm(model.vacuum_unit.add(oracle.scaled(-1.0))) < 1e-12
+    for m in range(max_level + 1):
+        for n in range(max_level + 1 - m):
+            oracle = pairwise_filtration_check(model, m, n)
+            assert filtration_check(model, m, n) == pytest.approx(oracle, abs=1e-12)
+
+
+def test_batched_filtration_detects_a_two_level_element():
+    # a basis element with a component one level up leaks out of every
+    # band it meets, whether it is the looped or the batched factor
+    p = FockParams(q=0.3, dim=2, max_level=5)
+    ou = build_ou_model(p, check=False)
+    bases = [list(b) for b in ou.bases]
+    bases[1][0] = bases[1][0] + Element.word(p, [1, 2])
+    bases[2][1] = bases[2][1] + Element.word(p, [2, 1, 2]).scaled(0.5j)
+    model = FilteredModel(p, "hand-built", ou.eigenvalues, bases, ou.vacuum_unit)
+    for m, n in [(1, 1), (1, 2), (2, 1), (0, 2), (2, 2), (1, 3), (3, 1)]:
+        oracle = pairwise_filtration_check(model, m, n)
+        assert oracle > FILTRATION_TOL
+        assert filtration_check(model, m, n) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_eigen_check_rejects_a_two_level_basis(monkeypatch):
+    original = ao._orthonormal_words
+
+    def mixed(params, level):
+        words = original(params, level)
+        if level == 2:
+            words[0] = words[0] + Element.word(params, [1])
+        return words
+
+    monkeypatch.setattr(ao, "_orthonormal_words", mixed)
+    with pytest.raises(FiltrationViolation, match="eigenvalue 2.0 deviates"):
+        build_ou_model(FockParams(q=0.3, dim=2, max_level=4))
+
+
+def test_model_build_pairwise_calls_do_not_grow_with_the_window(monkeypatch):
+    calls = _record_pairwise_calls(monkeypatch)
+    counts = []
+    for max_level in (4, 6):
+        calls.clear()
+        build_ou_model(FockParams(q=0.3, dim=2, max_level=max_level))
+        counts.append((calls.count("gamma"), calls.count("nabla_pairing_value")))
+    assert counts[0] == counts[1]

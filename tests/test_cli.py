@@ -456,3 +456,41 @@ def test_threshold_sweep_keeps_a_bounded_number_of_param_pairs(tmp_path, capsys)
     assert _symmetrizer.cache_info() == (MEMO_PARAM_PAIRS, size)
     symmetrizer(FockParams(q=0.11, dim=3, max_level=4), 2)
     assert _symmetrizer.cache_info().currsize < size
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+@pytest.mark.parametrize("max_level", [6, 8])
+def test_ao_decay_ou_csv_matches_golden_file(tmp_path, max_level):
+    # ao-decay --model ou --q 0.3 --dim 2 --word-x 1 --word-y 1, written by
+    # the per-element model build that the batched one replaced
+    out = tmp_path / "ao.csv"
+    args = ["ao-decay", "--model", "ou", "--q", "0.3", "--dim", "2", "--word-x", "1"]
+    args += ["--word-y", "1", "--max-level", str(max_level), "--out", str(out)]
+    assert main(args) == 0
+    golden = os.path.join(DATA, f"ao_decay_ou_q0.3_dim2_m{max_level}.csv")
+    with open(golden, "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def test_threshold_solves_only_one_level_pencils(tmp_path, monkeypatch):
+    # the joint pencil over every lossless source is decay's reference
+    # norm; threshold reads only the per-level norms
+    from qfocklab.qfock import FockOperator
+
+    original = FockOperator.q_singular_values
+    solved = []
+
+    def recorded(self, sources, *args, **kwargs):
+        solved.append(list(sources))
+        return original(self, sources, *args, **kwargs)
+
+    monkeypatch.setattr(FockOperator, "q_singular_values", recorded)
+    args = ["threshold", "--dim", "2", "--max-level", "5", "--grid", "0.4:0.6:0.2"]
+    assert main([*args, "--out", str(tmp_path / "t.csv")]) == 0
+    assert solved and all(len(sources) == 1 for sources in solved)
+    solved.clear()
+    args = ["decay", "--q", "0.5", "--max-level", "5", "--word-a", "1", "--word-b", "1"]
+    assert main([*args, "--out", str(tmp_path / "d.csv")]) == 0
+    assert sum(len(sources) > 1 for sources in solved) == 1

@@ -1,6 +1,7 @@
 """Partition enumeration and crossing statistics against brute force."""
 
 import itertools
+import random
 
 import pytest
 
@@ -122,6 +123,29 @@ def test_intra_segment_rule_enforced():
     for p in enumerate_pair_partitions(SegmentShape((3, 3))):
         for l, r in p.pairs:
             assert p.shape.segment_of(l) != p.shape.segment_of(r)
+
+
+def test_segment_of_matches_cumulative_sizes():
+    rng = random.Random(3)
+    for _ in range(50):
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 6))]
+        shape = SegmentShape(sizes)
+        bounds = list(itertools.accumulate(sizes))
+        assert shape.total == bounds[-1]
+        for index in range(1, shape.total + 1):
+            # the first segment whose cumulative size reaches the index
+            expect = next(seg for seg, upper in enumerate(bounds) if index <= upper)
+            assert shape.segment_of(index) == expect
+        for index in (0, -1, shape.total + 1):
+            with pytest.raises(ShapeMismatch):
+                shape.segment_of(index)
+
+
+def test_segment_shape_equality_and_hash_use_sizes_only():
+    a, b = SegmentShape((2, 1)), SegmentShape([2, 1])
+    assert a == b and hash(a) == hash(b)
+    assert a != SegmentShape((1, 2))
+    assert repr(a) == "SegmentShape(sizes=(2, 1))"
 
 
 def format_partition(partition: PairPartition) -> str:
