@@ -168,30 +168,44 @@ def build_ou_model(params: FockParams, check: bool = True) -> FilteredModel:
     """Number-operator model: eigenvalue n carries the level-n words.
 
     The convention vector takes one batched pairing per level
-    (``_build_vacuum_unit``).  With ``check``, each level's basis is
-    checked to be an eigenspace through one batched U^H P U diagonal of
-    (D - lambda) U, D the number operator, and the products of levels
-    m + n <= 5 to stay in their bands (``filtration_check``).
+    (``_build_vacuum_unit``).  With ``check``, the model must pass
+    ``check_eigenspaces`` and ``require_bands(band_leaks(model))``.
     """
     eigenvalues = [float(n) for n in range(params.max_level + 1)]
     bases = [_orthonormal_words(params, n) for n in range(params.max_level + 1)]
     model = FilteredModel(params, "ou-qfock", eigenvalues, bases, None)
     model.vacuum_unit = _build_vacuum_unit(model)
     if check:
-        for n, lam in enumerate(eigenvalues):
-            defect = {m: (m - lam) * t for m, t in _basis_batch(model, n).items()}
-            gram = _batched_q_inner(params, defect, defect)
-            dev = float(np.sqrt(max(np.max(gram.diagonal().real), 0.0)))
-            if dev > 1e-10:
-                raise FiltrationViolation(
-                    f"basis element at eigenvalue {lam} deviates by {dev:.2e}"
-                )
-        cap = min(params.max_level, 5)
-        for m in range(cap + 1):
-            for n in range(cap + 1 - m):
-                if filtration_check(model, m, n) > FILTRATION_TOL:
-                    raise FiltrationViolation(f"band leak at levels ({m}, {n})")
+        check_eigenspaces(model)
+        require_bands(band_leaks(model))
     return model
+
+
+def check_eigenspaces(model: FilteredModel) -> None:
+    """Each level's basis must be an eigenspace of the number operator D:
+    one batched U^H P U diagonal of (D - lambda) U per level."""
+    params = model.params
+    for n, lam in enumerate(model.eigenvalues):
+        defect = {m: (m - lam) * t for m, t in _basis_batch(model, n).items()}
+        gram = _batched_q_inner(params, defect, defect)
+        dev = float(np.sqrt(max(np.max(gram.diagonal().real), 0.0)))
+        if dev > 1e-10:
+            raise FiltrationViolation(f"basis element at eigenvalue {lam} deviates by {dev:.2e}")
+
+
+def band_leaks(model: FilteredModel) -> dict[tuple[int, int], float]:
+    """``filtration_check`` of every band m + n <= min(max_level, 5), by (m, n)."""
+    cap = min(model.params.max_level, 5)
+    return {
+        (m, n): filtration_check(model, m, n) for m in range(cap + 1) for n in range(cap + 1 - m)
+    }
+
+
+def require_bands(leaks: dict[tuple[int, int], float]) -> None:
+    """Raise on the first band whose leakage exceeds FILTRATION_TOL."""
+    for (m, n), leak in leaks.items():
+        if leak > FILTRATION_TOL:
+            raise FiltrationViolation(f"band leak at levels ({m}, {n})")
 
 
 def _vacuum_unit_terms(model: FilteredModel, coeffs: np.ndarray) -> list[BatchedTerm]:

@@ -11,6 +11,7 @@ comes from a library call.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -347,8 +348,19 @@ def _check_prefix(cfg, params):
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _verify_ou_model(params: FockParams):
+    """The OU model s_isometry and filtration share within one verify run,
+    with its band leaks: one build and one band check per run."""
+    model = ao_mod.build_ou_model(params, check=False)
+    return model, ao_mod.band_leaks(model)
+
+
 def _check_s_isometry(cfg, params):
-    model = ao_mod.build_ou_model(params)
+    model, leaks = _verify_ou_model(params)
+    # the checks of build_ou_model(params, check=True)
+    ao_mod.check_eigenspaces(model)
+    ao_mod.require_bands(leaks)
     rep = ao_mod.s_isometry_report(model)
     torus_gram = torus_mod.poisson_s_gram(12)
     torus_dev = float(np.max(np.abs(torus_gram - np.eye(torus_gram.shape[0]))))
@@ -356,13 +368,8 @@ def _check_s_isometry(cfg, params):
 
 
 def _check_filtration(cfg, params):
-    model = ao_mod.build_ou_model(params, check=False)
-    worst = 0.0
-    cap = min(params.max_level, 5)
-    for m in range(cap + 1):
-        for n in range(cap + 1 - m):
-            worst = max(worst, ao_mod.filtration_check(model, m, n))
-    return worst, 1e-9
+    _, leaks = _verify_ou_model(params)
+    return max(leaks.values()), 1e-9
 
 
 VERIFY_CHECKS = [
@@ -384,6 +391,7 @@ VERIFY_CHECKS = [
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
     params = cfg.fock_params()
+    _verify_ou_model.cache_clear()
     results = []
     for name, fn in VERIFY_CHECKS:
         start = time.perf_counter()

@@ -117,7 +117,7 @@ def _generator_bracket(params: FockParams, a: dict, b: dict, x: dict, cap: int, 
     ):
         for m, t in levels.items():
             total[m] = total.get(m, 0) + sign * t
-    return {m: t for m, t in total.items() if np.any(t)}
+    return {m: t for m, t in total.items() if t.any()}
 
 
 def psi_element(a: Element, b: Element, x: Element, t: float = 0.0) -> Element:

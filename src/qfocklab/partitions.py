@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import ShapeMismatch
 
@@ -46,13 +47,14 @@ class SegmentShape:
         return self._segments[index - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairPartition:
     """Blocks of size <= 2 over a segmented ground set.
 
     ``pairs`` are (l, r) with l < r, both 1-based; ``singletons`` is
-    sorted.  Construction validates the exact-cover and the
-    no-pair-inside-a-segment constraints.
+    sorted.  Construction validates the exact cover of [1, n] (naming
+    an index outside it or a degenerate pair (l, l) when one breaks the
+    cover) and the no-pair-inside-a-segment constraint.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -60,25 +62,34 @@ class PairPartition:
     shape: SegmentShape
 
     def __init__(self, pairs, singletons, shape: SegmentShape) -> None:
-        pairs = tuple(sorted((min(l, r), max(l, r)) for l, r in pairs))
-        singletons = tuple(sorted(int(s) for s in singletons))
+        pairs = [(l, r) if l < r else (r, l) for l, r in pairs]
+        pairs.sort()
+        pairs = tuple(pairs)
+        singletons = tuple(sorted(map(int, singletons)))
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "singletons", singletons)
         object.__setattr__(self, "shape", shape)
-        covered = [i for pair in pairs for i in pair] + list(singletons)
-        if sorted(covered) != list(range(1, shape.total + 1)):
+        segments = shape._segments
+        n = len(segments)
+        covered = [i for pair in pairs for i in pair]
+        covered += singletons
+        covered.sort()
+        if covered != list(range(1, n + 1)):
+            if covered and not (1 <= covered[0] and covered[-1] <= n):
+                raise ShapeMismatch(f"an index of {covered} lies outside [1, {n}]")
+            for l, r in pairs:
+                if l == r:
+                    raise ShapeMismatch(f"degenerate pair ({l},{r})")
             raise ShapeMismatch("blocks do not cover the ground set exactly once")
         for l, r in pairs:
-            if l == r:
-                raise ShapeMismatch(f"degenerate pair ({l},{r})")
-            if shape.segment_of(l) == shape.segment_of(r):
+            if segments[l - 1] == segments[r - 1]:
                 raise ShapeMismatch(f"pair ({l},{r}) lies inside one segment")
 
     def sort_key(self):
         return (self.pairs, self.singletons)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossingCount:
     """Regular pair/pair crossings c, degenerate pair-over-singleton
     crossings d, and their sum."""
@@ -98,22 +109,22 @@ def enumerate_pair_partitions(shape: SegmentShape) -> list[PairPartition]:
     The result is materialized and sorted lexicographically on the
     sorted pair list, so the order is reproducible across runs.
     """
-    n = shape.total
-    seg = [shape.segment_of(i) for i in range(1, n + 1)]
+    seg = shape._segments
     out: list[PairPartition] = []
 
-    def extend(unassigned: tuple[int, ...], pairs, singles):
+    def extend(unassigned: tuple[int, ...], pairs: tuple, singles: tuple) -> None:
         if not unassigned:
             out.append(PairPartition(pairs, singles, shape))
             return
         first, rest = unassigned[0], unassigned[1:]
-        extend(rest, pairs, singles + [first])
-        for j in rest:
-            if seg[j - 1] != seg[first - 1]:
-                extend(tuple(k for k in rest if k != j), pairs + [(first, j)], singles)
+        extend(rest, pairs, singles + (first,))
+        home = seg[first - 1]
+        for i, j in enumerate(rest):
+            if seg[j - 1] != home:
+                extend(rest[:i] + rest[i + 1 :], pairs + ((first, j),), singles)
 
-    extend(tuple(range(1, n + 1)), [], [])
-    out.sort(key=PairPartition.sort_key)
+    extend(tuple(range(1, shape.total + 1)), (), ())
+    out.sort(key=attrgetter("pairs", "singletons"))
     return out
 
 

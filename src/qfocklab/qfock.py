@@ -383,7 +383,7 @@ def _clean_levels(params: FockParams, levels: dict[int, np.ndarray]) -> dict[int
     for m, t in levels.items():
         m = int(m)
         arr = as_level_tensor(params, m, t)
-        if np.any(arr):
+        if arr.any():
             out[m] = arr
     return out
 
@@ -518,7 +518,7 @@ class FockOperator:
                 raise ShapeMismatch(f"block {(src, dst)} must have shape {want}")
             if src > self.params.max_level or dst > self.params.max_level:
                 raise LevelTooLarge(f"block {(src, dst)} beyond max_level")
-            if np.any(arr):
+            if arr.any():
                 clean[(src, dst)] = arr
         self.blocks = clean
         self.lossy_sources = frozenset(self.lossy_sources)
@@ -631,7 +631,7 @@ def creation(params: FockParams, xi) -> FockOperator:
     lossy = set()
     for m in range(params.max_level + 1):
         if m + 1 > params.max_level:
-            if np.any(vec):
+            if vec.any():
                 lossy.add(m)
             continue
         n_src = params.level_dim(m)

@@ -56,23 +56,61 @@ def _pair_tensor(params: FockParams, j: int) -> np.ndarray:
     return pairing_form(params, j).reshape((params.dim,) * (2 * j))
 
 
+def _left_factor(params: FockParams, left: np.ndarray, j: int, bl: int) -> np.ndarray:
+    """The left operand split (la - j | j) as a contiguous (rows, inner)
+    matrix per batch slice, times the pairing form P_j; at j = 0 the
+    unsplit operand as one contiguous column."""
+    if j == 0:
+        return np.ascontiguousarray(left.reshape(left.shape[:bl] + (-1, 1)), dtype=complex)
+    t = split_tensor(params.q, left, left.ndim - bl - j, j, bl)
+    t = t.reshape(left.shape[:bl] + (-1, params.level_dim(j)))
+    return np.ascontiguousarray(t) @ pairing_form(params, j)
+
+
+def _right_factor(params: FockParams, right: np.ndarray, j: int, br: int) -> np.ndarray:
+    """The right operand split (j | lb - j) as a contiguous (inner, cols)
+    matrix per batch slice; at j = 0 the unsplit operand as one row."""
+    if j == 0:
+        return np.ascontiguousarray(right.reshape(right.shape[:br] + (1, -1)), dtype=complex)
+    t = split_tensor(params.q, right, j, right.ndim - br - j, br)
+    return np.ascontiguousarray(t.reshape(right.shape[:br] + (params.level_dim(j), -1)))
+
+
 def _mul_term(
-    params: FockParams, left: np.ndarray, right: np.ndarray, j: int, batched: str | None = None
+    params: FockParams,
+    left: np.ndarray,
+    right: np.ndarray,
+    j: int,
+    batched: str | None = None,
+    memo: tuple[dict, dict] | None = None,
 ) -> np.ndarray:
-    """One j-contraction term of the two-word product.  With ``batched``
-    "left" or "right", the last axis of that operand is a batch axis that
-    rides along as the last axis of the term; the term is formed batch-first,
-    so each slice goes through the same products as unbatched, bit for bit."""
+    """One j-contraction term of the two-word product,
+    (split(left) @ P_j) @ split(right).  With ``batched`` "left" or
+    "right", the last axis of that operand is a batch axis that rides
+    along as the last axis of the term; the term is formed batch-first
+    from contiguous factors, so each slice goes through the same BLAS
+    kernels as unbatched, bit for bit.
+
+    ``memo`` is a pair of dicts that keep the left factors by j and the
+    right factors by (right level, j) for reuse by the product's other
+    terms; the caller owns their lifetime.
+    """
     bl, br = int(batched == "left"), int(batched == "right")
     left = np.moveaxis(left, -1, 0) if bl else left
     right = np.moveaxis(right, -1, 0) if br else right
     la, lb = left.ndim - bl, right.ndim - br
-    inner = params.level_dim(j)
-    t1 = split_tensor(params.q, left, la - j, j, bl).reshape(left.shape[:bl] + (-1, inner))
-    t2 = split_tensor(params.q, right, j, lb - j, br).reshape(right.shape[:br] + (inner, -1))
-    # contiguous slices go through the same BLAS kernels as unbatched terms
-    t1, t2 = np.ascontiguousarray(t1), np.ascontiguousarray(t2)
-    prod = t1 * t2 if j == 0 else t1 @ pairing_form(params, j) @ t2
+    if memo is None:
+        t1, t2 = _left_factor(params, left, j, bl), _right_factor(params, right, j, br)
+    else:
+        left_memo, right_memo = memo
+        t1 = left_memo.get(j)
+        if t1 is None:
+            t1 = left_memo[j] = _left_factor(params, left, j, bl)
+        t2 = right_memo.get((lb, j))
+        if t2 is None:
+            t2 = right_memo[lb, j] = _right_factor(params, right, j, br)
+    # the j = 0 term is an outer product, batched or not
+    prod = t1 * t2 if j == 0 else t1 @ t2
     batch = left.shape[:bl] + right.shape[:br]
     prod = prod.reshape(batch + (params.dim,) * (la + lb - 2 * j))
     return np.moveaxis(prod, 0, -1) if batch else prod
@@ -97,10 +135,18 @@ def graded_mul(
 
     With ``batched`` "left" or "right", the last axis of every level of that
     operand (never both) is a batch axis that rides along to every output.
+
+    Unbatched products reuse each split factor across the other
+    operand's levels: a left factor within its left level, a right
+    factor for the whole product.  A batched operand carries a whole
+    basis on its batch axis, so batched products hold no factors and
+    form them per term.
     """
     out: dict[int, np.ndarray] = {}
+    right_memo: dict | None = None if batched else {}
     for la, ta in left.items():
         params.check_level_budget(la)
+        memo = None if right_memo is None else ({}, right_memo)
         for lb, tb in right.items():
             params.check_level_budget(lb)
             for j in range(min(la, lb) + 1):
@@ -111,9 +157,9 @@ def graded_mul(
                 if w == 0:
                     continue
                 params.check_level_budget(lo)
-                term = _mul_term(params, ta, tb, j, batched)
+                term = _mul_term(params, ta, tb, j, batched, memo)
                 out[lo] = out.get(lo, 0) + (term if w == 1 else w * term)
-    return {m: t for m, t in out.items() if np.any(t)}
+    return {m: t for m, t in out.items() if t.any()}
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +178,13 @@ class Element:
     def __init__(self, params: FockParams, levels: dict[int, np.ndarray]) -> None:
         self.params = params
         self.levels = _clean_levels(params, levels)
+
+    @classmethod
+    def _of_clean_levels(cls, params: FockParams, levels: dict[int, np.ndarray]) -> "Element":
+        """Wrap levels that are already clean, skipping the coercion."""
+        el = cls.__new__(cls)
+        el.params, el.levels = params, levels
+        return el
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -172,7 +225,10 @@ class Element:
     # -- algebra --------------------------------------------------------
     def mul(self, other: "Element", max_out: int | None = None) -> "Element":
         _require_same_params(self.params, other.params)
-        return Element(self.params, graded_mul(self.params, self.levels, other.levels, max_out))
+        # graded_mul's levels are complex, (dim,)*m shaped and nonzero already
+        return Element._of_clean_levels(
+            self.params, graded_mul(self.params, self.levels, other.levels, max_out)
+        )
 
     def __mul__(self, other: "Element") -> "Element":
         return self.mul(other)
@@ -217,6 +273,8 @@ class Element:
         return np.zeros((self.params.dim,) * m, dtype=complex)
 
     def is_zero(self, tol: float = 0.0) -> bool:
+        if tol == 0:
+            return not any(t.any() for t in self.levels.values())
         return all(np.max(np.abs(t)) <= tol for t in self.levels.values())
 
 
@@ -311,7 +369,7 @@ def partition_weighted_sum(
         # A batch of level-0 words is a batch of scalars.
         out = partition_weighted_sum(params, symbols[:1] + symbols[2:], weight)
         out = {m: np.multiply.outer(t, symbols[1]) for m, t in out.items()}
-        return {m: t for m, t in out.items() if np.any(t)}
+        return {m: t for m, t in out.items() if t.any()}
     scalar = 1.0 + 0.0j
     live: list[np.ndarray] = []
     batch_axes: list[int] = []
@@ -356,7 +414,7 @@ def partition_weighted_sum(
         spec = ",".join(groups) + "->" + "".join(out_letters) + "..."
         term = (scalar * coeff) * np.einsum(spec, *symbols)
         out[lvl] = out.get(lvl, 0) + term
-    return {m: t for m, t in out.items() if np.any(t)}
+    return {m: t for m, t in out.items() if t.any()}
 
 
 def product_partition(params: FockParams, words) -> Element:
@@ -446,7 +504,7 @@ def triple_contraction_sum(
                 spec = ",".join(subs) + "->" + out_letters + "..."
                 term = coeff * np.einsum(spec, *operands, optimize=len(operands) > 3)
                 out[lvl] = out.get(lvl, 0) + term
-    return {lvl: t for lvl, t in out.items() if np.any(t)}
+    return {lvl: t for lvl, t in out.items() if t.any()}
 
 
 def product_triple(params: FockParams, left, mid, right) -> Element:

@@ -375,6 +375,12 @@ def test_eigen_check_rejects_a_two_level_basis(monkeypatch):
         build_ou_model(FockParams(q=0.3, dim=2, max_level=4))
 
 
+def test_band_check_names_the_first_leaking_band(monkeypatch):
+    monkeypatch.setattr(ao, "filtration_check", lambda model, m, n: float(m + n == 3))
+    with pytest.raises(FiltrationViolation, match=r"band leak at levels \(0, 3\)"):
+        build_ou_model(FockParams(q=0.3, dim=2, max_level=4))
+
+
 def test_model_build_pairwise_calls_do_not_grow_with_the_window(monkeypatch):
     calls = _record_pairwise_calls(monkeypatch)
     counts = []

@@ -474,6 +474,51 @@ def test_ao_decay_ou_csv_matches_golden_file(tmp_path, max_level):
         assert out.read_bytes() == fh.read()
 
 
+def test_verify_json_matches_golden_file(tmp_path):
+    # verify --q 0.5 --dim 2 --max-level 6 --seed 3 without its config
+    # (which holds paths), written by the per-term product kernel that
+    # the factor-reusing one replaced
+    out = tmp_path / "verify.json"
+    args = ["verify", "--q", "0.5", "--dim", "2", "--max-level", "6", "--seed", "3"]
+    assert main([*args, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    del payload["config"]
+    got = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    with open(os.path.join(DATA, "verify_q0.5_dim2_m6_seed3.json"), "rb") as fh:
+        assert got.encode() == fh.read()
+
+
+def test_verify_builds_one_ou_model_and_checks_each_band_once(tmp_path, monkeypatch):
+    from qfocklab import ao as ao_mod
+
+    calls = []
+    for name in ("build_ou_model", "filtration_check"):
+        real = getattr(ao_mod, name)
+
+        def recording(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(ao_mod, name, recording)
+    assert main(["verify", "--max-level", "5", "--out", str(tmp_path / "v.json")]) == 0
+    # s_isometry and filtration share one model; bands m + n <= 5 are 21
+    assert calls.count("build_ou_model") == 1
+    assert calls.count("filtration_check") == 21
+
+
+def test_verify_band_leak_errors_s_isometry_and_fails_filtration(tmp_path, monkeypatch):
+    # s_isometry refuses a model that leaks; filtration reports the leak as its residual
+    from qfocklab import ao as ao_mod
+
+    monkeypatch.setattr(ao_mod, "filtration_check", lambda model, m, n: float(m + n == 3))
+    jout = tmp_path / "verify.json"
+    assert main(["verify", "--max-level", "3", "--out", str(jout)]) == 1
+    checks = {c["name"]: c for c in json.loads(jout.read_text())["checks"]}
+    assert checks["s_isometry"]["error"] == "FILTRATION_VIOLATION: band leak at levels (0, 3)"
+    assert checks["filtration"]["residual"] == 1.0
+    assert "error" not in checks["filtration"] and not checks["filtration"]["passed"]
+
+
 def test_threshold_solves_only_one_level_pencils(tmp_path, monkeypatch):
     # the joint pencil over every lossless source is decay's reference
     # norm; threshold reads only the per-level norms

@@ -125,6 +125,32 @@ def test_intra_segment_rule_enforced():
             assert p.shape.segment_of(l) != p.shape.segment_of(r)
 
 
+@pytest.mark.parametrize(
+    "pairs,singletons,message",
+    [
+        ([(1, 3)], [], "cover"),  # index 2 missing
+        ([(1, 3)], [2, 2], "cover"),  # index 2 repeated
+        ([(1, 3)], [1, 2], "cover"),  # index 1 in a pair and a singleton
+        ([(2, 2)], [1, 3], "degenerate pair"),
+        ([(1, 3)], [2, 4], "outside"),
+        ([(0, 3)], [1, 2], "outside"),
+        ([(1, 2)], [3], "inside one segment"),
+    ],
+)
+def test_partition_validation_branches(pairs, singletons, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        PairPartition(pairs, singletons, SegmentShape((2, 1)))
+
+
+def test_partition_records_are_slotted():
+    p = PairPartition([(3, 1)], [2], SegmentShape((1, 1, 1)))
+    assert p.pairs == ((1, 3),) and p.singletons == (2,)
+    for record in (p, crossing_number(p)):
+        assert not hasattr(record, "__dict__")
+    assert p == PairPartition([(1, 3)], [2], SegmentShape((1, 1, 1)))
+    assert hash(p) == hash(PairPartition([(1, 3)], [2], SegmentShape([1, 1, 1])))
+
+
 def test_segment_of_matches_cumulative_sizes():
     rng = random.Random(3)
     for _ in range(50):
