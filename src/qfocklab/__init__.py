@@ -8,6 +8,7 @@ from .errors import (
     LevelTooLarge,
     NotHermitianError,
     NotPositiveSemidefinite,
+    OutputWriteError,
     ParamMismatch,
     QFockError,
     ShapeMismatch,

@@ -34,17 +34,21 @@ from .gradient import (
 )
 from .numerics import hermitian_eig
 from .partitions import (
+    PairPartition,
     SegmentShape,
     crossing_number,
     enumerate_pair_partitions,
 )
 from .qfock import FockParams, annihilation, creation, r_star, r_star3, symmetrizer
-from .reports import format_number, render_csv, write_json
+from .reports import format_number, render_csv, write_json, write_text
 from .wick import Element, product_direct, product_partition, product_triple, wick
 
 CONDITIONING_Q_CAP = 0.8
 # Points of one parameter grid; threshold solves a gradient map per point.
 GRID_POINT_CAP = 1000
+# Modes on each side of a torus window.  The torus runs grow linearly
+# with it; at the cap, ao-decay --model torus takes about 0.5 s.
+WINDOW_CAP = 4096
 # The torus ao-decay head statistic spans modes [K/8, K/4] of a window
 # of K modes, which is empty below K = 8.
 TORUS_TREND_MIN_WINDOW = 8
@@ -99,8 +103,8 @@ class ExperimentConfig:
             raise ConfigError(f"tol must be > 0 and finite, got {self.tol}")
         if not self.p >= 1:  # inf passes, nan does not
             raise ConfigError(f"p must be >= 1, got {self.p}")
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
+        if not 1 <= self.window <= WINDOW_CAP:
+            raise ConfigError(f"window must lie in 1..{WINDOW_CAP}, got {self.window}")
         if (
             self.command == "ao-decay"
             and self.model == "torus"
@@ -211,12 +215,10 @@ def _check_partitions(cfg, params):
             )
             if (cr.regular, cr.degenerate) != (slow_c, slow_d):
                 mismatches += 1
+    # The figure partition, built directly: its constructor checks the
+    # exact cover and that no pair lies inside a segment.
     fig = crossing_number(
-        next(
-            p
-            for p in enumerate_pair_partitions(SegmentShape((4, 4, 3)))
-            if p.pairs == ((2, 7), (4, 9), (8, 10))
-        )
+        PairPartition(((2, 7), (4, 9), (8, 10)), (1, 3, 5, 6, 11), SegmentShape((4, 4, 3)))
     )
     if (fig.regular, fig.degenerate, fig.total) != (2, 5, 7):
         mismatches += 1
@@ -436,8 +438,7 @@ def _write_csv(cfg: ExperimentConfig, header: list[str], rows: list[list]) -> No
     """Write the report table to ``--out``, or else to standard output."""
     csv_text = render_csv(header, rows)
     if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(csv_text)
+        write_text(cfg.out, csv_text)
     else:
         sys.stdout.write(csv_text)
 

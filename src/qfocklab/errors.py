@@ -62,3 +62,7 @@ class WindowOverflow(QFockError):
 
 class ConfigError(QFockError):
     code = "CONFIG_ERROR"
+
+
+class OutputWriteError(QFockError):
+    code = "WRITE_FAILED"

@@ -11,7 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from fractions import Fraction
+
+from .errors import OutputWriteError
 
 SCHEMA_VERSION = "1"
 
@@ -44,8 +47,35 @@ def render_json(payload: dict) -> str:
 
 
 def write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(render_json(payload))
+    write_text(path, render_json(payload))
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``.
+
+    A regular file (or a new one) is written to a temporary file in its
+    directory and moved into place, so a failed write leaves the old
+    file, or none, and no truncated one.  Anything else that exists
+    there (a link such as /dev/stdout, a device, a pipe) is written
+    through.  An OS error becomes ``OutputWriteError``.
+    """
+    try:
+        if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            return
+        head, name = os.path.split(path)
+        tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.lexists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OutputWriteError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _json_default(obj):

@@ -539,3 +539,132 @@ def test_threshold_solves_only_one_level_pencils(tmp_path, monkeypatch):
     args = ["decay", "--q", "0.5", "--max-level", "5", "--word-a", "1", "--word-b", "1"]
     assert main([*args, "--out", str(tmp_path / "d.csv")]) == 0
     assert sum(len(sources) > 1 for sources in solved) == 1
+
+
+def test_partition_check_catches_a_crossing_miscount(tmp_path, monkeypatch):
+    from qfocklab import cli
+    from qfocklab.partitions import CrossingCount
+
+    cfg = ExperimentConfig(command="verify", max_level=3)
+    params = cfg.fock_params()
+    assert cli._check_partitions(cfg, params)[0] == 0
+    real = cli.crossing_number
+
+    def off_by_one(part):
+        count = real(part)
+        return CrossingCount(count.regular, count.degenerate + 1)
+
+    monkeypatch.setattr(cli, "crossing_number", off_by_one)
+    residual, tol = cli._check_partitions(cfg, params)
+    assert residual >= tol
+    # miscounting only the figure partition's shape fails the check too
+    monkeypatch.setattr(
+        cli,
+        "crossing_number",
+        lambda part: off_by_one(part) if part.shape.sizes == (4, 4, 3) else real(part),
+    )
+    jout = tmp_path / "verify.json"
+    assert main(["verify", "--max-level", "3", "--out", str(jout)]) == 1
+    assert json.loads(jout.read_text())["failed_checks"] == ["partition_bruteforce"]
+
+
+def test_failed_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch):
+    from qfocklab import reports
+    from qfocklab.errors import OutputWriteError
+
+    out = tmp_path / "d.csv"
+    out.write_text("old\n")
+
+    def full(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(reports.os, "replace", full)
+    with pytest.raises(OutputWriteError, match="No space left on device"):
+        reports.write_text(str(out), "new\n")
+    assert out.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["d.csv"]
+    monkeypatch.undo()
+    reports.write_text(str(out), "new\n")
+    assert out.read_text() == "new\n" and os.listdir(tmp_path) == ["d.csv"]
+
+
+# Edge-case invocations: argv, the exit code, and what standard error
+# must say.  "{tmp}" is a temporary directory; the bad config files of
+# BAD_CONFIG_INPUTS join them.
+ROBUSTNESS_CASES = {
+    "decay-out-full": (["decay", "--max-level", "4", "--out", "/dev/full"], 2, "WRITE_FAILED"),
+    "decay-json-out-full": (
+        ["decay", "--max-level", "4", "--json-out", "/dev/full"],
+        2,
+        "WRITE_FAILED",
+    ),
+    "verify-out-full": (["verify", "--max-level", "3", "--out", "/dev/full"], 2, "WRITE_FAILED"),
+    "out-is-a-directory": (["decay", "--max-level", "4", "--out", "{tmp}"], 2, "WRITE_FAILED"),
+    "torus-window-over-cap": (["torus", "--window", "1000000000"], 2, "window must lie in 1..4096"),
+    "ao-decay-window-over-cap": (
+        ["ao-decay", "--model", "torus", "--window", "100000000"],
+        2,
+        "window must lie in 1..4096",
+    ),
+    "window-one-over-cap": (["torus", "--window", "4097"], 2, "window must lie in 1..4096"),
+    "window-zero": (["torus", "--window", "0"], 2, "window must lie in 1..4096"),
+    "q-over-cap": (["decay", "--q", "0.95"], 2, "conditioning range"),
+    "q-nan": (["decay", "--q", "nan"], 2, "config error"),
+    "dim-zero": (["decay", "--dim", "0"], 2, "dim must be >= 1"),
+    "negative-level": (["decay", "--max-level", "-1"], 2, "max_level must be >= 0"),
+    "verify-level-2": (["verify", "--max-level", "2"], 2, "max_level >= 3"),
+    "negative-seed": (["verify", "--max-level", "3", "--seed", "-1"], 2, "seed must be >= 0"),
+    "zero-tol": (["verify", "--max-level", "3", "--tol", "0"], 2, "tol must be > 0"),
+    "word-out-of-range": (["decay", "--max-level", "4", "--word-a", "3"], 2, "indices must lie"),
+    "word-not-a-number": (["decay", "--max-level", "4", "--word-a", "x"], 2, "comma-separated"),
+    "unknown-route": (["decay", "--max-level", "4", "--route", "none"], 2, "unknown route"),
+    "unknown-model": (["ao-decay", "--model", "none"], 2, "unknown model"),
+    "unknown-semigroup": (["torus", "--semigroup", "none"], 2, "unknown semigroup"),
+    "grid-inverted": (["threshold", "--max-level", "4", "--grid", "0.5:0.4:0.1"], 2, "bad grid"),
+    "grid-too-fine": (["threshold", "--max-level", "4", "--grid", "0:0.8:1e-9"], 2, "more than"),
+    "flag-not-an-int": (["decay", "--dim", "two"], 2, "invalid int value"),
+    "unknown-flag": (["decay", "--nope", "1"], 2, "unrecognized arguments"),
+    "no-finite-ratio": (["decay", "--q", "0.79", "--max-level", "2"], 2, "TRUNCATION_LOSS"),
+    "verify-tiny-tol": (["verify", "--max-level", "3", "--tol", "1e-300"], 1, ""),
+    "verify-out-device": (["verify", "--max-level", "3", "--out", os.devnull], 0, ""),
+    **{
+        f"config-{case}": (
+            ["decay", "--max-level", "3"]
+            + extra
+            + ([] if text is None else ["--config", "{tmp}/cfg.json"]),
+            2,
+            says,
+        )
+        for case, (text, extra, says) in BAD_CONFIG_INPUTS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("case", ROBUSTNESS_CASES)
+def test_edge_case_invocations_exit_cleanly(case, tmp_path, monkeypatch, capsys):
+    from qfocklab import cli
+
+    def build(*args, **kwargs):
+        raise AssertionError("a torus map was built")
+
+    # no case runs the torus, so a window cap that let one through
+    # cannot start an unbounded run
+    for name in ("heat_psi", "poisson_psi", "poisson_t_decay"):
+        monkeypatch.setattr(cli.torus_mod, name, build)
+    argv, expected, says = ROBUSTNESS_CASES[case]
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    config = BAD_CONFIG_INPUTS.get(case.removeprefix("config-"), (None,))[0]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the command line
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert "Traceback" not in err
+    assert says in err, err
+    if code == 2 and "usage:" not in err:
+        assert err.count("\n") == 1, err

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from qfocklab import wick as wick_mod
 from qfocklab.qfock import FockParams
 from qfocklab.wick import Element, wick
-from qfocklab.gradient import nabla_norm
+from qfocklab.gradient import GradientVector, nabla_norm
 from qfocklab.cohomology import (
-    ALL_IDENTITY_CHECKS,
+    SAMPLE_TOLERANCE,
+    CheckRow,
     Cochain,
+    _random_element,
+    _sample_tuple,
     bar_differential,
     derivation_cocycle,
     gradient_prefix_map,
@@ -16,14 +20,60 @@ from qfocklab.cohomology import (
     verify_bar_square,
     verify_derivation_norm,
     verify_leibniz,
-    verify_multilinearity,
     verify_prefix_anticommutes,
-    verify_second_cocycle,
 )
 
 
 def params(q=0.4, dim=2, max_level=6):
     return FockParams(q=q, dim=dim, max_level=max_level)
+
+
+def verify_second_cocycle(
+    params: FockParams,
+    seed: int = 46,
+    samples: int = 20,
+    tol: float = SAMPLE_TOLERANCE,
+    max_word_level: int = 1,
+) -> list[CheckRow]:
+    """The twice-iterated cocycle is closed: d applied to it vanishes.
+    The only check besides the iterated pairing that builds depth-2
+    gradient vectors."""
+    rng = np.random.default_rng(seed)
+    d2 = derivation_cocycle(params, 2)
+    closed = bar_differential(d2)
+    rows = []
+    for i in range(samples):
+        args = _sample_tuple(rng, params, 3, max_word_level)
+        rows.append(CheckRow("second_cocycle", i, nabla_norm(closed(*args)), tol))
+    return rows
+
+
+def verify_multilinearity(
+    params: FockParams,
+    seed: int = 47,
+    samples: int = 10,
+    tol: float = 1e-9,
+) -> list[CheckRow]:
+    """Slot-wise linearity of a sampled constructed cochain."""
+    rng = np.random.default_rng(seed)
+    frames = [_random_element(rng, params, 1) for _ in range(3)]
+    f = bar_differential(product_cochain(params, frames))
+    rows = []
+    for i in range(samples):
+        slot = int(rng.integers(0, f.arity))
+        args = list(_sample_tuple(rng, params, f.arity, 1))
+        u, v = _random_element(rng, params, 1), _random_element(rng, params, 1)
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        args_mixed = list(args)
+        args_mixed[slot] = u.scaled(c) + v
+        args_u, args_v = list(args), list(args)
+        args_u[slot] = u
+        args_v[slot] = v
+        lhs = f(*args_mixed)
+        rhs = f(*args_u).scaled(c) + f(*args_v)
+        residual = (lhs + rhs.scaled(-1.0)).q_norm()
+        rows.append(CheckRow("multilinearity", i, residual, tol))
+    return rows
 
 
 def test_zeroth_differential_is_commutator():
@@ -125,12 +175,115 @@ def test_checks_detect_broken_differential():
     assert dd(a, b, c).q_norm() > 1e-4
 
 
-def test_check_registry_complete():
-    assert set(ALL_IDENTITY_CHECKS) == {
-        "d_squared",
-        "prefix_anticommutator",
-        "leibniz",
-        "derivation_norm",
-        "second_cocycle",
-        "multilinearity",
-    }
+# ---------------------------------------------------------------------------
+# memo-free oracles of the d_squared and prefix_anticommutator checks
+# ---------------------------------------------------------------------------
+
+
+def _oracle_bar_differential(f):
+    """The bar differential with every inner value computed afresh."""
+    n = f.arity
+
+    def df(*args):
+        out = f(*args[1:]).left(args[0])
+        for k in range(1, n + 1):
+            merged = args[: k - 1] + (args[k - 1] * args[k],) + args[k + 1 :]
+            out = out + f(*merged).scaled((-1.0) ** k)
+        return out + f(*args[:n]).right(args[n]).scaled((-1.0) ** (n + 1))
+
+    return Cochain(f.params, n + 1, df)
+
+
+def _oracle_prefix_map(f):
+    return Cochain(
+        f.params, f.arity + 1, lambda *args: GradientVector(f.params, [(args[0], f(*args[1:]))])
+    )
+
+
+def _oracle_bar_square(p, seed, samples):
+    """verify_bar_square's sampling, evaluated without a memo."""
+    rng = np.random.default_rng(seed)
+    f1 = product_cochain(p, [_random_element(rng, p, 1) for _ in range(2)])
+    dd1 = _oracle_bar_differential(_oracle_bar_differential(f1))
+    f2 = product_cochain(p, [_random_element(rng, p, 1) for _ in range(3)])
+    dd2 = _oracle_bar_differential(_oracle_bar_differential(f2))
+    rows = []
+    for i in range(samples):
+        args = _sample_tuple(rng, p, 3, 2)
+        rows.append(CheckRow("d_squared_arity1", i, dd1(*args).q_norm(), SAMPLE_TOLERANCE))
+    for i in range(samples):
+        args = _sample_tuple(rng, p, 4, 1)
+        rows.append(CheckRow("d_squared_arity2", i, dd2(*args).q_norm(), SAMPLE_TOLERANCE))
+    return rows
+
+
+def _oracle_prefix_anticommutes(p, seed, samples):
+    """verify_prefix_anticommutes' sampling, evaluated without a memo."""
+    rng = np.random.default_rng(seed)
+    f = product_cochain(p, [_random_element(rng, p, 1) for _ in range(2)])
+    gd = _oracle_prefix_map(_oracle_bar_differential(f))
+    dg = _oracle_bar_differential(_oracle_prefix_map(f))
+    rows = []
+    for i in range(samples):
+        args = _sample_tuple(rng, p, gd.arity, 2)
+        combo = gd(*args) + dg(*args)
+        rows.append(CheckRow("prefix_anticommutator", i, nabla_norm(combo), SAMPLE_TOLERANCE))
+    return rows
+
+
+def _counting_products(monkeypatch):
+    calls = []
+    real = wick_mod.graded_mul
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(wick_mod, "graded_mul", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "check, oracle",
+    [
+        (verify_bar_square, _oracle_bar_square),
+        (verify_prefix_anticommutes, _oracle_prefix_anticommutes),
+    ],
+    ids=["d_squared", "prefix_anticommutator"],
+)
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_memoized_checks_match_the_memo_free_oracle_bit_for_bit(
+    check, oracle, seed, monkeypatch
+):
+    p = params(q=0.5, max_level=6)
+    calls = _counting_products(monkeypatch)
+    got = check(p, seed=seed, samples=4)
+    memo_products = len(calls)
+    calls.clear()
+    want = oracle(p, seed, 4)
+    assert [(r.identity, r.tuple_id, r.residual.hex()) for r in got] == [
+        (r.identity, r.tuple_id, r.residual.hex()) for r in want
+    ]
+    assert memo_products < len(calls)
+
+
+def test_memo_is_keyed_by_cochain_and_argument_bytes():
+    p = params()
+    seen = []
+
+    def fn(a):
+        seen.append(a)
+        return a
+
+    f = Cochain(p, 1, fn)
+    a = wick(p, [1])
+    copy = Element(p, {1: a.levels[1].copy()})
+    memo = {}
+    assert f(a, memo=memo) is f(copy, memo=memo)
+    assert len(seen) == 1
+    g = Cochain(p, 1, fn)
+    g(a, memo=memo)
+    f(wick(p, [2]), memo=memo)
+    assert len(seen) == 3
+    f(a)  # without a memo every call evaluates
+    assert len(seen) == 4

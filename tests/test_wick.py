@@ -419,3 +419,44 @@ def test_package_attributes_named_after_submodules_are_the_submodules():
         assert getattr(qfocklab, name) is mod, name
     assert inspect.ismodule(qfocklab.wick)
     assert qfocklab.wick.wick is wick
+
+
+def _einsumfunc():
+    import importlib
+
+    try:
+        return importlib.import_module("numpy._core.einsumfunc")
+    except ImportError:  # numpy < 2
+        return importlib.import_module("numpy.core.einsumfunc")
+
+
+def test_triple_product_searches_each_contraction_path_once(monkeypatch):
+    from qfocklab import wick as wick_mod
+
+    p = FockParams(q=0.5, dim=2, max_level=6)
+    rng = np.random.default_rng(5)
+    syms = [rng.standard_normal((2,) * 2) for _ in range(3)]
+    # a search is numpy's greedy path finder, called by einsum_path
+    searches = []
+    module = _einsumfunc()
+    real = module._greedy_path
+
+    def counting(*args, **kwargs):
+        searches.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_greedy_path", counting)
+    wick_mod._einsum_path.cache_clear()
+    first = product_triple(p, *syms)
+    assert searches, "a cold cache searches its paths"
+    searches.clear()
+    again = product_triple(p, *syms)
+    assert searches == []
+    assert wick_mod._einsum_path.cache_info().maxsize == wick_mod.EINSUM_PATH_CACHE_SIZE
+    # the searching route: optimize=True on every call
+    monkeypatch.setattr(wick_mod, "_einsum_path", lambda spec, shapes: True)
+    searched = product_triple(p, *syms)
+    assert searches
+    for got in (first, again):
+        assert got.levels.keys() == searched.levels.keys()
+        assert all(np.array_equal(got.levels[m], searched.levels[m]) for m in got.levels)
