@@ -1,0 +1,258 @@
+"""The verification checks behind ``qfocklab verify``.
+
+Each check takes the resolved configuration (it reads ``seed`` and
+``time_t``) and the Fock parameters, and returns a residual with its
+default tolerance.  ``run_checks`` runs them in ``VERIFY_CHECKS`` order.
+"""
+
+from __future__ import annotations
+
+import functools
+import time
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import ao as ao_mod
+from . import cohomology as coh
+from . import torus as torus_mod
+from .errors import QFockError
+from .gradient import gamma, gradient_map, nabla_pairing_two_ways
+from .numerics import hermitian_eig
+from .partitions import PairPartition, SegmentShape, crossing_number, enumerate_pair_partitions
+from .qfock import FockParams, annihilation, creation, r_star, r_star3, symmetrizer
+from .wick import Element, product_direct, product_partition, product_triple, wick
+
+
+@dataclass
+class CheckResult:
+    name: str
+    residual: float | None
+    tolerance: float | None
+    seconds: float
+    # "<CODE>: message" of a library error that stopped the check
+    error: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.error is None and self.residual < self.tolerance
+
+
+def _relative_gap(left: Element, right: Element) -> float:
+    scale = max(left.q_norm(), right.q_norm(), 1.0)
+    return (left - right).q_norm() / scale
+
+
+def _check_partitions(cfg, params):
+    shapes = [(1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 2)]
+    mismatches = 0
+    for sizes in shapes:
+        shape = SegmentShape(sizes)
+        seen = set()
+        for part in enumerate_pair_partitions(shape):
+            if (part.pairs, part.singletons) in seen:
+                mismatches += 1
+            seen.add((part.pairs, part.singletons))
+            cr = crossing_number(part)
+            slow_c = sum(
+                1
+                for a in part.pairs
+                for b in part.pairs
+                if a != b and a[0] < b[0] < a[1] < b[1]
+            )
+            slow_d = sum(
+                1 for l, r in part.pairs for s in part.singletons if l < s < r
+            )
+            if (cr.regular, cr.degenerate) != (slow_c, slow_d):
+                mismatches += 1
+    # The figure partition, built directly: its constructor checks the
+    # exact cover and that no pair lies inside a segment.
+    fig = crossing_number(
+        PairPartition(((2, 7), (4, 9), (8, 10)), (1, 3, 5, 6, 11), SegmentShape((4, 4, 3)))
+    )
+    if (fig.regular, fig.degenerate, fig.total) != (2, 5, 7):
+        mismatches += 1
+    return float(mismatches), 0.5
+
+
+def _check_gram_positivity(cfg, params):
+    worst = -np.inf
+    for q in sorted({params.q, 0.8, -0.8}):
+        pp = FockParams(q=q, dim=params.dim, max_level=params.max_level)
+        for m in range(min(params.max_level, 5) + 1):
+            w, _ = hermitian_eig(symmetrizer(pp, m))
+            worst = max(worst, -float(w[0]))
+    return max(worst, 0.0), 1e-12
+
+
+def _check_rstar(cfg, params):
+    worst = 0.0
+    combos = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    for n, k in combos:
+        if n + k > params.max_level:
+            continue
+        lhs = symmetrizer(params, n + k)
+        rhs = np.kron(symmetrizer(params, n), symmetrizer(params, k)) @ r_star(params, n, k)
+        worst = max(worst, float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1.0)))
+    for n, k, l in [(1, 1, 1), (2, 1, 1), (1, 2, 1)]:
+        if n + k + l > params.max_level:
+            continue
+        got = r_star3(params, n, k, l)
+        left = np.kron(r_star(params, n, k), np.eye(params.dim**l)) @ r_star(params, n + k, l)
+        right = np.kron(np.eye(params.dim**n), r_star(params, k, l)) @ r_star(params, n, k + l)
+        scale = max(np.linalg.norm(got), 1.0)
+        worst = max(worst, float(np.linalg.norm(got - left) / scale))
+        worst = max(worst, float(np.linalg.norm(got - right) / scale))
+    return worst, 1e-11
+
+
+def _check_annihilation(cfg, params):
+    worst = 0.0
+    for i in range(params.dim):
+        xi = np.zeros(params.dim)
+        xi[i] = 1.0
+        lhs = annihilation(params, xi)
+        rhs = creation(params, xi).gram_adjoint()
+        for key in set(lhs.blocks) | set(rhs.blocks):
+            gap = np.abs(
+                np.asarray(lhs.blocks.get(key, 0.0)) - np.asarray(rhs.blocks.get(key, 0.0))
+            )
+            worst = max(worst, float(np.max(gap)))
+    return worst, 1e-10
+
+
+def _check_wick_triangle(cfg, params):
+    rng = np.random.default_rng(cfg.seed)
+    worst = 0.0
+    for _ in range(10):
+        levels = rng.integers(1, 3, size=3)
+        while int(levels.sum()) > params.max_level:
+            levels = rng.integers(1, 3, size=3)
+        syms = [rng.standard_normal((params.dim,) * int(n)) for n in levels]
+        direct = product_direct(params, syms)
+        part = product_partition(params, syms)
+        trip = product_triple(params, *syms)
+        worst = max(worst, _relative_gap(part, direct), _relative_gap(trip, direct))
+    return worst, 1e-9
+
+
+def _check_psi_triangle(cfg, params):
+    rng = np.random.default_rng(cfg.seed + 1)
+    worst = 0.0
+    for n, k in [(1, 1), (2, 1)]:
+        a = wick(params, rng.standard_normal((params.dim,) * n))
+        b = wick(params, rng.standard_normal((params.dim,) * k))
+        base = gradient_map(a, b, cfg.time_t, "direct")
+        for route in ("partition", "rstar"):
+            other = gradient_map(a, b, cfg.time_t, route)
+            for key in set(base.realized.blocks) | set(other.realized.blocks):
+                gap = np.abs(
+                    np.asarray(base.realized.blocks.get(key, 0.0))
+                    - np.asarray(other.realized.blocks.get(key, 0.0))
+                )
+                worst = max(worst, float(np.max(gap)))
+    return worst, 1e-8
+
+
+def _check_gamma_positivity(cfg, params):
+    rng = np.random.default_rng(cfg.seed + 2)
+    worst = 0.0
+    for _ in range(6):
+        x = Element(params, {1: rng.standard_normal(params.dim), 2: rng.standard_normal((params.dim,) * 2)})
+        xi = Element(params, {0: rng.standard_normal(()), 1: rng.standard_normal(params.dim)})
+        val = gamma(x, x).mul(xi).q_inner(xi).real
+        scale = max(xi.q_norm() ** 2, 1.0)
+        worst = max(worst, -val / scale)
+    return max(worst, 0.0), 1e-9
+
+
+def _check_nabla_pairing(cfg, params):
+    rng = np.random.default_rng(cfg.seed + 3)
+    worst = 0.0
+    for _ in range(6):
+        def rand(level):
+            return Element(params, {level: rng.standard_normal((params.dim,) * level)})
+
+        lhs, rhs = nabla_pairing_two_ways(
+            rand(1), rand(1), (rand(2), rand(1)), (rand(1), rand(2)), params
+        )
+        scale = max(abs(lhs), abs(rhs), 1.0)
+        worst = max(worst, abs(lhs - rhs) / scale)
+    return worst, 1e-8
+
+
+def _rows_to_residual(rows):
+    return max(r.residual for r in rows)
+
+
+def _check_leibniz(cfg, params):
+    return _rows_to_residual(coh.verify_leibniz(params, seed=cfg.seed, samples=20)), 1e-8
+
+
+def _check_d_squared(cfg, params):
+    return _rows_to_residual(coh.verify_bar_square(params, seed=cfg.seed, samples=10)), 1e-8
+
+
+def _check_prefix(cfg, params):
+    return (
+        _rows_to_residual(coh.verify_prefix_anticommutes(params, seed=cfg.seed, samples=20)),
+        1e-8,
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _verify_ou_model(params: FockParams):
+    """The OU model s_isometry and filtration share within one verify run,
+    with its band leaks: one build and one band check per run."""
+    model = ao_mod.build_ou_model(params, check=False)
+    return model, ao_mod.band_leaks(model)
+
+
+def _check_s_isometry(cfg, params):
+    model, leaks = _verify_ou_model(params)
+    # the checks of build_ou_model(params, check=True)
+    ao_mod.check_eigenspaces(model)
+    ao_mod.require_bands(leaks)
+    rep = ao_mod.s_isometry_report(model)
+    torus_gram = torus_mod.poisson_s_gram(12)
+    torus_dev = float(np.max(np.abs(torus_gram - np.eye(torus_gram.shape[0]))))
+    return max(rep.max_deviation, torus_dev), 1e-8
+
+
+def _check_filtration(cfg, params):
+    _, leaks = _verify_ou_model(params)
+    return max(leaks.values()), 1e-9
+
+
+VERIFY_CHECKS = [
+    ("partition_bruteforce", _check_partitions),
+    ("gram_positivity", _check_gram_positivity),
+    ("rstar_identities", _check_rstar),
+    ("annihilation_adjoint", _check_annihilation),
+    ("wick_triangle", _check_wick_triangle),
+    ("psi_triangle", _check_psi_triangle),
+    ("gamma_positivity", _check_gamma_positivity),
+    ("nabla_pairing", _check_nabla_pairing),
+    ("leibniz", _check_leibniz),
+    ("d_squared", _check_d_squared),
+    ("prefix_anticommutator", _check_prefix),
+    ("s_isometry", _check_s_isometry),
+    ("filtration", _check_filtration),
+]
+
+
+def run_checks(cfg, params: FockParams):
+    """Yield a ``CheckResult`` per check as each finishes.  ``cfg.tol``,
+    if set, replaces every default tolerance.  A library error fails
+    its check only; the others still run."""
+    _verify_ou_model.cache_clear()
+    for name, fn in VERIFY_CHECKS:
+        start = time.perf_counter()
+        try:
+            residual, tol = fn(cfg, params)
+        except QFockError as exc:
+            error = f"{exc.code}: {Exception.__str__(exc)}"
+            yield CheckResult(name, None, cfg.tol, time.perf_counter() - start, error)
+            continue
+        tol = tol if cfg.tol is None else cfg.tol
+        yield CheckResult(name, float(residual), float(tol), time.perf_counter() - start)

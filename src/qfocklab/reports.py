@@ -12,17 +12,23 @@ import csv
 import io
 import json
 import os
-from fractions import Fraction
+from numbers import Integral, Rational
 
 from .errors import OutputWriteError
 
 SCHEMA_VERSION = "1"
 
 
+def _is_fraction(x) -> bool:
+    # a fractions.Fraction (the torus coefficients), named by its ABCs so
+    # that reports need not import the fractions module
+    return isinstance(x, Rational) and not isinstance(x, Integral)
+
+
 def format_number(x) -> str:
     if isinstance(x, (bool,)):
         return "true" if x else "false"
-    if isinstance(x, Fraction):
+    if _is_fraction(x):
         return str(x)
     if isinstance(x, int):
         return str(x)
@@ -79,7 +85,7 @@ def write_text(path: str, text: str) -> None:
 
 
 def _json_default(obj):
-    if isinstance(obj, Fraction):
+    if _is_fraction(obj):
         return str(obj)
     if hasattr(obj, "tolist"):
         return obj.tolist()

@@ -330,6 +330,41 @@ def test_subcommands_never_import_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
 
 
+@pytest.mark.parametrize(
+    "runs, absent",
+    [
+        (
+            [
+                ["decay", "--q", "0.5", "--max-level", "5", "--word-a", "1", "--word-b", "1"],
+                ["threshold", "--dim", "2", "--max-level", "5", "--grid", "0.4:0.6:0.2"],
+            ],
+            ["qfocklab.ao", "qfocklab.cohomology", "qfocklab.torus", "qfocklab.checks", "fractions"],
+        ),
+        (
+            [["ao-decay", "--model", "ou", "--q", "0.3", "--max-level", "4"]],
+            ["qfocklab.cohomology", "qfocklab.torus", "qfocklab.checks"],
+        ),
+    ],
+    ids=["decay-threshold", "ao-decay-ou"],
+)
+def test_subcommands_import_only_the_modules_they_run(runs, absent, tmp_path):
+    # Each process compiles every module it imports when no bytecode is
+    # cached; a subcommand loads only the modules its run calls.
+    script = (
+        "import sys\n"
+        "from qfocklab.cli import main\n"
+        f"codes = [main(args) for args in {runs!r}]\n"
+        f"print(codes, [name for name in {absent!r} if name in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qfocklab.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{[0] * len(runs)} []"
+
+
 @pytest.mark.parametrize("max_level", [0, 1, 2])
 def test_verify_below_minimum_level_is_config_error(max_level, capsys):
     assert main(["verify", "--max-level", str(max_level)]) == 2
@@ -420,15 +455,15 @@ def test_ao_decay_refused_table_leaves_no_file(tmp_path, capsys):
 
 
 def test_verify_records_a_raising_check_and_runs_the_rest(tmp_path, monkeypatch):
-    from qfocklab import cli
+    from qfocklab import checks as checks_mod
     from qfocklab.errors import TruncationLoss
 
     def broken(cfg, params):
         raise TruncationLoss("boom")
 
-    checks = list(cli.VERIFY_CHECKS)
+    checks = list(checks_mod.VERIFY_CHECKS)
     checks[1] = (checks[1][0], broken)
-    monkeypatch.setattr(cli, "VERIFY_CHECKS", checks)
+    monkeypatch.setattr(checks_mod, "VERIFY_CHECKS", checks)
     jout = tmp_path / "verify.json"
     assert main(["verify", "--max-level", "3", "--out", str(jout)]) == 1
     payload = json.loads(jout.read_text())
@@ -488,6 +523,25 @@ def test_verify_json_matches_golden_file(tmp_path):
         assert got.encode() == fh.read()
 
 
+TORUS_GOLDEN_RUNS = {
+    "torus_poisson_l2_m3": ["torus", "--semigroup", "poisson", "-l", "2", "-m", "3"],
+    "torus_heat_l2_m3": ["torus", "--semigroup", "heat", "-l", "2", "-m", "3"],
+    "ao_decay_torus_l1_m1": ["ao-decay", "--model", "torus"],
+}
+
+
+@pytest.mark.parametrize("name", TORUS_GOLDEN_RUNS)
+def test_torus_reports_match_golden_files(name, tmp_path, monkeypatch):
+    # The torus coefficients are Fractions; the report paths are relative,
+    # so the JSON's config is the same in every directory.
+    monkeypatch.chdir(tmp_path)
+    args = [*TORUS_GOLDEN_RUNS[name], "--out", f"{name}.csv", "--json-out", f"{name}.json"]
+    assert main(args) == 0
+    for ext in ("csv", "json"):
+        with open(os.path.join(DATA, f"{name}.{ext}"), "rb") as fh:
+            assert (tmp_path / f"{name}.{ext}").read_bytes() == fh.read(), ext
+
+
 def test_verify_builds_one_ou_model_and_checks_each_band_once(tmp_path, monkeypatch):
     from qfocklab import ao as ao_mod
 
@@ -542,24 +596,24 @@ def test_threshold_solves_only_one_level_pencils(tmp_path, monkeypatch):
 
 
 def test_partition_check_catches_a_crossing_miscount(tmp_path, monkeypatch):
-    from qfocklab import cli
+    from qfocklab import checks
     from qfocklab.partitions import CrossingCount
 
     cfg = ExperimentConfig(command="verify", max_level=3)
     params = cfg.fock_params()
-    assert cli._check_partitions(cfg, params)[0] == 0
-    real = cli.crossing_number
+    assert checks._check_partitions(cfg, params)[0] == 0
+    real = checks.crossing_number
 
     def off_by_one(part):
         count = real(part)
         return CrossingCount(count.regular, count.degenerate + 1)
 
-    monkeypatch.setattr(cli, "crossing_number", off_by_one)
-    residual, tol = cli._check_partitions(cfg, params)
+    monkeypatch.setattr(checks, "crossing_number", off_by_one)
+    residual, tol = checks._check_partitions(cfg, params)
     assert residual >= tol
     # miscounting only the figure partition's shape fails the check too
     monkeypatch.setattr(
-        cli,
+        checks,
         "crossing_number",
         lambda part: off_by_one(part) if part.shape.sizes == (4, 4, 3) else real(part),
     )
@@ -642,7 +696,7 @@ ROBUSTNESS_CASES = {
 
 @pytest.mark.parametrize("case", ROBUSTNESS_CASES)
 def test_edge_case_invocations_exit_cleanly(case, tmp_path, monkeypatch, capsys):
-    from qfocklab import cli
+    from qfocklab import torus
 
     def build(*args, **kwargs):
         raise AssertionError("a torus map was built")
@@ -650,7 +704,7 @@ def test_edge_case_invocations_exit_cleanly(case, tmp_path, monkeypatch, capsys)
     # no case runs the torus, so a window cap that let one through
     # cannot start an unbounded run
     for name in ("heat_psi", "poisson_psi", "poisson_t_decay"):
-        monkeypatch.setattr(cli.torus_mod, name, build)
+        monkeypatch.setattr(torus, name, build)
     argv, expected, says = ROBUSTNESS_CASES[case]
     if "/dev/full" in argv and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
