@@ -75,12 +75,10 @@ class FilteredModel:
 def _orthonormal_words(params: FockParams, level: int) -> list[Element]:
     if level == 0:
         return [Element.one(params)]
-    half_inv = symmetrizer_inv_sqrt(params, level)
+    # The columns of W are orthonormal, since W^H P W = 1.
+    w = symmetrizer_inv_sqrt(params, level)
     shape = (params.dim,) * level
-    return [
-        Element(params, {level: half_inv[:, j].reshape(shape)})
-        for j in range(half_inv.shape[1])
-    ]
+    return [Element(params, {level: w[:, j].reshape(shape)}) for j in range(w.shape[1])]
 
 
 def _basis_batch(model: FilteredModel, n: int) -> dict[int, np.ndarray]:

@@ -1,11 +1,11 @@
 """Dense complex linear-algebra kernel.
 
 Thin, defensively-checked wrappers around LAPACK via numpy: Hermitian
-eigendecomposition, the pseudo-inverse square root of a positive
-semidefinite matrix with a numerical-rank tolerance, and the inverse of
-a lower-triangular (Cholesky) factor.  Everything is
-deterministic (fixed LAPACK drivers, no randomized algorithms), so
-downstream golden values are stable.
+eigendecomposition, and the inverse Cholesky square root of a positive
+definite matrix through the inverse of its lower-triangular factor.
+The latter is the one factorization by which the library inverts a
+level Gram.  Everything is deterministic (fixed LAPACK drivers, no
+randomized algorithms), so downstream golden values are stable.
 """
 
 from __future__ import annotations
@@ -65,11 +65,16 @@ def _psd_eig(g, tol: float | None):
     return np.clip(w, 0.0, None), v, cut
 
 
-def psd_inv_sqrt(g, tol: float | None = None) -> np.ndarray:
-    """Pseudo-inverse square root, zeroing directions below tolerance."""
-    w, v, cut = _psd_eig(_as_matrix(g), tol)
-    inv = np.where(w > cut, 1.0 / np.sqrt(np.where(w > cut, w, 1.0)), 0.0)
-    return (v * inv) @ v.conj().T
+def psd_inv_sqrt(g) -> np.ndarray:
+    """Inverse Cholesky square root: the upper-triangular W = L^-H,
+    where g = L L^H, so W^H g W = 1 and W W^H = g^-1.  Only the lower
+    triangle of the Hermitian g is read.  Raises NOT_PSD when g has no
+    Cholesky factor."""
+    try:
+        low = np.linalg.cholesky(_as_matrix(g))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveSemidefinite(f"matrix has no Cholesky factor: {exc}") from exc
+    return tril_inv(low).conj().T
 
 
 def tril_inv(low: np.ndarray) -> np.ndarray:
@@ -79,7 +84,8 @@ def tril_inv(low: np.ndarray) -> np.ndarray:
     times faster than a general ``np.linalg.inv`` (2 vCPU, OpenBLAS)."""
     n = low.shape[0]
     if n < TRIL_INV_LEAF:
-        return np.linalg.inv(low)
+        # inv's LU pivots, and a pivot can leave rounding above the diagonal.
+        return np.tril(np.linalg.inv(low))
     h = n // 2
     a_inv = tril_inv(low[:h, :h])
     d_inv = tril_inv(low[h:, h:])

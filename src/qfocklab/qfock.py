@@ -4,8 +4,8 @@ Level-m tensors are numpy arrays of shape (N,)*m in the standard
 (non-orthonormal for q != 0) tensor basis; level 0 is a ()-shaped
 scalar.  The q-inner product is <u, v>_q = vdot(u, P_m v) with P_m the
 q-symmetrizer, so all inner products here are conjugate-linear in the
-FIRST argument.  Norm computations change basis with the positive
-square root of the Gram or its Cholesky factor, never the raw
+FIRST argument.  Norm computations change basis with the inverse
+Cholesky factor of the Gram (``symmetrizer_inv_sqrt``), never the raw
 coordinates.
 
 Truncation contract: vector-level arithmetic is exact; block operators
@@ -32,7 +32,7 @@ from .errors import (
     ParamMismatch,
     ShapeMismatch,
 )
-from .numerics import psd_inv_sqrt, tril_inv
+from .numerics import psd_inv_sqrt
 
 # Largest N^m for materialized level matrices (Grams, operator blocks).
 MATRIX_DIM_CAP = 4096
@@ -275,14 +275,15 @@ def symmetrizer(params: FockParams, m: int) -> np.ndarray:
     return _symmetrizer(params, m)
 
 
-@_memo_per_level
 def symmetrizer_inv_sqrt(params: FockParams, m: int) -> np.ndarray:
-    return psd_inv_sqrt(symmetrizer(params, m))
-
-
-@_memo_per_level
-def symmetrizer_inv(params: FockParams, m: int) -> np.ndarray:
-    return np.linalg.inv(symmetrizer(params, m))
+    """Upper-triangular W with W^H P_m W = 1 and W W^H = P_m^-1, P_m the
+    level Gram; raises ``NOT_PSD`` when P_m has no Cholesky factor."""
+    try:
+        return psd_inv_sqrt(symmetrizer(params, m))
+    except NotPositiveSemidefinite as exc:
+        raise NotPositiveSemidefinite(
+            f"level {m} Gram at q={params.q}, dim={params.dim} has no Cholesky factor"
+        ) from exc
 
 
 def _sym_apply_front(params: FockParams, t: np.ndarray, m: int) -> np.ndarray:
@@ -368,8 +369,9 @@ def pairing_norm(params: FockParams, j: int) -> float:
     """Norm of the j-fold contraction as a functional on the q-metric
     tensor square of level j."""
     b = pairing_form(params, j)
-    half = symmetrizer_inv_sqrt(params, j)
-    weighted = half.T @ b @ half
+    # Frobenius norm: a unitary relating W to P^-1/2 leaves it unchanged.
+    w = symmetrizer_inv_sqrt(params, j)
+    weighted = w.T @ b @ w
     return float(np.linalg.norm(weighted.reshape(-1), 2))
 
 
@@ -560,12 +562,13 @@ class FockOperator:
 
     def gram_adjoint(self) -> "FockOperator":
         """Adjoint with respect to the q-inner product:
-        block(dst -> src) = Gram_src^{-1} block(src -> dst)^H Gram_dst."""
+        block(dst -> src) = Gram_src^{-1} block(src -> dst)^H Gram_dst,
+        with Gram_src^{-1} = W W^H from ``symmetrizer_inv_sqrt``."""
         blocks = {}
         for (src, dst), mat in self.blocks.items():
             g_dst = symmetrizer(self.params, dst)
-            g_src_inv = symmetrizer_inv(self.params, src)
-            blocks[(dst, src)] = g_src_inv @ mat.conj().T @ g_dst
+            w = symmetrizer_inv_sqrt(self.params, src)
+            blocks[(dst, src)] = w @ (w.conj().T @ (mat.conj().T @ g_dst))
         # Dropped blocks above the cut make the adjoint lossy from those
         # (high) source levels; conservatively flag everything at the top.
         lossy = set()
@@ -584,9 +587,8 @@ class FockOperator:
         with B the stacked blocks and P the target Gram.  Each source
         Gram P_m is positive definite for |q| < 1, so with P_m = L_m L_m^H
         the pencil has the eigenvalues of the standard Hermitian matrix
-        L^-1 (B^H P B) L^-H, L = (+)_m L_m, applied block by block; no
-        Gram square root is materialized.  Raises ``NOT_PSD`` when a
-        source Gram has no Cholesky factor."""
+        W^H (B^H P B) W, W = (+)_m L_m^-H, applied block by block.
+        Raises ``NOT_PSD`` when a source Gram has no Cholesky factor."""
         offs, total = {}, 0
         for m in sources:
             offs[m] = total
@@ -601,19 +603,12 @@ class FockOperator:
                 if d == dst and src in offs:
                     stacked[:, offs[src] : offs[src] + mat.shape[1]] = mat
             quad += stacked.conj().T @ symmetrizer(self.params, dst) @ stacked
-        # Reduce the pencil in place to its standard form L^-1 quad L^-H.
+        # Reduce the pencil in place to its standard form W^H quad W.
         for m, lo in offs.items():
             hi = lo + self.params.level_dim(m)
-            try:
-                low = np.linalg.cholesky(symmetrizer(self.params, m))
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveSemidefinite(
-                    f"level {m} Gram at q={self.params.q}, dim={self.params.dim} "
-                    "has no Cholesky factor"
-                ) from exc
-            inv = tril_inv(low)
-            quad[lo:hi, :] = inv @ quad[lo:hi, :]
-            quad[:, lo:hi] = quad[:, lo:hi] @ inv.conj().T
+            w = symmetrizer_inv_sqrt(self.params, m)
+            quad[lo:hi, :] = w.conj().T @ quad[lo:hi, :]
+            quad[:, lo:hi] = quad[:, lo:hi] @ w
         vals = np.linalg.eigvalsh(quad)
         return np.sqrt(np.clip(vals[::-1], 0.0, None))
 

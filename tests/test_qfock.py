@@ -10,8 +10,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qfocklab.errors import LevelTooLarge, NotHermitianError, ParamMismatch, ShapeMismatch
-from qfocklab.numerics import hermitian_eig
+from qfocklab import ao, qfock
+from qfocklab.errors import (
+    LevelTooLarge,
+    NotHermitianError,
+    NotPositiveSemidefinite,
+    ParamMismatch,
+    ShapeMismatch,
+)
+from qfocklab.numerics import hermitian_eig, rank_tolerance
 from qfocklab.qfock import (
     MATRIX_DIM_CAP,
     MEMO_PARAM_PAIRS,
@@ -36,11 +43,9 @@ from qfocklab.qfock import (
     splitter_matrix,
     symmetrizer,
     symmetrizer_apply,
-    symmetrizer_inv,
     symmetrizer_inv_sqrt,
     vacuum,
 )
-from qfocklab.numerics import psd_inv_sqrt
 
 
 def params(q=0.5, dim=2, max_level=4):
@@ -59,6 +64,16 @@ def random_vector(rng, p, levels, real=False):
             t = t + 1j * rng.standard_normal((p.dim,) * m)
         data[m] = t
     return FockVector(p, data)
+
+
+def psd_inv_sqrt_by_eig(g):
+    """Pseudo-inverse square root by eigendecomposition, zeroing directions
+    below the rank tolerance: an oracle independent of the Cholesky factor
+    the library inverts every Gram with."""
+    w, v = hermitian_eig(g)
+    cut = rank_tolerance(g.shape[0], abs(float(w[-1])))
+    inv = np.where(w > cut, 1.0 / np.sqrt(np.where(w > cut, w, 1.0)), 0.0)
+    return (v * inv) @ v.conj().T
 
 
 def symmetrizer_by_definition(p, m):
@@ -190,8 +205,6 @@ def test_level_cache_is_shared_across_max_level():
     "build",
     [
         lambda p: symmetrizer(p, 3),
-        lambda p: symmetrizer_inv(p, 3),
-        lambda p: symmetrizer_inv_sqrt(p, 3),
         lambda p: splitter_matrix(p, (2, 1)),
         lambda p: splitter_matrix(p, (1, 1, 1)),
         lambda p: pairing_form(p, 2),
@@ -210,7 +223,7 @@ def test_concurrent_builds_of_one_level_agree():
     p = FockParams(q=0.2468, dim=2, max_level=7)
 
     def build():
-        return symmetrizer(p, 7), symmetrizer_inv_sqrt(p, 6)
+        return symmetrizer(p, 7), pairing_form(p, 6)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -220,10 +233,13 @@ def test_concurrent_builds_of_one_level_agree():
             results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(switch)
-    for gram, half in results:
+    for gram, form in results:
         assert np.array_equal(gram, results[0][0])
-        assert np.array_equal(half, results[0][1])
-    assert np.allclose(results[0][1], psd_inv_sqrt(symmetrizer_by_definition(p, 6)), atol=1e-12)
+        assert np.array_equal(form, results[0][1])
+    # B[b, c] = Gram_6[reverse(b), c]: reverse the six row axes.
+    by_definition = symmetrizer_by_definition(p, 6).reshape((2,) * 6 + (64,))
+    want = by_definition.transpose(*reversed(range(6)), 6).reshape(64, 64)
+    assert np.allclose(results[0][1], want, atol=1e-12)
 
 
 def test_q_singular_values_on_a_source_subset():
@@ -233,12 +249,63 @@ def test_q_singular_values_on_a_source_subset():
     op = creation(p, [1.0, 0.5j])
     for m in range(4):
         blk = op.blocks[(m, m + 1)]
-        half_dst = np.linalg.inv(psd_inv_sqrt(symmetrizer(p, m + 1)))
-        want = np.linalg.svd(half_dst @ blk @ symmetrizer_inv_sqrt(p, m), compute_uv=False)
+        half_dst = np.linalg.inv(psd_inv_sqrt_by_eig(symmetrizer(p, m + 1)))
+        half_src = psd_inv_sqrt_by_eig(symmetrizer(p, m))
+        want = np.linalg.svd(half_dst @ blk @ half_src, compute_uv=False)
         got = op.q_singular_values([m])
         assert np.allclose(got, want, atol=1e-10)
     assert op.q_singular_values([]).size == 0
     assert op.q_norm() == pytest.approx(max(op.q_singular_values([m])[0] for m in range(4)))
+
+
+@pytest.mark.parametrize("q", [-0.7, 0.4])
+def test_symmetrizer_inv_sqrt_is_a_triangular_whitener(q):
+    p = params(q=q, max_level=6)
+    for m in range(7):
+        g = symmetrizer(p, m)
+        w = symmetrizer_inv_sqrt(p, m)
+        half = psd_inv_sqrt_by_eig(g)
+        assert np.array_equal(np.triu(w), w)
+        assert np.allclose(w.conj().T @ g @ w, np.eye(len(g)), atol=1e-10)
+        assert np.allclose(w @ w.conj().T, half @ half, atol=1e-10)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_pairing_norm_matches_the_eig_oracle(j):
+    p = params(q=-0.35, dim=3, max_level=3)
+    half = psd_inv_sqrt_by_eig(symmetrizer(p, j))
+    want = np.linalg.norm((half.T @ pairing_form(p, j) @ half).reshape(-1))
+    assert pairing_norm(p, j) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        lambda p: creation(p, [1.0, 0.0]).gram_adjoint(),
+        lambda p: pairing_norm(p, 3),
+        lambda p: ao._orthonormal_words(p, 3),
+        lambda p: creation(p, [1.0, 0.0]).q_singular_values([3]),
+    ],
+    ids=["gram_adjoint", "pairing_norm", "orthonormal_words", "q_singular_values"],
+)
+def test_every_gram_inverse_raises_not_psd_for_an_indefinite_gram(consumer, monkeypatch):
+    p = params(q=0.5, max_level=4)
+    # Cache the level-3 pairing form first: it must not be built from the
+    # patched Gram.
+    pairing_form(p, 3)
+    real = qfock.symmetrizer
+
+    def indefinite_at_three(params, m):
+        if m != 3:
+            return real(params, m)
+        g = np.eye(params.level_dim(m), dtype=complex)
+        g[-1, -1] = -1.0
+        return g
+
+    monkeypatch.setattr(qfock, "symmetrizer", indefinite_at_three)
+    with pytest.raises(NotPositiveSemidefinite, match=r"level 3 .*q=0\.5, dim=2") as err:
+        consumer(p)
+    assert err.value.code == "NOT_PSD"
 
 
 @pytest.mark.parametrize("q", [-0.6, 0.0, 0.3, 0.8])
