@@ -366,6 +366,15 @@ def _byte_key(x) -> tuple:
     return tuple(sorted((m, t.tobytes()) for m, t in x.levels.items()))
 
 
+def _negated_byte_key(x) -> tuple:
+    """``_byte_key(x.scaled(-1.0))``.  An element's levels are clean
+    (complex, shaped, nonzero), so negating them keeps them clean and
+    needs no throwaway ``Element``."""
+    if isinstance(x, GradientVector):
+        return _byte_key(x.scaled(-1.0))
+    return tuple(sorted((m, (-1.0 * t).tobytes()) for m, t in x.levels.items()))
+
+
 def _merge_bilinear(terms, key_side, other_side, rebuild):
     """Group terms whose ``key_side`` factor matches up to sign and sum
     the other side (with the sign folded in)."""
@@ -373,7 +382,7 @@ def _merge_bilinear(terms, key_side, other_side, rebuild):
     for term in terms:
         anchor = key_side(term)
         key = _byte_key(anchor)
-        neg_key = _byte_key(anchor.scaled(-1.0))
+        neg_key = _negated_byte_key(anchor)
         if key in slots:
             slots[key][1] = slots[key][1] + other_side(term)
         elif neg_key in slots:

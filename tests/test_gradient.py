@@ -530,6 +530,22 @@ def test_nested_terms_sharing_a_coefficient_sum_their_carriers():
     assert _byte_key(carrier) == _byte_key(v1 + v2)
 
 
+def test_negated_byte_key_is_the_key_of_the_negation():
+    from qfocklab.gradient import _byte_key, _negated_byte_key
+
+    p = params(q=0.3, max_level=6)
+    rng = np.random.default_rng(27)
+    anchors = [random_element(rng, p, levels) for levels in ([1], [2, 1], [3, 1, 2])]
+    anchors.append(random_element(rng, p, [0, 2]))
+    anchors.append(Element(p, {0: np.array(2.0 - 1.5j), 1: [0.0, 1j]}))
+    anchors.append(
+        GradientVector(p, [(anchors[0], Element.one(p)), (anchors[1], anchors[3])])
+    )
+    for anchor in anchors:
+        assert _negated_byte_key(anchor) == _byte_key(anchor.scaled(-1.0))
+        assert _negated_byte_key(anchor) != _byte_key(anchor)
+
+
 def test_nested_term_with_zero_coefficient_or_carrier_is_dropped():
     p = params(q=0.3, max_level=6)
     rng = np.random.default_rng(23)
