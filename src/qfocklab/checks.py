@@ -8,6 +8,7 @@ default tolerance.  ``run_checks`` runs them in ``VERIFY_CHECKS`` order.
 from __future__ import annotations
 
 import functools
+import random
 import time
 from dataclasses import dataclass
 
@@ -122,13 +123,13 @@ def _check_annihilation(cfg, params):
 
 
 def _check_wick_triangle(cfg, params):
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     worst = 0.0
     for _ in range(10):
-        levels = rng.integers(1, 3, size=3)
-        while int(levels.sum()) > params.max_level:
-            levels = rng.integers(1, 3, size=3)
-        syms = [rng.standard_normal((params.dim,) * int(n)) for n in levels]
+        levels = [rng.randint(1, 2) for _ in range(3)]
+        while sum(levels) > params.max_level:
+            levels = [rng.randint(1, 2) for _ in range(3)]
+        syms = [coh.random_symbol(rng, params.dim, n) for n in levels]
         direct = product_direct(params, syms)
         part = product_partition(params, syms)
         trip = product_triple(params, *syms)
@@ -137,11 +138,11 @@ def _check_wick_triangle(cfg, params):
 
 
 def _check_psi_triangle(cfg, params):
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = random.Random(cfg.seed + 1)
     worst = 0.0
     for n, k in [(1, 1), (2, 1)]:
-        a = wick(params, rng.standard_normal((params.dim,) * n))
-        b = wick(params, rng.standard_normal((params.dim,) * k))
+        a = wick(params, coh.random_symbol(rng, params.dim, n))
+        b = wick(params, coh.random_symbol(rng, params.dim, k))
         base = gradient_map(a, b, cfg.time_t, "direct")
         for route in ("partition", "rstar"):
             other = gradient_map(a, b, cfg.time_t, route)
@@ -155,11 +156,15 @@ def _check_psi_triangle(cfg, params):
 
 
 def _check_gamma_positivity(cfg, params):
-    rng = np.random.default_rng(cfg.seed + 2)
+    rng = random.Random(cfg.seed + 2)
+
+    def rand(*levels):
+        return Element(params, {m: coh.random_symbol(rng, params.dim, m) for m in levels})
+
     worst = 0.0
     for _ in range(6):
-        x = Element(params, {1: rng.standard_normal(params.dim), 2: rng.standard_normal((params.dim,) * 2)})
-        xi = Element(params, {0: rng.standard_normal(()), 1: rng.standard_normal(params.dim)})
+        x = rand(1, 2)
+        xi = rand(0, 1)
         val = gamma(x, x).mul(xi).q_inner(xi).real
         scale = max(xi.q_norm() ** 2, 1.0)
         worst = max(worst, -val / scale)
@@ -167,11 +172,11 @@ def _check_gamma_positivity(cfg, params):
 
 
 def _check_nabla_pairing(cfg, params):
-    rng = np.random.default_rng(cfg.seed + 3)
+    rng = random.Random(cfg.seed + 3)
     worst = 0.0
     for _ in range(6):
         def rand(level):
-            return Element(params, {level: rng.standard_normal((params.dim,) * level)})
+            return Element(params, {level: coh.random_symbol(rng, params.dim, level)})
 
         lhs, rhs = nabla_pairing_two_ways(
             rand(1), rand(1), (rand(2), rand(1)), (rand(1), rand(2)), params

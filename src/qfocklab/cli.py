@@ -369,26 +369,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _whole(value):
+    """A JSON number that is a whole number, as an int; anything else,
+    a JSON boolean included, as None."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value if isinstance(value, int) and not isinstance(value, bool) else None
+
+
 def _config_value(name: str, value):
     """A config-file value checked against its field's type.  A word may
-    be given in the flag form "1,2", and an int field takes a whole float."""
+    be given in the flag form "1,2"; an int field and a word index take a
+    whole float, and no number field takes a JSON boolean."""
     kind = ExperimentConfig.__dataclass_fields__[name].type
     if kind == "list[int]" and isinstance(value, str):
         return parse_word(value)
     if value is None and kind.endswith(" | None"):
         return None
     kind = kind.removesuffix(" | None")
-    if kind == "int" and isinstance(value, float) and value.is_integer():
-        value = int(value)
+    got = value
+    if kind == "int":
+        got = _whole(value)
+    elif kind == "list[int]" and isinstance(value, list):
+        got = [_whole(i) for i in value]
     ok = {
-        "int": isinstance(value, int),
-        "float": isinstance(value, (int, float)),
+        "int": got is not None,
+        "float": isinstance(value, (int, float)) and not isinstance(value, bool),
         "str": isinstance(value, str),
-        "list[int]": isinstance(value, list) and all(isinstance(i, (int, float)) for i in value),
+        "list[int]": isinstance(got, list) and None not in got,
     }[kind]
     if not ok:
         raise ConfigError(f"config key {name!r} must be {kind}, got {value!r}")
-    return value
+    return got
 
 
 def _read_config(path: str) -> dict:

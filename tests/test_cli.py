@@ -270,6 +270,11 @@ BAD_CONFIG_INPUTS = {
     "out-in-missing-dir": (None, ["--out", "{tmp}/absent/d.csv"], "does not exist"),
     "json-out-in-missing-dir": (None, ["--json-out", "{tmp}/absent/d.json"], "does not exist"),
     "nan-exponent": (None, ["--p", "nan"], "p must be >= 1, got nan"),
+    # JSON booleans are not numbers, and a word index is a whole number
+    "boolean-dim": ('{"dim": true}', [], "'dim' must be int, got True"),
+    "boolean-seed": ('{"seed": true}', [], "'seed' must be int, got True"),
+    "boolean-word-index": ('{"word_a": [true]}', [], "'word_a' must be list[int], got [True]"),
+    "fractional-word-index": ('{"word_a": [1.5]}', [], "'word_a' must be list[int], got [1.5]"),
 }
 
 
@@ -294,16 +299,23 @@ def test_bad_config_inputs_exit_2_before_any_work(case, tmp_path, monkeypatch, c
 
 def test_config_file_word_in_flag_form(tmp_path):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"word_a": "2,1", "dim": 2.0}))
+    cfg_file.write_text(json.dumps({"word_a": "2,1", "word_b": [2.0, 1], "dim": 2.0}))
     args = build_parser().parse_args(["decay", "--config", str(cfg_file)])
     cfg = resolve_config(args)
     assert cfg.word_a == [2, 1] and cfg.dim == 2 and isinstance(cfg.dim, int)
+    assert cfg.word_b == [2, 1] and all(isinstance(i, int) for i in cfg.word_b)
 
 
 def test_verify_subprocess_smoke():
     proc = run_cli(["verify", "--max-level", "4"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("[PASS]") == 13
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_passes_across_seeds(seed, capsys):
+    assert main(["verify", "--max-level", "4", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out.count("[PASS]") == 13
 
 
 def test_subcommands_never_import_scipy(tmp_path):
@@ -338,14 +350,23 @@ def test_subcommands_never_import_scipy(tmp_path):
                 ["decay", "--q", "0.5", "--max-level", "5", "--word-a", "1", "--word-b", "1"],
                 ["threshold", "--dim", "2", "--max-level", "5", "--grid", "0.4:0.6:0.2"],
             ],
-            ["qfocklab.ao", "qfocklab.cohomology", "qfocklab.torus", "qfocklab.checks", "fractions"],
+            [
+                "qfocklab.ao",
+                "qfocklab.cohomology",
+                "qfocklab.torus",
+                "qfocklab.checks",
+                "fractions",
+                "numpy.random",
+            ],
         ),
         (
             [["ao-decay", "--model", "ou", "--q", "0.3", "--max-level", "4"]],
-            ["qfocklab.cohomology", "qfocklab.torus", "qfocklab.checks"],
+            ["qfocklab.cohomology", "qfocklab.torus", "qfocklab.checks", "numpy.random"],
         ),
+        # the sampled checks draw from Python's random module
+        ([["verify", "--max-level", "3"]], ["numpy.random"]),
     ],
-    ids=["decay-threshold", "ao-decay-ou"],
+    ids=["decay-threshold", "ao-decay-ou", "verify"],
 )
 def test_subcommands_import_only_the_modules_they_run(runs, absent, tmp_path):
     # Each process compiles every module it imports when no bytecode is
@@ -511,8 +532,9 @@ def test_ao_decay_ou_csv_matches_golden_file(tmp_path, max_level):
 
 def test_verify_json_matches_golden_file(tmp_path):
     # verify --q 0.5 --dim 2 --max-level 6 --seed 3 without its config
-    # (which holds paths), written by the per-term product kernel that
-    # the factor-reusing one replaced
+    # (which holds paths).  The samples come from random.Random(seed): a
+    # change of sampler moves the residuals and rewrites this file, and
+    # any other change must leave it byte-identical
     out = tmp_path / "verify.json"
     args = ["verify", "--q", "0.5", "--dim", "2", "--max-level", "6", "--seed", "3"]
     assert main([*args, "--out", str(out)]) == 0

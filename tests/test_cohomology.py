@@ -1,5 +1,7 @@
 """Bar-differential and cocycle identities on sampled tuples."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qfocklab.cohomology import (
     derivation_cocycle,
     gradient_prefix_map,
     product_cochain,
+    random_symbol,
     verify_bar_square,
     verify_derivation_norm,
     verify_leibniz,
@@ -38,7 +41,7 @@ def verify_second_cocycle(
     """The twice-iterated cocycle is closed: d applied to it vanishes.
     The only check besides the iterated pairing that builds depth-2
     gradient vectors."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     d2 = derivation_cocycle(params, 2)
     closed = bar_differential(d2)
     rows = []
@@ -55,15 +58,15 @@ def verify_multilinearity(
     tol: float = 1e-9,
 ) -> list[CheckRow]:
     """Slot-wise linearity of a sampled constructed cochain."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     frames = [_random_element(rng, params, 1) for _ in range(3)]
     f = bar_differential(product_cochain(params, frames))
     rows = []
     for i in range(samples):
-        slot = int(rng.integers(0, f.arity))
+        slot = rng.randrange(f.arity)
         args = list(_sample_tuple(rng, params, f.arity, 1))
         u, v = _random_element(rng, params, 1), _random_element(rng, params, 1)
-        c = complex(rng.standard_normal(), rng.standard_normal())
+        c = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
         args_mixed = list(args)
         args_mixed[slot] = u.scaled(c) + v
         args_u, args_v = list(args), list(args)
@@ -153,6 +156,27 @@ def test_identity_checks_are_seeded_deterministic():
     ]
 
 
+@pytest.mark.parametrize("dim, level", [(2, 0), (2, 1), (3, 2), (2, 3)])
+def test_random_symbol_is_seeded_and_shaped(dim, level):
+    first = random_symbol(random.Random(5), dim, level)
+    assert first.shape == (dim,) * level and first.dtype == np.float64
+    assert first.tobytes() == random_symbol(random.Random(5), dim, level).tobytes()
+    assert first.tobytes() != random_symbol(random.Random(6), dim, level).tobytes()
+
+
+@pytest.mark.parametrize("max_word_level", [1, 2, 3])
+def test_random_element_levels_stay_in_range(max_word_level):
+    p = params(dim=3)
+    draws = _sample_tuple(random.Random(0), p, 40, max_word_level)
+    again = _sample_tuple(random.Random(0), p, 40, max_word_level)
+    for el, el_again in zip(draws, again):
+        ((level, t),) = el.levels.items()
+        assert 1 <= level <= max_word_level and t.shape == (3,) * level
+        assert el.q_norm() == pytest.approx(1.0)
+        assert el_again.levels[level].tobytes() == t.tobytes()
+    assert {next(iter(el.levels)) for el in draws} == set(range(1, max_word_level + 1))
+
+
 def test_checks_detect_broken_differential():
     # a wrong sign in the alternating sum must blow the residual up
     p = params()
@@ -202,7 +226,7 @@ def _oracle_prefix_map(f):
 
 def _oracle_bar_square(p, seed, samples):
     """verify_bar_square's sampling, evaluated without a memo."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     f1 = product_cochain(p, [_random_element(rng, p, 1) for _ in range(2)])
     dd1 = _oracle_bar_differential(_oracle_bar_differential(f1))
     f2 = product_cochain(p, [_random_element(rng, p, 1) for _ in range(3)])
@@ -219,7 +243,7 @@ def _oracle_bar_square(p, seed, samples):
 
 def _oracle_prefix_anticommutes(p, seed, samples):
     """verify_prefix_anticommutes' sampling, evaluated without a memo."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     f = product_cochain(p, [_random_element(rng, p, 1) for _ in range(2)])
     gd = _oracle_prefix_map(_oracle_bar_differential(f))
     dg = _oracle_bar_differential(_oracle_prefix_map(f))
