@@ -66,11 +66,6 @@ class FilteredModel:
     def eigenspace_count(self) -> int:
         return len(self.eigenvalues)
 
-    def flat_basis(self):
-        for n, basis in enumerate(self.bases):
-            for i, el in enumerate(basis):
-                yield n, i, el
-
 
 def _orthonormal_words(params: FockParams, level: int) -> list[Element]:
     if level == 0:

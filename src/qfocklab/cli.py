@@ -120,10 +120,15 @@ class ExperimentConfig:
                     raise ConfigError(f"grid point {q} outside |q| <= {CONDITIONING_Q_CAP}")
 
     def fock_params(self) -> FockParams:
+        """The Fock parameters, with the level of every word checked
+        against the vector budget before any word is built."""
         try:
-            return FockParams(q=self.q, dim=self.dim, max_level=self.max_level)
+            params = FockParams(q=self.q, dim=self.dim, max_level=self.max_level)
+            for word in (self.word_a, self.word_b, self.word_x, self.word_y):
+                params.check_level_budget(len(word))
         except QFockError as exc:
             raise ConfigError(str(exc)) from exc
+        return params
 
     def as_dict(self) -> dict:
         return asdict(self)

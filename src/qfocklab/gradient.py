@@ -59,6 +59,9 @@ BATCH_COLUMNS = 1024
 # route (128 KiB).  Split tables gather up to C(L, j) copies of a level,
 # and wider chunks were no faster at dim 2, M 8 but raised peak RSS.
 BATCH_ENTRIES = 2**13
+# schatten_diagnostic judges CONVERGENT only when the ratio estimate sits
+# below 1 by at least this much.
+VERDICT_MARGIN = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +279,6 @@ class SchattenReport:
     p: float
     rows: list[DecayRow]
     ratio_estimate: float
-    margin: float
     verdict: str
     threshold_ratio: float = field(default=float("nan"))
 
@@ -291,14 +293,14 @@ def _lossless_sources(psi: PsiMap) -> list[int]:
     return [m for m in range(psi.params.max_level + 1) if m not in lossy]
 
 
-def schatten_diagnostic(psi: PsiMap, p: float, margin: float = 0.02) -> SchattenReport:
+def schatten_diagnostic(psi: PsiMap, p: float) -> SchattenReport:
     """Bound the Schatten-p norm level by level and judge summability.
 
     Each source level m contributes at most dim^(m/p) times the
     restricted operator norm; the tail ratio of that bound sequence
     estimates the geometric rate, and the verdict is CONVERGENT when
-    the estimate sits below 1 by at least ``margin``.  Without a finite
-    ratio there is no estimate, and the diagnostic raises
+    the estimate sits below 1 by at least ``VERDICT_MARGIN``.  Without
+    a finite ratio there is no estimate, and the diagnostic raises
     ``TruncationLoss`` instead of judging; the one exception is a map
     whose bounds are all zero over two or more lossless levels, judged
     CONVERGENT with estimate 0.  Only one-level pencils are solved; the
@@ -329,12 +331,11 @@ def schatten_diagnostic(psi: PsiMap, p: float, margin: float = 0.02) -> Schatten
     else:
         # the bounds fell to zero, or vanish on every lossless level
         estimate = 0.0
-    verdict = "CONVERGENT" if estimate < 1.0 - margin else "DIVERGENT"
+    verdict = "CONVERGENT" if estimate < 1.0 - VERDICT_MARGIN else "DIVERGENT"
     return SchattenReport(
         p=float(p),
         rows=rows,
         ratio_estimate=estimate,
-        margin=margin,
         verdict=verdict,
         threshold_ratio=abs(params.q) * params.dim ** (1 / p),
     )
@@ -510,13 +511,13 @@ def nabla_gram(vectors: list[GradientVector]) -> np.ndarray:
     return _hermitian_gram(vectors, nabla_pairing_value)
 
 
-def nabla_norm(v: GradientVector, tol: float = NABLA_GRAM_RTOL) -> float:
+def nabla_norm(v: GradientVector) -> float:
     """Quotient norm: clip the slightly-negative part of the term Gram
     and evaluate the quadratic form on the all-ones coefficient vector."""
     if not v.terms:
         return 0.0
     g = _hermitian_gram(v.terms, lambda s, t: _term_pairing(*s, *t))
-    w, u, _ = _psd_eig(0.5 * (g + g.conj().T), tol)
+    w, u = _psd_eig(0.5 * (g + g.conj().T), NABLA_GRAM_RTOL)
     ones = np.ones(len(v.terms))
     return float(np.sqrt(max((ones @ ((u * w) @ u.conj().T) @ ones).real, 0.0)))
 
@@ -647,23 +648,3 @@ def nabla_pairing_two_ways(x, y, alpha: tuple, beta: tuple, params: FockParams):
     rhs = (mapped.mul(xi) * y).q_inner(eta)
     return lhs, rhs
 
-
-def iterated_pairing_two_ways(x, y, chain_a, chain_b, params: FockParams):
-    """Two-fold version of the pairing identity.
-
-    ``chain_a`` = (a0, a1, a2) encodes a0 (x) (a1 (x) a2.vacuum) in the
-    twice-iterated gradient module, likewise ``chain_b``.  Returns the
-    value of <x . alpha . y, beta> computed through the nested module
-    Grams and through the composed gradient maps.
-    """
-    a0, a1, a2 = (_as_element(params, s) for s in chain_a)
-    b0, b1, b2 = (_as_element(params, s) for s in chain_b)
-    x = _as_element(params, x)
-    y = _as_element(params, y)
-    alpha = GradientVector(params, [(a0, GradientVector(params, [(a1, a2)]))])
-    beta = GradientVector(params, [(b0, GradientVector(params, [(b1, b2)]))])
-    lhs = nabla_pairing_value(alpha.left(x).right(y), beta)
-    inner = psi_element(b0.adjoint(), a0, x)
-    outer = psi_element(b1.adjoint(), a1, inner)
-    rhs = (b2.adjoint() * (outer.mul(a2))).q_inner(y.adjoint())
-    return lhs, rhs

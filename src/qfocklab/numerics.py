@@ -29,23 +29,18 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def rank_tolerance(dim: int, lam_max: float) -> float:
-    """Default numerical-rank cutoff: dim * eps * largest magnitude."""
-    return dim * np.finfo(float).eps * max(lam_max, 0.0)
-
-
-def hermitian_eig(a, rtol: float = HERMITIAN_RTOL):
+def hermitian_eig(a):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvectors as columns) with
     a = V diag(w) V*.  Raises NOT_HERMITIAN if the input deviates from
-    its adjoint by more than ``rtol`` relative to its norm.
+    its adjoint by more than ``HERMITIAN_RTOL`` relative to its norm.
     """
     m = _as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"matrix is {m.shape}, not square")
     scale = max(np.linalg.norm(m), 1.0)
-    if np.linalg.norm(m - m.conj().T) > rtol * scale:
+    if np.linalg.norm(m - m.conj().T) > HERMITIAN_RTOL * scale:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     try:
         w, v = np.linalg.eigh(m)
@@ -54,15 +49,17 @@ def hermitian_eig(a, rtol: float = HERMITIAN_RTOL):
     return w, v
 
 
-def _psd_eig(g, tol: float | None):
+def _psd_eig(g, tol: float):
+    """Eigendecomposition of a Hermitian g with its eigenvalues clipped
+    at 0; raises NOT_PSD for an eigenvalue below -tol times the largest
+    magnitude."""
     w, v = hermitian_eig(g)
-    lam_max = float(w[-1]) if w.size else 0.0
-    cut = rank_tolerance(g.shape[0], abs(lam_max)) if tol is None else tol * max(abs(lam_max), 1e-300)
-    if w.size and float(w[0]) < -max(cut, 0.0):
+    cut = tol * max(abs(float(w[-1])) if w.size else 0.0, 1e-300)
+    if w.size and float(w[0]) < -cut:
         raise NotPositiveSemidefinite(
             f"matrix has eigenvalue {w[0]:.3e} below -{cut:.3e}"
         )
-    return np.clip(w, 0.0, None), v, cut
+    return np.clip(w, 0.0, None), v
 
 
 def psd_inv_sqrt(g) -> np.ndarray:

@@ -40,12 +40,6 @@ class SegmentShape:
     def total(self) -> int:
         return len(self._segments)
 
-    def segment_of(self, index: int) -> int:
-        """0-based segment number containing the 1-based index."""
-        if not 1 <= index <= self.total:
-            raise ShapeMismatch(f"index {index} outside [1, {self.total}]")
-        return self._segments[index - 1]
-
 
 @dataclass(frozen=True, slots=True)
 class PairPartition:
@@ -84,9 +78,6 @@ class PairPartition:
         for l, r in pairs:
             if segments[l - 1] == segments[r - 1]:
                 raise ShapeMismatch(f"pair ({l},{r}) lies inside one segment")
-
-    def sort_key(self):
-        return (self.pairs, self.singletons)
 
 
 @dataclass(frozen=True, slots=True)

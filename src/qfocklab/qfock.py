@@ -38,6 +38,10 @@ from .numerics import psd_inv_sqrt
 MATRIX_DIM_CAP = 4096
 # Largest N^m for coefficient tensors in vector arithmetic.
 VECTOR_DIM_CAP = 65536
+# Largest max_level.  The einsum specs of the product routes name every
+# tensor axis by one of 52 letters, and numpy's contraction path search
+# needs one letter more for the batch axis of a gradient map.
+LEVEL_CAP = 51
 # (q, dim) pairs whose Grams, splitters and pairing forms stay cached, so a
 # long q sweep holds a bounded amount; verify touches three values of q.
 MEMO_PARAM_PAIRS = 4
@@ -60,11 +64,13 @@ class FockParams:
             raise ParamMismatch(f"dim must be >= 1, got {self.dim}")
         if self.max_level < 0:
             raise ParamMismatch(f"max_level must be >= 0, got {self.max_level}")
-        if self.dim**self.max_level > MATRIX_DIM_CAP:
+        if _power_exceeds(self.dim, self.max_level, MATRIX_DIM_CAP):
             raise LevelTooLarge(
                 f"dim^max_level = {self.dim}^{self.max_level} exceeds the "
                 f"materializable budget {MATRIX_DIM_CAP}"
             )
+        if self.max_level > LEVEL_CAP:
+            raise LevelTooLarge(f"max_level {self.max_level} exceeds the level cap {LEVEL_CAP}")
 
     def level_dim(self, m: int) -> int:
         return self.dim**m
@@ -72,8 +78,14 @@ class FockParams:
     def check_level_budget(self, m: int, cap: int = VECTOR_DIM_CAP) -> None:
         if m < 0:
             raise LevelTooLarge(f"negative level {m}")
-        if self.dim**m > cap:
+        if _power_exceeds(self.dim, m, cap):
             raise LevelTooLarge(f"level {m} with dim {self.dim} exceeds budget {cap}")
+
+
+def _power_exceeds(dim: int, m: int, cap: int) -> bool:
+    """Whether dim**m > cap for a level m >= 0.  At dim >= 2 every level
+    above cap.bit_length() exceeds, so no larger power is formed."""
+    return dim > 1 and (m > cap.bit_length() or dim**m > cap)
 
 
 def _require_same_params(a: FockParams, b: FockParams) -> None:
@@ -103,6 +115,7 @@ def basis_tensor(params: FockParams, indices) -> np.ndarray:
     idx = tuple(int(i) - 1 for i in indices)
     if any(not 0 <= i < params.dim for i in idx):
         raise ShapeMismatch(f"basis indices {indices} outside 1..{params.dim}")
+    params.check_level_budget(len(idx))
     t = np.zeros((params.dim,) * len(idx), dtype=complex)
     t[idx] = 1.0
     return t
@@ -200,11 +213,11 @@ def split_tensor(q: float, t: np.ndarray, n: int, k: int, offset: int = 0) -> np
     return out
 
 
-def split_tensor3(q: float, t: np.ndarray, p1: int, p2: int, p3: int, offset: int = 0) -> np.ndarray:
-    """Three-part splitting via the two-part identity applied twice:
-    split (p1+p2 | p3), then (p1 | p2) inside the first window."""
-    out = split_tensor(q, t, p1 + p2, p3, offset=offset)
-    return split_tensor(q, out, p1, p2, offset=offset)
+def split_tensor3(q: float, t: np.ndarray, p1: int, p2: int, p3: int) -> np.ndarray:
+    """Three-part splitting of the leading axes via the two-part identity
+    applied twice: split (p1+p2 | p3), then (p1 | p2) inside the first
+    window."""
+    return split_tensor(q, split_tensor(q, t, p1 + p2, p3), p1, p2)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +307,7 @@ def _sym_apply_front(params: FockParams, t: np.ndarray, m: int) -> np.ndarray:
         g = symmetrizer(params, m)
         flat = t.reshape(params.level_dim(m), -1)
         return (g @ flat).reshape(t.shape)
-    split = split_tensor(params.q, t, m - 1, 1, offset=0)
+    split = split_tensor(params.q, t, m - 1, 1)
     return _sym_apply_front(params, split, m - 1)
 
 

@@ -19,7 +19,7 @@ it is identified with its vacuum vector: ``wick`` returns a one-level
 
 from __future__ import annotations
 
-from functools import cache, lru_cache, reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -433,21 +433,6 @@ def product_partition(params: FockParams, words) -> Element:
 # one-shot triple-product route
 # ---------------------------------------------------------------------------
 
-# Distinct (spec, operand shapes) of the triple route: a few dozen per
-# (dim, max_level), so the cap holds every one of a run.
-EINSUM_PATH_CACHE_SIZE = 512
-
-
-@lru_cache(maxsize=EINSUM_PATH_CACHE_SIZE)
-def _einsum_path(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
-    """The contraction path ``np.einsum(..., optimize=True)`` searches
-    for; it depends on the spec and the operand shapes only, and passing
-    it back as ``optimize=`` gives the same contraction list."""
-    # the search reads shapes only, so unfilled stand-ins serve
-    stand_ins = [np.empty(shape) for shape in shapes]
-    return tuple(np.einsum_path(spec, *stand_ins, optimize=True)[0])
-
-
 def triple_contraction_sum(
     params: FockParams,
     t_left: np.ndarray,
@@ -516,10 +501,7 @@ def triple_contraction_sum(
                     + c_letters[j + r :]
                 )
                 spec = ",".join(subs) + "->" + out_letters + "..."
-                path = False
-                if len(operands) > 3:
-                    path = _einsum_path(spec, tuple(op.shape for op in operands))
-                term = coeff * np.einsum(spec, *operands, optimize=path)
+                term = coeff * np.einsum(spec, *operands, optimize=len(operands) > 3)
                 out[lvl] = out.get(lvl, 0) + term
     return {lvl: t for lvl, t in out.items() if t.any()}
 

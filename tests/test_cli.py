@@ -275,6 +275,15 @@ BAD_CONFIG_INPUTS = {
     "boolean-seed": ('{"seed": true}', [], "'seed' must be int, got True"),
     "boolean-word-index": ('{"word_a": [true]}', [], "'word_a' must be list[int], got [True]"),
     "fractional-word-index": ('{"word_a": [1.5]}', [], "'word_a' must be list[int], got [1.5]"),
+    # no power dim^max_level is formed, and no word is built above the budget
+    "huge-max-level": (None, ["--dim", "2", "--max-level", str(10**20)], "2^100000000000000000000"),
+    "huge-config-max-level": ('{"max_level": 1e20}', [], "2^100000000000000000000"),
+    "word-over-the-budget": (
+        None,
+        ["--dim", "1000000000", "--max-level", "0"],
+        "level 1 with dim 1000000000 exceeds budget",
+    ),
+    "level-over-the-einsum-alphabet": (None, ["--dim", "1", "--max-level", "52"], "level cap 51"),
 }
 
 
@@ -283,11 +292,13 @@ def test_bad_config_inputs_exit_2_before_any_work(case, tmp_path, monkeypatch, c
     from qfocklab import cli
 
     def solve(*args, **kwargs):
-        raise AssertionError("a gradient map was solved")
+        raise AssertionError("a word or a gradient map was built")
 
     monkeypatch.setattr(cli, "gradient_map", solve)
+    monkeypatch.setattr(cli, "wick", solve)
     text, extra, says = BAD_CONFIG_INPUTS[case]
-    args = ["decay", "--max-level", "3"] + [a.format(tmp=tmp_path) for a in extra]
+    # the default max_level, so that a config file may set its own
+    args = ["decay"] + [a.format(tmp=tmp_path) for a in extra]
     if text is not None:
         (tmp_path / "cfg.json").write_text(text)
         args += ["--config", str(tmp_path / "cfg.json")]
@@ -295,6 +306,22 @@ def test_bad_config_inputs_exit_2_before_any_work(case, tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1, err
     assert says in err, err
+
+
+def test_ao_decay_word_over_the_budget_fails_before_any_allocation(monkeypatch, capsys):
+    # dim^0 = 1 passes the level budget, but a level-1 word would take 16 GB;
+    # BAD_CONFIG_INPUTS holds the decay case
+    from qfocklab import ao
+    from qfocklab import wick as wick_mod
+
+    def build(*args, **kwargs):
+        raise AssertionError("a word or a model was built")
+
+    monkeypatch.setattr(wick_mod, "basis_tensor", build)
+    monkeypatch.setattr(ao, "build_ou_model", build)
+    assert main(["ao-decay", "--model", "ou", "--dim", "1000000000", "--max-level", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "exceeds budget 65536" in err, err
 
 
 def test_config_file_word_in_flag_form(tmp_path):
@@ -705,7 +732,7 @@ ROBUSTNESS_CASES = {
     "verify-out-device": (["verify", "--max-level", "3", "--out", os.devnull], 0, ""),
     **{
         f"config-{case}": (
-            ["decay", "--max-level", "3"]
+            ["decay"]
             + extra
             + ([] if text is None else ["--config", "{tmp}/cfg.json"]),
             2,

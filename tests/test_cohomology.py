@@ -21,10 +21,10 @@ from qfocklab.cohomology import (
     product_cochain,
     random_symbol,
     verify_bar_square,
-    verify_derivation_norm,
     verify_leibniz,
     verify_prefix_anticommutes,
 )
+from oracles import verify_derivation_norm
 
 
 def params(q=0.4, dim=2, max_level=6):

@@ -18,8 +18,9 @@ from qfocklab.errors import (
     ParamMismatch,
     ShapeMismatch,
 )
-from qfocklab.numerics import hermitian_eig, rank_tolerance
+from qfocklab.numerics import hermitian_eig, psd_inv_sqrt
 from qfocklab.qfock import (
+    LEVEL_CAP,
     MATRIX_DIM_CAP,
     MEMO_PARAM_PAIRS,
     FockOperator,
@@ -71,7 +72,7 @@ def psd_inv_sqrt_by_eig(g):
     below the rank tolerance: an oracle independent of the Cholesky factor
     the library inverts every Gram with."""
     w, v = hermitian_eig(g)
-    cut = rank_tolerance(g.shape[0], abs(float(w[-1])))
+    cut = g.shape[0] * np.finfo(float).eps * max(float(w[-1]), 0.0)
     inv = np.where(w > cut, 1.0 / np.sqrt(np.where(w > cut, w, 1.0)), 0.0)
     return (v * inv) @ v.conj().T
 
@@ -490,6 +491,92 @@ def test_params_materialization_budget():
         FockParams(q=0.5, dim=3, max_level=8)
     with pytest.raises(ParamMismatch):
         FockParams(q=1.0, dim=2, max_level=2)
+
+
+def test_params_budgets_compare_the_exponent_without_forming_the_power():
+    # dim^max_level with max_level 1e20 is never formed, so these return
+    for make in (
+        lambda: FockParams(q=0.5, dim=2, max_level=10**20),
+        lambda: FockParams(q=0.5, dim=10**9, max_level=10**20),
+        lambda: params().check_level_budget(10**20),
+    ):
+        with pytest.raises(LevelTooLarge):
+            make()
+    for dim, m, cap in itertools.product(range(1, 6), range(0, 20), (1, 2, 4096, 65536)):
+        assert qfock._power_exceeds(dim, m, cap) == (dim**m > cap), (dim, m, cap)
+
+
+def test_params_level_cap_binds_at_dim_one():
+    FockParams(q=0.5, dim=1, max_level=LEVEL_CAP)
+    with pytest.raises(LevelTooLarge, match="level cap"):
+        FockParams(q=0.5, dim=1, max_level=LEVEL_CAP + 1)
+
+
+def test_basis_tensor_checks_the_budget_before_allocating():
+    # a dim-long level-1 tensor at this dim is 16 PB: refused at once if
+    # the check came after the allocation
+    p = FockParams(q=0.3, dim=10**15, max_level=0)
+    with pytest.raises(LevelTooLarge):
+        basis_tensor(p, [1])
+
+
+def q_number(q, n):
+    """[n]_q = 1 + q + ... + q^(n-1)."""
+    return sum(q**i for i in range(n))
+
+
+def distinct_letter_gram_block(p, n):
+    """The level-n Gram at dim n on the n! words with distinct letters,
+    with their flat indices.  Column w is P_n e_w = (P_(n-1) (x) 1)
+    R*(n-1, 1) e_w, which keeps the dense level-5 Gram (156 MiB) out of
+    memory."""
+    rows = [
+        sum(letter * n ** (n - 1 - slot) for slot, letter in enumerate(word))
+        for word in itertools.permutations(range(n))
+    ]
+    words = np.zeros((len(rows), p.dim**n), dtype=complex)
+    words[np.arange(len(rows)), rows] = 1.0
+    split = split_tensor(p.q, words.reshape((len(rows),) + (p.dim,) * n), n - 1, 1, offset=1)
+    columns = symmetrizer(p, n - 1) @ split.reshape(len(rows), p.dim ** (n - 1), p.dim)
+    return rows, columns.reshape(len(rows), -1)[:, rows].T
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, -0.6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_distinct_letter_gram_block_has_zagiers_determinant(n, q):
+    # On the n! words with distinct letters the level-n Gram is the regular
+    # representation of sum_sigma q^inv(sigma) sigma, whose determinant is
+    # prod_k (1 - q^(k^2+k))^((n-k) n! / (k^2+k)) (D. Zagier, Comm. Math.
+    # Phys. 147, 1992).
+    p = FockParams(q=q, dim=n, max_level=n)
+    rows, block = distinct_letter_gram_block(p, n)
+    blocks = [block]
+    if n <= 4:  # the dense Gram too, where it is small
+        blocks.append(symmetrizer(p, n)[np.ix_(rows, rows)])
+    want = sum(
+        (n - k) * len(rows) // (k * k + k) * np.log(1 - q ** (k * k + k)) for k in range(1, n)
+    )
+    for block in blocks:
+        sign, logdet = np.linalg.slogdet(block)
+        assert sign == pytest.approx(1.0)
+        assert logdet == pytest.approx(want, rel=1e-10, abs=1e-10)
+        # the same number from the inverse Cholesky factor W = L^-H
+        via_factor = -2.0 * np.sum(np.log(np.diag(psd_inv_sqrt(block)).real))
+        assert via_factor == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("q", [0.5, -0.5, 0.9])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_creation_norm_on_each_level_has_its_closed_form(dim, q):
+    # ||a*(e1)||^2 on level m is [m+1]_q for q >= 0 at every dim; for q < 0
+    # it is [m+1]_q at dim 1 and 1 at dim >= 2 (Bozejko-Kummerer-Speicher,
+    # Comm. Math. Phys. 185, 1997).
+    p = FockParams(q=q, dim=dim, max_level=5)
+    create = creation(p, np.eye(dim)[0])
+    for m in range(5):
+        got = create.q_singular_values([m])[0] ** 2
+        want = q_number(q, m + 1) if q >= 0 or dim == 1 else 1.0
+        assert got == pytest.approx(want, rel=1e-11), m
 
 
 def test_split_tensor_matches_matrix():

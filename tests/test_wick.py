@@ -1,10 +1,16 @@
 """Wick operators and the three mutually-validating product routes."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
 from qfocklab.errors import ShapeMismatch, TruncationLoss
+from qfocklab import wick as wick_mod
+from qfocklab.partitions import SegmentShape, crossing_number, enumerate_pair_partitions
 from qfocklab.qfock import (
+    LEVEL_CAP,
     FockOperator,
     FockParams,
     annihilation,
@@ -421,42 +427,56 @@ def test_package_attributes_named_after_submodules_are_the_submodules():
     assert qfocklab.wick.wick is wick
 
 
-def _einsumfunc():
-    import importlib
 
-    try:
-        return importlib.import_module("numpy._core.einsumfunc")
-    except ImportError:  # numpy < 2
-        return importlib.import_module("numpy.core.einsumfunc")
+def touchard_riordan(q: Fraction, k: int) -> Fraction:
+    """<vacuum, s(e1)^2k vacuum>, the sum over pair partitions of 2k points
+    of q^crossings, in closed form (J. Riordan, Math. Comp. 29, 1975)."""
+    ballots = [comb(2 * k, k - j) - comb(2 * k, k - j - 1) for j in range(k)] + [1]
+    total = sum((-1) ** j * q ** (j * (j + 1) // 2) * b for j, b in enumerate(ballots))
+    return total / (1 - q) ** k
 
 
-def test_triple_product_searches_each_contraction_path_once(monkeypatch):
-    from qfocklab import wick as wick_mod
+def _moment_by_three_word_route(p, route, k):
+    """<vacuum, s(e1)^2k vacuum>, applying s(e1) s(e1) k times: each step
+    is one three-word product per level of the vector so far."""
+    e1 = wick(p, [1])
+    x = Element.one(p)
+    for _ in range(k):
+        steps = (route(p, e1, e1, Element(p, {m: t})) for m, t in x.levels.items())
+        x = sum(steps, Element.zero(p))
+    return x.trace()
 
-    p = FockParams(q=0.5, dim=2, max_level=6)
-    rng = np.random.default_rng(5)
-    syms = [rng.standard_normal((2,) * 2) for _ in range(3)]
-    # a search is numpy's greedy path finder, called by einsum_path
-    searches = []
-    module = _einsumfunc()
-    real = module._greedy_path
 
-    def counting(*args, **kwargs):
-        searches.append(1)
-        return real(*args, **kwargs)
+@pytest.mark.parametrize("q", [Fraction(3, 10), Fraction(-7, 10)], ids=["0.3", "-0.7"])
+def test_vacuum_moments_match_touchard_riordan_by_every_route(q):
+    p = FockParams(q=float(q), dim=1, max_level=12)
+    e1 = wick(p, [1])
+    for k in range(1, 7):
+        want = touchard_riordan(q, k)
+        if k <= 5:
+            pairings = [
+                part
+                for part in enumerate_pair_partitions(SegmentShape((1,) * (2 * k)))
+                if not part.singletons
+            ]
+            assert sum(q ** crossing_number(part).regular for part in pairings) == want
+        moments = {
+            "direct": product_direct(p, [e1] * (2 * k)).trace(),
+            "partition": _moment_by_three_word_route(
+                p, lambda p, *words: product_partition(p, words), k
+            ),
+            "rstar": _moment_by_three_word_route(p, product_triple, k),
+        }
+        for route, got in moments.items():
+            assert got.imag == 0.0, route
+            assert got.real == pytest.approx(float(want), rel=1e-12, abs=0), (route, k)
 
-    monkeypatch.setattr(module, "_greedy_path", counting)
-    wick_mod._einsum_path.cache_clear()
-    first = product_triple(p, *syms)
-    assert searches, "a cold cache searches its paths"
-    searches.clear()
-    again = product_triple(p, *syms)
-    assert searches == []
-    assert wick_mod._einsum_path.cache_info().maxsize == wick_mod.EINSUM_PATH_CACHE_SIZE
-    # the searching route: optimize=True on every call
-    monkeypatch.setattr(wick_mod, "_einsum_path", lambda spec, shapes: True)
-    searched = product_triple(p, *syms)
-    assert searches
-    for got in (first, again):
-        assert got.levels.keys() == searched.levels.keys()
-        assert all(np.array_equal(got.levels[m], searched.levels[m]) for m in got.levels)
+
+def test_level_cap_keeps_every_einsum_spec_in_the_alphabet():
+    # an einsum spec names each axis by a letter, and numpy's path search
+    # takes one more letter for the batch axis
+    assert LEVEL_CAP == len(wick_mod._LETTERS) - 1
+    p = FockParams(q=0.3, dim=1, max_level=LEVEL_CAP)
+    a = wick(p, [1])
+    psi = gradient_map(a, a, 0.0, "rstar")
+    assert psi.realized.blocks[LEVEL_CAP - 2, LEVEL_CAP - 2].shape == (1, 1)
