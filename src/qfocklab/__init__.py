@@ -44,11 +44,9 @@ from .wick import (
     product_direct,
     product_partition,
     product_triple,
-    trace,
 )
 from .gradient import (
     GradientVector,
-    PsiMap,
     gamma,
     gradient_map,
     level_norm,

@@ -58,13 +58,9 @@ class FilteredModel:
     """
 
     params: FockParams
-    kind: str
     eigenvalues: list[float]
     bases: list[list[Element]]
     vacuum_unit: GradientVector
-
-    def eigenspace_count(self) -> int:
-        return len(self.eigenvalues)
 
 
 def _orthonormal_words(params: FockParams, level: int) -> list[Element]:
@@ -137,7 +133,7 @@ def _build_vacuum_unit(model: FilteredModel) -> GradientVector:
     params = model.params
     one = Element.one(params)
     e1 = Element.word(params, [1])
-    images = [_s_image_terms(model, n) for n in range(1, model.eigenspace_count())]
+    images = [_s_image_terms(model, n) for n in range(1, len(model.eigenvalues))]
     image_prods = [_term_products(params, s) for s in images]
     for a, xi in ((e1, e1), (e1 * e1, one)):
         column = BatchedTerm({m: t[..., None] for m, t in a.levels.items()}, xi.levels, "a")
@@ -166,7 +162,7 @@ def build_ou_model(params: FockParams, check: bool = True) -> FilteredModel:
     """
     eigenvalues = [float(n) for n in range(params.max_level + 1)]
     bases = [_orthonormal_words(params, n) for n in range(params.max_level + 1)]
-    model = FilteredModel(params, "ou-qfock", eigenvalues, bases, None)
+    model = FilteredModel(params, eigenvalues, bases, None)
     model.vacuum_unit = _build_vacuum_unit(model)
     if check:
         check_eigenspaces(model)
@@ -230,7 +226,7 @@ def s_isometry_report(model: FilteredModel) -> IsometryReport:
     """
     blocks = [(1, _vacuum_unit_terms(model, np.ones(1)))]
     labels = [(0, 0)]
-    for n in range(1, model.eigenspace_count()):
+    for n in range(1, len(model.eigenvalues)):
         width = len(model.bases[n])
         blocks.append((width, [_s_image_terms(model, n)]))
         labels.extend((n, i) for i in range(width))

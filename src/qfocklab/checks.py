@@ -113,18 +113,23 @@ def _check_rstar(cfg, params):
     return worst, 1e-11
 
 
+def _block_gap(lhs, rhs) -> float:
+    """Largest entry of |lhs - rhs| over the union of the two operators'
+    blocks, a missing block counting as zero."""
+    worst = 0.0
+    for key in set(lhs.blocks) | set(rhs.blocks):
+        gap = np.abs(np.asarray(lhs.blocks.get(key, 0.0)) - np.asarray(rhs.blocks.get(key, 0.0)))
+        worst = max(worst, float(np.max(gap)))
+    return worst
+
+
 def _check_annihilation(cfg, params):
     worst = 0.0
     for i in range(params.dim):
         xi = np.zeros(params.dim)
         xi[i] = 1.0
         lhs = annihilation(params, xi)
-        rhs = creation(params, xi).gram_adjoint()
-        for key in set(lhs.blocks) | set(rhs.blocks):
-            gap = np.abs(
-                np.asarray(lhs.blocks.get(key, 0.0)) - np.asarray(rhs.blocks.get(key, 0.0))
-            )
-            worst = max(worst, float(np.max(gap)))
+        worst = max(worst, _block_gap(lhs, creation(params, xi).gram_adjoint()))
     return worst, 1e-10
 
 
@@ -151,13 +156,7 @@ def _check_psi_triangle(cfg, params):
         b = wick(params, coh.random_symbol(rng, params.dim, k))
         base = gradient_map(a, b, cfg.time_t, "direct")
         for route in ("partition", "rstar"):
-            other = gradient_map(a, b, cfg.time_t, route)
-            for key in set(base.realized.blocks) | set(other.realized.blocks):
-                gap = np.abs(
-                    np.asarray(base.realized.blocks.get(key, 0.0))
-                    - np.asarray(other.realized.blocks.get(key, 0.0))
-                )
-                worst = max(worst, float(np.max(gap)))
+            worst = max(worst, _block_gap(base, gradient_map(a, b, cfg.time_t, route)))
     return worst, 1e-8
 
 

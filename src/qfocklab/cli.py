@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -244,7 +244,7 @@ def cmd_threshold(cfg: ExperimentConfig) -> int:
     rows = []
     verdicts = []
     for q in grid:
-        params = FockParams(q=q, dim=cfg.dim, max_level=cfg.max_level)
+        params = replace(cfg, q=q).fock_params()
         a = wick(params, cfg.word_a)
         b = wick(params, cfg.word_b)
         report = schatten_diagnostic(gradient_map(a, b, 0.0, cfg.route), cfg.p)
@@ -310,9 +310,7 @@ def cmd_ao_decay(cfg: ExperimentConfig) -> int:
 def cmd_torus(cfg: ExperimentConfig) -> int:
     from . import torus
 
-    builder = torus.heat_psi if cfg.semigroup == "heat" else torus.poisson_psi
-    pm = builder(cfg.l, cfg.m, cfg.window)
-    table = pm.table()
+    table = torus.psi_table(cfg.semigroup, cfg.l, cfg.m, cfg.window)
     header = ["k", "coefficient"]
     rows = [[k, coeff] for k, coeff in table]
     _write_csv(cfg, header, rows)

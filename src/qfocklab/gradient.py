@@ -16,7 +16,9 @@ that must agree on their common lossless region:
 All three are composed with -(1/2) times the semigroup and are linear
 in the middle word, so each source level goes through one evaluation
 whose middle word is the level's whole basis, the identity, in chunks
-of columns (``_batched_blocks``).
+of columns (``_batched_blocks``).  ``gradient_map`` returns the map as
+a level-block ``FockOperator``, which ``level_norm`` and the Schatten
+diagnostics read.
 
 Gradient-module Grams come two ways.  ``nabla_gram`` pairs explicit
 gradient vectors term by term, one gradient form per pair of terms.
@@ -28,12 +30,12 @@ per pair of entries and terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadExponent, TruncationLoss, UnknownRoute
-from .numerics import _psd_eig
+from .numerics import _psd_eig, hermitian_gram
 from .qfock import (
     FockOperator,
     FockParams,
@@ -140,18 +142,6 @@ def psi_element(a: Element, b: Element, x: Element, t: float = 0.0) -> Element:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PsiMap:
-    """Gradient map for a pair of Wick words, realized as level blocks."""
-
-    params: FockParams
-    a: Element
-    b: Element
-    t: float
-    route: str
-    realized: FockOperator
-
-
 def _batched_blocks(params: FockParams, m: int, t: float, contract, columns: int):
     """The blocks of source level m from a route that is linear in its
     middle word, composed with -(1/2) times the semigroup.
@@ -185,7 +175,7 @@ def gradient_map(
     b: Element,
     t: float = 0.0,
     route: str = "direct",
-) -> PsiMap:
+) -> FockOperator:
     """Assemble the gradient map of the word pair on the truncated space.
 
     Only the lossless sources are assembled: a source level m maps into
@@ -240,19 +230,19 @@ def gradient_map(
         level = _batched_blocks(params, m, t, lambda batch: contract(m, batch), columns)
         blocks.update(((m, lvl), blk) for lvl, blk in level.items())
     lossy = frozenset(range(max(cap + 1, 0), top + 1))
-    return PsiMap(params, a, b, t, route, FockOperator(params, blocks, lossy))
+    return FockOperator(params, blocks, lossy)
 
 
-def level_norm(psi: PsiMap, m: int) -> float:
+def level_norm(op: FockOperator, m: int) -> float:
     """Operator norm of the restriction of the map to source level m,
     measured between the q-metric source and the graded q-metric target.
 
     Computed from the Cholesky standard form of the Gram pencil, which
     gives the same number as conjugating by the Gram square roots.
     """
-    if m in psi.realized.lossy_sources:
+    if m in op.lossy_sources:
         raise TruncationLoss(f"source level {m} was truncated during assembly")
-    return float(psi.realized.q_singular_values([m])[0])
+    return float(op.q_singular_values([m])[0])
 
 
 def fit_log_slope(levels, values):
@@ -280,7 +270,7 @@ class SchattenReport:
     rows: list[DecayRow]
     ratio_estimate: float
     verdict: str
-    threshold_ratio: float = field(default=float("nan"))
+    threshold_ratio: float
 
 
 def _check_exponent(p: float) -> None:
@@ -288,12 +278,11 @@ def _check_exponent(p: float) -> None:
         raise BadExponent(f"Schatten exponent must be >= 1, got {p}")
 
 
-def _lossless_sources(psi: PsiMap) -> list[int]:
-    lossy = psi.realized.lossy_sources
-    return [m for m in range(psi.params.max_level + 1) if m not in lossy]
+def _lossless_sources(op: FockOperator) -> list[int]:
+    return [m for m in range(op.params.max_level + 1) if m not in op.lossy_sources]
 
 
-def schatten_diagnostic(psi: PsiMap, p: float) -> SchattenReport:
+def schatten_diagnostic(op: FockOperator, p: float) -> SchattenReport:
     """Bound the Schatten-p norm level by level and judge summability.
 
     Each source level m contributes at most dim^(m/p) times the
@@ -307,12 +296,12 @@ def schatten_diagnostic(psi: PsiMap, p: float) -> SchattenReport:
     Schatten norm of the whole truncation is ``truncated_schatten_norm``.
     """
     _check_exponent(p)
-    params = psi.params
+    params = op.params
     rows: list[DecayRow] = []
     partial = 0.0
     prev_bound = None
-    for m in _lossless_sources(psi):
-        ln = level_norm(psi, m)
+    for m in _lossless_sources(op):
+        ln = level_norm(op, m)
         bound = params.dim ** (m / p) * ln if p != np.inf else ln
         partial += bound
         ratio = float("nan") if prev_bound in (None, 0.0) else bound / prev_bound
@@ -341,12 +330,12 @@ def schatten_diagnostic(psi: PsiMap, p: float) -> SchattenReport:
     )
 
 
-def truncated_schatten_norm(psi: PsiMap, p: float) -> float:
+def truncated_schatten_norm(op: FockOperator, p: float) -> float:
     """Schatten-p norm of the assembled truncation on its lossless
     sources, from one joint pencil over all of them (a reference value
     beside the level-by-level bounds of ``schatten_diagnostic``)."""
     _check_exponent(p)
-    svals = psi.realized.q_singular_values(_lossless_sources(psi))
+    svals = op.q_singular_values(_lossless_sources(op))
     if svals.size == 0:
         return 0.0
     top = float(svals[0])
@@ -494,21 +483,8 @@ def nabla_pairing_value(u: GradientVector, v: GradientVector) -> complex:
     return complex(total)
 
 
-def _hermitian_gram(items: list, pairing) -> np.ndarray:
-    """Gram matrix of ``pairing`` over ``items``, filled on i <= j and
-    mirrored by conjugation."""
-    n = len(items)
-    g = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            val = pairing(items[i], items[j])
-            g[i, j] = val
-            g[j, i] = np.conj(val)
-    return g
-
-
 def nabla_gram(vectors: list[GradientVector]) -> np.ndarray:
-    return _hermitian_gram(vectors, nabla_pairing_value)
+    return hermitian_gram(vectors, nabla_pairing_value)
 
 
 def nabla_norm(v: GradientVector) -> float:
@@ -516,7 +492,7 @@ def nabla_norm(v: GradientVector) -> float:
     and evaluate the quadratic form on the all-ones coefficient vector."""
     if not v.terms:
         return 0.0
-    g = _hermitian_gram(v.terms, lambda s, t: _term_pairing(*s, *t))
+    g = hermitian_gram(v.terms, lambda s, t: _term_pairing(*s, *t))
     w, u = _psd_eig(0.5 * (g + g.conj().T), NABLA_GRAM_RTOL)
     ones = np.ones(len(v.terms))
     return float(np.sqrt(max((ones @ ((u * w) @ u.conj().T) @ ones).real, 0.0)))

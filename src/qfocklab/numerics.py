@@ -4,7 +4,8 @@ Thin, defensively-checked wrappers around LAPACK via numpy: Hermitian
 eigendecomposition, and the inverse Cholesky square root of a positive
 definite matrix through the inverse of its lower-triangular factor.
 The latter is the one factorization by which the library inverts a
-level Gram.  Everything is deterministic (fixed LAPACK drivers, no
+level Gram.  ``hermitian_gram`` fills a Gram matrix from a pairing,
+for the gradient module and the circle model alike.  Everything is deterministic (fixed LAPACK drivers, no
 randomized algorithms), so downstream golden values are stable.
 """
 
@@ -47,6 +48,19 @@ def hermitian_eig(a):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigenFailure(str(exc)) from exc
     return w, v
+
+
+def hermitian_gram(items: list, pairing) -> np.ndarray:
+    """Gram matrix of ``pairing`` over ``items``, filled on i <= j and
+    mirrored by conjugation."""
+    n = len(items)
+    g = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            val = pairing(items[i], items[j])
+            g[i, j] = val
+            g[j, i] = np.conj(val)
+    return g
 
 
 def _psd_eig(g, tol: float):

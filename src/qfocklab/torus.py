@@ -5,7 +5,8 @@ Every coefficient here is exact (integers or rationals); floats appear
 only in the norm layer.  The heat generator squares the frequency, the
 Poisson generator takes its absolute value; their gradient maps come
 out in closed form, which makes this model the bit-exact oracle for the
-generic machinery on diagonal multipliers.
+generic machinery on diagonal multipliers.  ``psi_table`` lists a
+gradient map's coefficients over a symmetric frequency window.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ShapeMismatch, WindowOverflow
+from .errors import WindowOverflow
+from .numerics import hermitian_gram
 
 
 def heat_symbol(k: int) -> int:
@@ -52,61 +54,16 @@ def poisson_psi_coefficient(l: int, m: int, k: int) -> Fraction:
     return generic_psi_coefficient(poisson_symbol, l, m, k)
 
 
-@dataclass(frozen=True)
-class FreqWindow:
-    """Symmetric frequency window [-size, size]."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ShapeMismatch(f"window size must be >= 1, got {self.size}")
-
-    def modes(self):
-        return range(-self.size, self.size + 1)
-
-    def check(self, k: int) -> None:
-        if abs(k) > self.size:
-            raise WindowOverflow(f"mode {k} outside window +-{self.size}")
-
-
-@dataclass
-class ModePsiMap:
-    """Gradient map of a mode pair: shifts frequency by l+m with an
-    exact per-mode coefficient."""
-
-    l: int
-    m: int
-    window: FreqWindow
-    semigroup: str  # "heat" | "poisson"
-
-    def coefficient(self, k: int):
-        self.window.check(k)
-        self.window.check(self.l + k + self.m)
-        if self.semigroup == "heat":
-            return heat_psi_coefficient(self.l, self.m, k)
-        return poisson_psi_coefficient(self.l, self.m, k)
-
-    def representable_modes(self):
-        """Input modes whose shifted output stays inside the window."""
-        shift = self.l + self.m
-        lo = max(-self.window.size, -self.window.size - shift)
-        hi = min(self.window.size, self.window.size - shift)
-        return range(lo, hi + 1)
-
-    def table(self):
-        return [(k, self.coefficient(k)) for k in self.representable_modes()]
-
-    def support(self):
-        return [k for k, c in self.table() if c != 0]
-
-
-def heat_psi(l: int, m: int, window: int) -> ModePsiMap:
-    return ModePsiMap(l, m, FreqWindow(window), "heat")
-
-
-def poisson_psi(l: int, m: int, window: int) -> ModePsiMap:
-    return ModePsiMap(l, m, FreqWindow(window), "poisson")
+def psi_table(semigroup: str, l: int, m: int, window: int) -> list[tuple[int, int | Fraction]]:
+    """Rows (k, coefficient) of the gradient map of the mode pair (l, m)
+    under the "heat" or "poisson" semigroup, over the input modes k of
+    the window [-window, window] whose output mode l+k+m stays inside it.
+    """
+    coefficient = heat_psi_coefficient if semigroup == "heat" else poisson_psi_coefficient
+    shift = l + m
+    lo = max(-window, -window - shift)
+    hi = min(window, window - shift)
+    return [(k, coefficient(l, m, k)) for k in range(lo, hi + 1)]
 
 
 def poisson_rank_bound(l: int, m: int) -> int:
@@ -177,14 +134,7 @@ def poisson_s_gram(window: int) -> np.ndarray:
     for j in range(1, window + 1):
         images.append(poisson_s_image(j))
         images.append(poisson_s_image(-j))
-    n = len(images)
-    gram = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            val = images[i].pairing(images[j])
-            gram[i, j] = val
-            gram[j, i] = np.conj(val)
-    return gram
+    return hermitian_gram(images, ModeGradientVector.pairing)
 
 
 def poisson_t_image(l: int, m: int, k: int) -> ModeGradientVector:
@@ -215,10 +165,8 @@ def poisson_t_block_norm(l: int, m: int, j: int) -> float:
     if j == 0:
         return poisson_t_image(l, m, 0).norm()
     images = [poisson_t_image(l, m, j), poisson_t_image(l, m, -j)]
-    gram = np.array(
-        [[u.pairing(v) for v in images] for u in images], dtype=complex
-    )
-    vals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+    gram = hermitian_gram(images, ModeGradientVector.pairing)
+    vals = np.linalg.eigvalsh(gram)
     return float(np.sqrt(max(float(vals[-1]), 0.0)))
 
 

@@ -297,13 +297,6 @@ def wick(params: FockParams, symbol) -> Element:
     return Element.from_symbol(params, t)
 
 
-def trace(x: Element) -> complex:
-    """Vacuum state: level-0 coefficient of x applied to the vacuum."""
-    if not isinstance(x, Element):
-        raise ShapeMismatch(f"cannot trace {type(x).__name__}")
-    return x.trace()
-
-
 def _as_element(params: FockParams, w) -> Element:
     if isinstance(w, Element):
         _require_same_params(params, w.params)

@@ -108,10 +108,10 @@ def test_criterion_05_gradient_map_triangle():
                     route: gradient_map(a, b, 0.0, route)
                     for route in ("direct", "partition", "rstar")
                 }
-                keys = set().union(*(m.realized.blocks for m in maps.values()))
+                keys = set().union(*(m.blocks for m in maps.values()))
                 for key in keys:
                     mats = [
-                        np.asarray(m.realized.blocks.get(key, 0.0))
+                        np.asarray(m.blocks.get(key, 0.0))
                         for m in maps.values()
                     ]
                     worst = max(

@@ -359,7 +359,7 @@ def test_batched_filtration_detects_a_two_level_element():
     bases = [list(b) for b in ou.bases]
     bases[1][0] = bases[1][0] + Element.word(p, [1, 2])
     bases[2][1] = bases[2][1] + Element.word(p, [2, 1, 2]).scaled(0.5j)
-    model = FilteredModel(p, "hand-built", ou.eigenvalues, bases, ou.vacuum_unit)
+    model = FilteredModel(p, ou.eigenvalues, bases, ou.vacuum_unit)
     for m, n in [(1, 1), (1, 2), (2, 1), (0, 2), (2, 2), (1, 3), (3, 1)]:
         oracle = pairwise_filtration_check(model, m, n)
         assert oracle > FILTRATION_TOL

@@ -728,6 +728,17 @@ ROBUSTNESS_CASES = {
     "flag-not-an-int": (["decay", "--dim", "two"], 2, "invalid int value"),
     "unknown-flag": (["decay", "--nope", "1"], 2, "unrecognized arguments"),
     "no-finite-ratio": (["decay", "--q", "0.79", "--max-level", "2"], 2, "TRUNCATION_LOSS"),
+    # threshold builds each grid point's parameters through the config
+    "threshold-level-over-the-einsum-alphabet": (
+        ["threshold", "--dim", "1", "--max-level", "52"],
+        2,
+        "config error: [CONFIG_ERROR] [LEVEL_TOO_LARGE] max_level 52",
+    ),
+    "threshold-word-over-the-budget": (
+        ["threshold", "--dim", "1000000000", "--max-level", "0"],
+        2,
+        "config error: [CONFIG_ERROR] [LEVEL_TOO_LARGE] level 1 with dim 1000000000",
+    ),
     "verify-tiny-tol": (["verify", "--max-level", "3", "--tol", "1e-300"], 1, ""),
     "verify-out-device": (["verify", "--max-level", "3", "--out", os.devnull], 0, ""),
     **{
@@ -752,7 +763,7 @@ def test_edge_case_invocations_exit_cleanly(case, tmp_path, monkeypatch, capsys)
 
     # no case runs the torus, so a window cap that let one through
     # cannot start an unbounded run
-    for name in ("heat_psi", "poisson_psi", "poisson_t_decay"):
+    for name in ("psi_table", "poisson_t_decay"):
         monkeypatch.setattr(torus, name, build)
     argv, expected, says = ROBUSTNESS_CASES[case]
     if "/dev/full" in argv and not os.path.exists("/dev/full"):

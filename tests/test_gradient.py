@@ -51,12 +51,12 @@ def random_element(rng, p, levels):
 
 def map_deviation(pm_a, pm_b):
     worst = 0.0
-    keys = set(pm_a.realized.blocks) | set(pm_b.realized.blocks)
+    keys = set(pm_a.blocks) | set(pm_b.blocks)
     for key in keys:
-        if key[0] in pm_a.realized.lossy_sources | pm_b.realized.lossy_sources:
+        if key[0] in pm_a.lossy_sources | pm_b.lossy_sources:
             continue
-        left = np.asarray(pm_a.realized.blocks.get(key, 0.0))
-        right = np.asarray(pm_b.realized.blocks.get(key, 0.0))
+        left = np.asarray(pm_a.blocks.get(key, 0.0))
+        right = np.asarray(pm_b.blocks.get(key, 0.0))
         worst = max(worst, float(np.max(np.abs(left - right))))
     return worst
 
@@ -186,7 +186,7 @@ def test_psi_scalar_example():
     # same value through the partition-expansion route
     word = wick(p, [1])
     pm = gradient_map(word, word, 0.0, "partition")
-    assert pm.realized.blocks[(0, 0)][0, 0] == pytest.approx(1.0)
+    assert pm.blocks[(0, 0)][0, 0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("route", ROUTES[1:])
@@ -220,7 +220,7 @@ def test_gradient_map_shares_the_word_contract(route):
         gradient_map(two_levels, word, 0.0, route)
     with pytest.raises(ShapeMismatch):
         gradient_map(word, two_levels, 0.0, route)
-    zero = gradient_map(wick(p, np.zeros((2, 2))), word, 0.0, route).realized
+    zero = gradient_map(wick(p, np.zeros((2, 2))), word, 0.0, route)
     assert not zero.blocks
     # the zero word is level 0: only sources m with 0 + m + 2 > 5 are cut
     assert zero.lossy_sources == {4, 5}
@@ -237,17 +237,16 @@ def test_gradient_map_over_different_params_is_a_param_mismatch(route):
 def test_gradient_map_builds_only_its_lossless_sources(route):
     p = params(q=0.4, max_level=5)
     psi = gradient_map(wick(p, [1]), wick(p, [2, 1]), 0.0, route)
-    realized = psi.realized
     # source m reaches level 1 + m + 2, so only m <= 2 is lossless
-    assert realized.blocks
-    assert all(src <= 2 for src, _ in realized.blocks)
-    assert realized.lossy_sources == {3, 4, 5}
-    assert realized.apply(basis_vector(p, [1, 2])).lossless
-    assert not realized.apply(basis_vector(p, [1, 2, 1])).lossless
+    assert psi.blocks
+    assert all(src <= 2 for src, _ in psi.blocks)
+    assert psi.lossy_sources == {3, 4, 5}
+    assert psi.apply(basis_vector(p, [1, 2])).lossless
+    assert not psi.apply(basis_vector(p, [1, 2, 1])).lossless
     with pytest.raises(TruncationLoss):
         level_norm(psi, 3)
     # words of levels 3 and 3 fit no source under level 5
-    none = gradient_map(wick(p, [1, 2, 1]), wick(p, [2, 1, 2]), 0.0, route).realized
+    none = gradient_map(wick(p, [1, 2, 1]), wick(p, [2, 1, 2]), 0.0, route)
     assert not none.blocks
     assert none.lossy_sources == set(range(6))
 
@@ -259,7 +258,7 @@ def test_psi_block_band_and_parity():
     b = wick(p, rng.standard_normal((2,)))
     pm = gradient_map(a, b, 0.0, "rstar")
     n, k = a.top_level(), b.top_level()
-    for (src, dst), blk in pm.realized.blocks.items():
+    for (src, dst), blk in pm.blocks.items():
         assert src - n - k <= dst <= src + n + k
         assert (dst - src - n - k) % 2 == 0
 
@@ -710,11 +709,11 @@ def test_batched_blocks_match_column_oracle(route, q):
             want, lossy = columns_to_blocks(
                 p, a.top_level(), b.top_level(), column_oracle(route, a, b, t)
             )
-            assert got.realized.lossy_sources == lossy
-            assert set(got.realized.blocks) == set(want)
+            assert got.lossy_sources == lossy
+            assert set(got.blocks) == set(want)
             for key, blk in want.items():
                 scale = np.max(np.abs(blk))
-                gap = np.max(np.abs(got.realized.blocks[key] - blk))
+                gap = np.max(np.abs(got.blocks[key] - blk))
                 assert gap <= 1e-13 * scale, (dim, word_a, word_b, key, gap / scale)
 
 
@@ -725,13 +724,13 @@ def test_batched_blocks_in_chunks_match_one_batch(route, monkeypatch):
     grad = importlib.import_module("qfocklab.gradient")
     p = FockParams(q=0.3, dim=2, max_level=7)
     a, b = wick(p, [1]), wick(p, [1])
-    whole = gradient_map(a, b, 0.4, route).realized
+    whole = gradient_map(a, b, 0.4, route)
     monkeypatch.setattr(grad, "BATCH_COLUMNS", 7)
     # the direct route sizes chunks by its widest level m + 2: 7 * 2^7
     # entries give 7 columns at source level 5 (of 32) and 14 at level 4
     # (of 16); levels up to 3 fit in one chunk
     monkeypatch.setattr(grad, "BATCH_ENTRIES", 7 * 2**7)
-    chunked = gradient_map(a, b, 0.4, route).realized
+    chunked = gradient_map(a, b, 0.4, route)
     assert chunked.lossy_sources == whole.lossy_sources
     assert set(chunked.blocks) == set(whole.blocks)
     for key, blk in whole.blocks.items():

@@ -7,12 +7,9 @@ import pytest
 
 from qfocklab.errors import WindowOverflow
 from qfocklab.torus import (
-    FreqWindow,
     generic_psi_coefficient,
-    heat_psi,
     heat_psi_coefficient,
     heat_symbol,
-    poisson_psi,
     poisson_psi_coefficient,
     poisson_rank_bound,
     poisson_s_gram,
@@ -21,7 +18,12 @@ from qfocklab.torus import (
     poisson_t_decay,
     poisson_t_image,
     poisson_zero_mode_unit,
+    psi_table,
 )
+
+
+def support(l, m, window):
+    return [k for k, c in psi_table("poisson", l, m, window) if c != 0]
 
 
 def test_heat_coefficient_closed_form():
@@ -60,28 +62,20 @@ def test_poisson_examples_and_vanishing():
 
 def test_poisson_rank_bound_and_support():
     for l, m in [(1, 1), (2, 1), (-2, 3), (1, -4)]:
-        pm = poisson_psi(l, m, 32)
-        support = pm.support()
-        assert len(support) <= poisson_rank_bound(l, m)
-        assert all(abs(k) < abs(l) + abs(m) for k in support)
+        got = support(l, m, 32)
+        assert len(got) <= poisson_rank_bound(l, m)
+        assert all(abs(k) < abs(l) + abs(m) for k in got)
     # the (1, 1) map has exactly one nonzero coefficient, at k = -1
-    assert poisson_psi(1, 1, 8).support() == [-1]
+    assert support(1, 1, 8) == [-1]
 
 
 def test_window_policy():
-    win = FreqWindow(8)
-    assert list(win.modes()) == list(range(-8, 9))
-    pm = heat_psi(1, 1, 8)
-    assert list(pm.representable_modes()) == list(range(-8, 7))
-    with pytest.raises(WindowOverflow):
-        pm.coefficient(7)  # output mode 9 leaves the window
-    with pytest.raises(WindowOverflow):
-        pm.coefficient(12)
+    # input mode 7 would map to output mode 9, outside the window
+    assert [k for k, _ in psi_table("heat", 1, 1, 8)] == list(range(-8, 7))
 
 
 def test_table_is_exact():
-    pm = poisson_psi(2, 1, 16)
-    table = dict(pm.table())
+    table = dict(psi_table("poisson", 2, 1, 16))
     assert table[0] == Fraction(0)
     assert all(isinstance(v, Fraction) for v in table.values())
 

@@ -31,7 +31,6 @@ from qfocklab.wick import (
     product_direct,
     product_partition,
     product_triple,
-    trace,
     wick,
 )
 
@@ -202,10 +201,10 @@ def test_product_partition_rejects_overflow():
 
 def test_trace_examples():
     p = params(q=0.73)
-    assert trace(wick(p, np.array(1.0))) == pytest.approx(1.0)
+    assert wick(p, np.array(1.0)).trace() == pytest.approx(1.0)
     w = wick(p, [1])
-    assert trace(w) == 0.0
-    assert trace(w * w) == pytest.approx(1.0)
+    assert w.trace() == 0.0
+    assert (w * w).trace() == pytest.approx(1.0)
 
 
 def test_trace_is_tracial():
@@ -214,7 +213,7 @@ def test_trace_is_tracial():
     for na, nb in [(1, 2), (2, 3), (3, 2)]:
         a = Element.from_symbol(p, random_symbol(rng, p, na))
         b = Element.from_symbol(p, random_symbol(rng, p, nb))
-        assert trace(a * b) == pytest.approx(trace(b * a), abs=1e-9)
+        assert (a * b).trace() == pytest.approx((b * a).trace(), abs=1e-9)
 
 
 def test_wick_adjoint_is_conjugated_symbol():
@@ -479,4 +478,4 @@ def test_level_cap_keeps_every_einsum_spec_in_the_alphabet():
     p = FockParams(q=0.3, dim=1, max_level=LEVEL_CAP)
     a = wick(p, [1])
     psi = gradient_map(a, a, 0.0, "rstar")
-    assert psi.realized.blocks[LEVEL_CAP - 2, LEVEL_CAP - 2].shape == (1, 1)
+    assert psi.blocks[LEVEL_CAP - 2, LEVEL_CAP - 2].shape == (1, 1)
