@@ -130,9 +130,6 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         return params
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def parse_grid(spec: str) -> list[float]:
     try:
@@ -175,7 +172,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
             f"tol={format_number(res.tolerance)} ({res.seconds:.2f}s)"
         )
     payload = {
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "checks": [
             {
                 "name": r.name,
@@ -194,13 +191,19 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     return 0 if payload["passed"] else 1
 
 
-def _write_csv(cfg: ExperimentConfig, header: list[str], rows: list[list]) -> None:
-    """Write the report table to ``--out``, or else to standard output."""
+def _report(cfg: ExperimentConfig, header: list[str], rows: list, payload: dict, line: str) -> int:
+    """Write the table to ``--out``, or else to standard output, and the
+    payload after the resolved configuration to ``--json-out``; then
+    print the summary line."""
     csv_text = render_csv(header, rows)
     if cfg.out:
         write_text(cfg.out, csv_text)
     else:
         sys.stdout.write(csv_text)
+    if cfg.json_out:
+        write_json(cfg.json_out, {"config": asdict(cfg), **payload})
+    print(line)
+    return 0
 
 
 def cmd_decay(cfg: ExperimentConfig) -> int:
@@ -210,18 +213,15 @@ def cmd_decay(cfg: ExperimentConfig) -> int:
     psi = gradient_map(a, b, cfg.time_t, cfg.route)
     report = schatten_diagnostic(psi, cfg.p)
     schatten_norm = truncated_schatten_norm(psi, cfg.p)
-    header = ["m", "level_norm", "sp_bound", "partial_sum", "ratio"]
     rows = [
         [r.level, r.level_norm, r.sp_bound, r.partial_sum, r.ratio]
         for r in report.rows
     ]
-    _write_csv(cfg, header, rows)
     fitted = [(r.level, r.level_norm) for r in report.rows if r.level_norm > 0 and r.level >= 1]
     slope, intercept = (float("nan"), float("nan"))
     if len(fitted) >= 2:
         slope, intercept = fit_log_slope(*zip(*fitted))
     payload = {
-        "config": cfg.as_dict(),
         "ratio_estimate": report.ratio_estimate,
         "verdict": report.verdict,
         "truncated_schatten_norm": schatten_norm,
@@ -229,43 +229,32 @@ def cmd_decay(cfg: ExperimentConfig) -> int:
         "fitted_log_intercept": intercept,
         "log_abs_q": float(np.log(abs(params.q))) if params.q else None,
     }
-    if cfg.json_out:
-        write_json(cfg.json_out, payload)
-    print(
+    line = (
         f"decay: {len(rows)} rows, verdict={report.verdict}, "
         f"fitted slope={format_number(slope)}"
     )
-    return 0
+    header = ["m", "level_norm", "sp_bound", "partial_sum", "ratio"]
+    return _report(cfg, header, rows, payload, line)
 
 
 def cmd_threshold(cfg: ExperimentConfig) -> int:
     grid = parse_grid(cfg.grid)
-    header = ["q", "ratio_estimate", "predicted_ratio", "verdict"]
     rows = []
-    verdicts = []
     for q in grid:
         params = replace(cfg, q=q).fock_params()
         a = wick(params, cfg.word_a)
         b = wick(params, cfg.word_b)
         report = schatten_diagnostic(gradient_map(a, b, 0.0, cfg.route), cfg.p)
         rows.append([q, report.ratio_estimate, report.threshold_ratio, report.verdict])
-        verdicts.append(report.verdict)
-    _write_csv(cfg, header, rows)
-    flips = [
-        (grid[i], grid[i + 1])
-        for i in range(len(verdicts) - 1)
-        if verdicts[i] != verdicts[i + 1]
-    ]
+    flips = [(lo[0], hi[0]) for lo, hi in zip(rows, rows[1:]) if lo[3] != hi[3]]
     payload = {
-        "config": cfg.as_dict(),
         "predicted_threshold": cfg.dim ** (-1.0 / cfg.p),
         "verdict_flips": flips,
         "flip_count": len(flips),
     }
-    if cfg.json_out:
-        write_json(cfg.json_out, payload)
-    print(f"threshold: {len(rows)} grid points, {len(flips)} verdict flip(s)")
-    return 0
+    line = f"threshold: {len(rows)} grid points, {len(flips)} verdict flip(s)"
+    header = ["q", "ratio_estimate", "predicted_ratio", "verdict"]
+    return _report(cfg, header, rows, payload, line)
 
 
 def cmd_ao_decay(cfg: ExperimentConfig) -> int:
@@ -289,44 +278,34 @@ def cmd_ao_decay(cfg: ExperimentConfig) -> int:
         head = max(values[window // 8 - 1 : window // 4])
         tail = max(values[window // 2 - 1 :])
         verdict = ao.DecayVerdict(head, tail, 2.0)
-    # Written only once the verdict stands, so a refused table leaves no file.
-    _write_csv(cfg, ["n", "lambda_n", "block_norm"], [[n, lam, v] for n, lam, v in table])
+    # Reported only once the verdict stands, so a refused table leaves no file.
     payload = {
-        "config": cfg.as_dict(),
         "head": verdict.head,
         "tail": verdict.tail,
         "factor": verdict.factor,
         "trend_pass": verdict.trend_pass,
     }
-    if cfg.json_out:
-        write_json(cfg.json_out, payload)
-    print(
+    line = (
         f"ao-decay[{cfg.model}]: head={format_number(verdict.head)} "
         f"tail={format_number(verdict.tail)} trend_pass={verdict.trend_pass}"
     )
-    return 0
+    return _report(cfg, ["n", "lambda_n", "block_norm"], table, payload, line)
 
 
 def cmd_torus(cfg: ExperimentConfig) -> int:
     from . import torus
 
     table = torus.psi_table(cfg.semigroup, cfg.l, cfg.m, cfg.window)
-    header = ["k", "coefficient"]
-    rows = [[k, coeff] for k, coeff in table]
-    _write_csv(cfg, header, rows)
     nonzero = [k for k, coeff in table if coeff != 0]
     payload = {
-        "config": cfg.as_dict(),
         "nonzero_count": len(nonzero),
         "support": nonzero,
         "rank_bound": torus.poisson_rank_bound(cfg.l, cfg.m)
         if cfg.semigroup == "poisson"
         else None,
     }
-    if cfg.json_out:
-        write_json(cfg.json_out, payload)
-    print(f"torus[{cfg.semigroup}]: {len(rows)} modes, {len(nonzero)} nonzero")
-    return 0
+    line = f"torus[{cfg.semigroup}]: {len(table)} modes, {len(nonzero)} nonzero"
+    return _report(cfg, ["k", "coefficient"], table, payload, line)
 
 
 COMMANDS = {

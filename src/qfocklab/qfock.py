@@ -20,8 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import threading
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,11 +40,10 @@ VECTOR_DIM_CAP = 65536
 # tensor axis by one of 52 letters, and numpy's contraction path search
 # needs one letter more for the batch axis of a gradient map.
 LEVEL_CAP = 51
-# (q, dim) pairs whose Grams, splitters and pairing forms stay cached, so a
-# long q sweep holds a bounded amount; verify touches three values of q.
+# (q, dim) pairs whose Grams, pairing forms, splitters and split weights
+# stay cached, so a long q sweep holds a bounded amount; verify touches
+# three values of q.
 MEMO_PARAM_PAIRS = 4
-
-MemoInfo = namedtuple("MemoInfo", "pairs currsize")
 
 
 @dataclass(frozen=True)
@@ -169,21 +166,6 @@ def _split_rows(dim: int, n: int, k: int) -> np.ndarray:
     return _read_only(np.stack(rows))
 
 
-# A split table covers at most MATRIX_DIM_CAP entries, so at dim >= 2 its
-# window level n + k is at most 12, and one q sees at most 12 * 11 / 2 = 66
-# splits with n, k >= 1.
-_SPLIT_LEVEL_CAP = MATRIX_DIM_CAP.bit_length() - 1
-
-
-@functools.lru_cache(maxsize=MEMO_PARAM_PAIRS * _SPLIT_LEVEL_CAP * (_SPLIT_LEVEL_CAP - 1) // 2)
-def _split_weights(n: int, k: int, q: float) -> np.ndarray:
-    """q^cost of each term of ``_split_terms``, in the order of
-    ``_split_rows``.  Kept for the splits of MEMO_PARAM_PAIRS values of
-    q, least recently used first out, so a q sweep holds a bounded
-    number."""
-    return _read_only(np.array([q**cost for _, cost in _split_terms(n, k)]))
-
-
 def split_tensor(q: float, t: np.ndarray, n: int, k: int, offset: int = 0) -> np.ndarray:
     """Apply the two-part splitting operator to axes [offset, offset+n+k).
 
@@ -191,8 +173,9 @@ def split_tensor(q: float, t: np.ndarray, n: int, k: int, offset: int = 0) -> np
     weighted by q^cost; the remaining axes of ``t`` are untouched.
     When the window is the tail of the tensor and has at most
     MATRIX_DIM_CAP entries, the cached split table applies it to each
-    leading slice as one gather and weighted sum; otherwise the permuted
-    tensors are summed one term at a time, which needs no table.
+    leading slice as one gather and a sum weighted by the split weights
+    of the (q, dim) memo; otherwise the permuted tensors are summed one
+    term at a time, which needs neither.
     """
     if n < 0 or k < 0 or offset < 0 or offset + n + k > t.ndim:
         raise ShapeMismatch(f"split ({n},{k}) at offset {offset} does not fit ndim {t.ndim}")
@@ -202,7 +185,7 @@ def split_tensor(q: float, t: np.ndarray, n: int, k: int, offset: int = 0) -> np
     size = dim ** (n + k)
     if t.shape[offset:] == (dim,) * (n + k) and size <= MATRIX_DIM_CAP:
         rows = t.reshape(-1, size).take(_split_rows(dim, n, k), axis=1)
-        out = _split_weights(n, k, float(q)) @ rows
+        out = _split_weights(float(q), dim, n, k) @ rows
         return out.astype(complex, copy=False).reshape(t.shape)
     prefix = list(range(offset))
     suffix = list(range(offset + n + k, t.ndim))
@@ -221,48 +204,59 @@ def split_tensor3(q: float, t: np.ndarray, p1: int, p2: int, p3: int) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# per-parameter caches (Grams, splitters, pairings)
+# per-(q, dim) memo (Grams, pairing forms, splitters, split weights)
 # ---------------------------------------------------------------------------
 
 
-def _memo_per_level(build):
-    """Memoize ``build(params, key)`` on ``(float(params.q), params.dim, key)``
-    for the ``MEMO_PARAM_PAIRS`` most recently used (q, dim) pairs; a new
-    pair drops the least recently used one with all its entries.
-    ``max_level`` is not part of the key, so every truncation of one
-    (q, dim) shares the entries.  Entries are read-only; a racing
-    duplicate build wastes work but never stores a wrong value.
-    ``cache_info()`` counts the pairs kept and the cached arrays
-    (``currsize``)."""
-    pairs: OrderedDict[tuple[float, int], dict] = OrderedDict()
-    lock = threading.Lock()
+@functools.lru_cache(maxsize=MEMO_PARAM_PAIRS)
+def _pair_memo(q: float, dim: int) -> dict:
+    """The read-only arrays kept for one (q, dim) pair, keyed by
+    (builder name, key): its level Grams, pairing forms, splitters and
+    split weights.  Only the MEMO_PARAM_PAIRS most recently used pairs
+    are kept, so a q sweep drops each pair's arrays together.
+    ``cache_info()`` counts the pairs kept (``currsize``) and the hits
+    and misses of pair lookups, one per memoized call.  Racing threads
+    may build one array twice; each stores a correct value."""
+    return {}
+
+
+def _memo_per_pair(build):
+    """Memoize ``build(params, key)`` in the ``_pair_memo`` of
+    ``(params.q, params.dim)``.  ``max_level`` is not part of the key, so
+    every truncation of one (q, dim) shares the entries.  A build that
+    raises stores nothing."""
 
     @functools.wraps(build)
     def lookup(params: FockParams, key) -> np.ndarray:
-        pair = (float(params.q), params.dim)
-        with lock:
-            entries = pairs.pop(pair, {})
-            pairs[pair] = entries
-            if len(pairs) > MEMO_PARAM_PAIRS:
-                pairs.popitem(last=False)
-        got = entries.get(key)
+        q, dim = float(params.q), params.dim
+        entries = _pair_memo(q, dim)
+        got = entries.get((build.__name__, key))
         if got is None:
-            got = entries[key] = _read_only(build(FockParams(*pair, max_level=0), key))
+            got = _read_only(build(FockParams(q, dim, max_level=0), key))
+            entries[build.__name__, key] = got
         return got
 
-    def cache_info() -> MemoInfo:
-        with lock:
-            return MemoInfo(len(pairs), sum(map(len, pairs.values())))
-
-    lookup.cache_info = cache_info
     return lookup
 
 
-@_memo_per_level
-def _symmetrizer(params: FockParams, m: int) -> np.ndarray:
-    """Level Gram as a dim^m x dim^m matrix, by the Bozejko-Speicher
-    recursion P_m = R_m* (P_{m-1} (x) 1), where R_m* is the sum over c
-    of q^c times moving the last factor c places to the left."""
+def _split_weights(q: float, dim: int, n: int, k: int) -> np.ndarray:
+    """q^cost of each term of ``_split_terms``, in the order of
+    ``_split_rows``, kept in the ``_pair_memo`` of (q, dim)."""
+    entries = _pair_memo(q, dim)
+    got = entries.get(("split_weights", (n, k)))
+    if got is None:
+        got = _read_only(np.array([q**cost for _, cost in _split_terms(n, k)]))
+        entries["split_weights", (n, k)] = got
+    return got
+
+
+@_memo_per_pair
+def symmetrizer(params: FockParams, m: int) -> np.ndarray:
+    """q-symmetrizer (level Gram) on level m as a dense dim^m x dim^m
+    matrix, by the Bozejko-Speicher recursion P_m = R_m* (P_{m-1} (x) 1),
+    where R_m* is the sum over c of q^c times moving the last factor c
+    places to the left."""
+    params.check_level_budget(m, MATRIX_DIM_CAP)
     n, d = params.level_dim(m), params.dim
     if m <= 1:
         return np.eye(n, dtype=complex)
@@ -280,12 +274,6 @@ def _symmetrizer(params: FockParams, m: int) -> np.ndarray:
         for x in range(d):
             rows[:, x, :, :, x] += scaled
     return out
-
-
-def symmetrizer(params: FockParams, m: int) -> np.ndarray:
-    """q-symmetrizer (level Gram) on level m as a dense matrix."""
-    params.check_level_budget(m, MATRIX_DIM_CAP)
-    return _symmetrizer(params, m)
 
 
 def symmetrizer_inv_sqrt(params: FockParams, m: int) -> np.ndarray:
@@ -318,6 +306,7 @@ def symmetrizer_apply(params: FockParams, t: np.ndarray) -> np.ndarray:
     return _sym_apply_front(params, t, t.ndim)
 
 
+@_memo_per_pair
 def splitter_matrix(params: FockParams, parts: tuple[int, ...]) -> np.ndarray:
     """Dense matrix of the splitting operator for the given part sizes.
 
@@ -326,18 +315,13 @@ def splitter_matrix(params: FockParams, parts: tuple[int, ...]) -> np.ndarray:
     if any(p < 0 for p in parts):
         raise ShapeMismatch(f"negative part in {parts}")
     params.check_level_budget(sum(parts), MATRIX_DIM_CAP)
-    return _splitter_matrix(params, tuple(parts))
-
-
-@_memo_per_level
-def _splitter_matrix(params: FockParams, parts: tuple[int, ...]) -> np.ndarray:
     n = params.level_dim(sum(parts))
     live = [p for p in parts if p > 0]
     if len(live) <= 1:
         return np.eye(n, dtype=complex)
     if len(live) == 2:
         # Term c sends column rows[c, r] to row r.
-        weights = _split_weights(live[0], live[1], float(params.q))
+        weights = _split_weights(params.q, params.dim, live[0], live[1])
         built = np.zeros((n, n), dtype=complex)
         out_rows = np.arange(n)
         for weight, cols in zip(weights, _split_rows(params.dim, live[0], live[1])):
@@ -365,15 +349,11 @@ def r_star3(params: FockParams, n: int, k: int, l: int) -> np.ndarray:
     return splitter_matrix(params, (n, k, l))
 
 
+@_memo_per_pair
 def pairing_form(params: FockParams, j: int) -> np.ndarray:
     """Bilinear matrix B of the j-fold contraction: the contraction of
     v (x) w equals v^T B w, i.e. B[b, c] = Gram_j[reverse(b), c]."""
     params.check_level_budget(j, MATRIX_DIM_CAP)
-    return _pairing_form(params, j)
-
-
-@_memo_per_level
-def _pairing_form(params: FockParams, j: int) -> np.ndarray:
     # Factor reversal is an involution: its gather rows scatter it too.
     return symmetrizer(params, j)[_permutation_rows(params.dim, tuple(reversed(range(j))))]
 

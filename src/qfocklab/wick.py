@@ -272,10 +272,8 @@ class Element:
             return got
         return np.zeros((self.params.dim,) * m, dtype=complex)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol == 0:
-            return not any(t.any() for t in self.levels.values())
-        return all(np.max(np.abs(t)) <= tol for t in self.levels.values())
+    def is_zero(self) -> bool:
+        return not any(t.any() for t in self.levels.values())
 
 
 # ---------------------------------------------------------------------------

@@ -526,19 +526,25 @@ def test_verify_records_a_raising_check_and_runs_the_rest(tmp_path, monkeypatch)
 
 
 def test_threshold_sweep_keeps_a_bounded_number_of_param_pairs(tmp_path, capsys):
-    from qfocklab.qfock import MEMO_PARAM_PAIRS, FockParams, _symmetrizer, symmetrizer
+    from qfocklab.qfock import MEMO_PARAM_PAIRS, FockParams, _pair_memo, symmetrizer
 
     # six values of q no other test uses, at dim 3
     args = ["threshold", "--dim", "3", "--max-level", "4", "--grid", "0.11:0.16:0.01"]
     assert main([*args, "--out", str(tmp_path / "t.csv")]) == 0
-    assert _symmetrizer.cache_info().pairs == MEMO_PARAM_PAIRS
-    # the last four grid points are kept and the first two dropped
-    size = _symmetrizer.cache_info().currsize
-    for q in (0.13, 0.14, 0.15, 0.16):
-        symmetrizer(FockParams(q=q, dim=3, max_level=4), 2)
-    assert _symmetrizer.cache_info() == (MEMO_PARAM_PAIRS, size)
-    symmetrizer(FockParams(q=0.11, dim=3, max_level=4), 2)
-    assert _symmetrizer.cache_info().currsize < size
+    assert _pair_memo.cache_info().currsize == MEMO_PARAM_PAIRS
+
+    def misses_after(*qs):
+        for q in qs:
+            symmetrizer(FockParams(q=q, dim=3, max_level=4), 2)
+        return _pair_memo.cache_info().misses
+
+    # the last four grid points are kept, least recently used first out
+    misses = _pair_memo.cache_info().misses
+    assert misses_after(0.13, 0.14, 0.15, 0.16) == misses
+    assert misses_after(0.11) == misses + 1
+    assert misses_after(0.14, 0.15, 0.16, 0.11) == misses + 1
+    assert misses_after(0.13) == misses + 2
+    assert _pair_memo.cache_info().currsize == MEMO_PARAM_PAIRS
 
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")

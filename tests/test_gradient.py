@@ -173,8 +173,8 @@ def test_psi_element_zero_cases():
     rng = np.random.default_rng(2)
     x = random_element(rng, p, [0, 1, 2])
     b = random_element(rng, p, [2])
-    assert psi_element(one, b, x).is_zero(1e-12)
-    assert psi_element(b, one, x).is_zero(1e-12)
+    for psi in (psi_element(one, b, x), psi_element(b, one, x)):
+        assert all(np.max(np.abs(t)) <= 1e-12 for t in psi.levels.values())
 
 
 def test_psi_scalar_example():

@@ -26,6 +26,7 @@ from qfocklab.qfock import (
     FockOperator,
     FockParams,
     FockVector,
+    _pair_memo,
     _split_rows,
     _split_terms,
     _split_weights,
@@ -624,23 +625,51 @@ def test_split_tensor_above_table_cap_keeps_term_loop():
 
 
 def test_split_weights_stay_bounded_over_a_q_sweep():
-    # a table window holds at most 2^12 entries at dim >= 2, so one q sees
-    # at most 12 * 11 / 2 splits (n, k >= 1); MEMO_PARAM_PAIRS values of q
-    # are kept
-    bound = MEMO_PARAM_PAIRS * 12 * 11 // 2
+    # the weights live in the memo of their (q, dim) pair, and only
+    # MEMO_PARAM_PAIRS pairs are kept
     rng = np.random.default_rng(9)
     qs = [-0.9 + 0.11 * i + 1e-3 for i in range(16)]
+    splits = [(n, k) for n, k in itertools.product(range(1, 8), repeat=2) if n + k <= 8]
     for q in qs:
-        for n, k in itertools.product(range(1, 8), repeat=2):
-            if n + k <= 8:
-                t = rng.standard_normal((2,) * (n + k))
-                split_tensor(q, t, n, k)
-        assert _split_weights.cache_info().currsize <= bound
+        for n, k in splits:
+            t = rng.standard_normal((2,) * (n + k))
+            split_tensor(q, t, n, k)
+        assert _pair_memo.cache_info().currsize <= MEMO_PARAM_PAIRS
+    # the kept pairs are the last values of q, each with one table per split
+    misses = _pair_memo.cache_info().misses
+    for q in qs[-MEMO_PARAM_PAIRS:]:
+        held = [key for name, key in _pair_memo(q, 2) if name == "split_weights"]
+        assert sorted(held) == splits
+    assert _pair_memo.cache_info().misses == misses
     # evicted and rebuilt weights are byte-identical to their definition
     for q in (qs[0], qs[-1]):
         for n, k in [(1, 1), (3, 5), (6, 6)]:
             want = np.array([q**cost for _, cost in _split_terms(n, k)])
-            assert _split_weights(n, k, q).tobytes() == want.tobytes()
+            assert _split_weights(q, 2, n, k).tobytes() == want.tobytes()
+
+
+def test_evicting_a_param_pair_drops_all_its_arrays_together():
+    # values of q no other test uses
+    p = FockParams(q=0.1357, dim=2, max_level=4)
+    symmetrizer(p, 3)
+    pairing_form(p, 2)
+    splitter_matrix(p, (2, 1))
+    split_tensor(p.q, np.ones((2,) * 3), 1, 2)
+    names = {name for name, _ in _pair_memo(p.q, p.dim)}
+    assert names == {"symmetrizer", "pairing_form", "splitter_matrix", "split_weights"}
+    # every memoized call looks its pair up once: a kept pair is a hit
+    before = _pair_memo.cache_info()
+    assert symmetrizer(p, 3) is symmetrizer(p, 3)
+    after = _pair_memo.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    # MEMO_PARAM_PAIRS new pairs push it out, each a miss
+    for i in range(1, MEMO_PARAM_PAIRS + 1):
+        symmetrizer(FockParams(q=p.q + 1e-4 * i, dim=2, max_level=4), 1)
+    after = _pair_memo.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + MEMO_PARAM_PAIRS, MEMO_PARAM_PAIRS)
+    # looked up again, the pair comes back empty: its arrays went together
+    assert _pair_memo(p.q, p.dim) == {}
+    assert _pair_memo.cache_info().misses == before.misses + MEMO_PARAM_PAIRS + 1
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 0.8])
