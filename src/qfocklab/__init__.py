@@ -26,18 +26,13 @@ from .partitions import (
 from .qfock import (
     FockOperator,
     FockParams,
-    FockVector,
     annihilation,
     basis_tensor,
-    basis_vector,
-    conjugation,
     creation,
     pairing_norm,
-    q_inner,
     r_star,
     r_star3,
     symmetrizer,
-    vacuum,
 )
 from .wick import (
     Element,

@@ -5,8 +5,9 @@ eigendecomposition, and the inverse Cholesky square root of a positive
 definite matrix through the inverse of its lower-triangular factor.
 The latter is the one factorization by which the library inverts a
 level Gram.  ``hermitian_gram`` fills a Gram matrix from a pairing,
-for the gradient module and the circle model alike.  Everything is deterministic (fixed LAPACK drivers, no
-randomized algorithms), so downstream golden values are stable.
+for the gradient module and the circle model alike.  Everything is
+deterministic (fixed LAPACK drivers, no randomized algorithms), so
+downstream golden values are stable.
 """
 
 from __future__ import annotations

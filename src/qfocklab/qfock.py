@@ -10,16 +10,15 @@ coordinates.
 
 Truncation contract: vector-level arithmetic is exact; block operators
 record which source levels had output dropped at the max-level
-boundary, and applying them to vectors with mass at such levels clears
-the ``lossless`` flag on the result.  Identity tests must check that
-flag and refuse lossy data.
+boundary, and ``FockOperator.apply`` refuses a vector with mass at such
+a level (``TRUNCATION_LOSS``) or above the truncation level
+(``LEVEL_TOO_LARGE``).  Identity tests refuse lossy data the same way.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,7 @@ from .errors import (
     NotPositiveSemidefinite,
     ParamMismatch,
     ShapeMismatch,
+    TruncationLoss,
 )
 from .numerics import psd_inv_sqrt
 
@@ -369,122 +369,6 @@ def pairing_norm(params: FockParams, j: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# vectors
-# ---------------------------------------------------------------------------
-
-
-def _clean_levels(params: FockParams, levels: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    out = {}
-    for m, t in levels.items():
-        m = int(m)
-        arr = as_level_tensor(params, m, t)
-        if arr.any():
-            out[m] = arr
-    return out
-
-
-@dataclass
-class FockVector:
-    """Level-graded coefficient vector on the truncated Fock space.
-
-    ``levels`` maps level -> (N,)*level tensor; absent levels are zero.
-    ``lossless`` records whether every contribution that produced this
-    vector was retained below the truncation level.
-    """
-
-    params: FockParams
-    levels: dict[int, np.ndarray] = field(default_factory=dict)
-    lossless: bool = True
-
-    def __post_init__(self) -> None:
-        self.levels = _clean_levels(self.params, self.levels)
-        top = max(self.levels, default=0)
-        if top > self.params.max_level:
-            raise LevelTooLarge(
-                f"vector occupies level {top} above max_level {self.params.max_level}"
-            )
-
-    def component(self, m: int) -> np.ndarray:
-        got = self.levels.get(m)
-        if got is not None:
-            return got
-        return np.zeros((self.params.dim,) * m, dtype=complex)
-
-    def copy(self) -> "FockVector":
-        return FockVector(self.params, {m: t.copy() for m, t in self.levels.items()}, self.lossless)
-
-    def scaled(self, c: complex) -> "FockVector":
-        return FockVector(self.params, {m: c * t for m, t in self.levels.items()}, self.lossless)
-
-    def add(self, other: "FockVector") -> "FockVector":
-        _require_same_params(self.params, other.params)
-        levels = {m: t.copy() for m, t in self.levels.items()}
-        for m, t in other.levels.items():
-            levels[m] = levels.get(m, 0) + t
-        return FockVector(self.params, levels, self.lossless and other.lossless)
-
-    def norm(self) -> float:
-        val = q_inner(self, self)
-        return float(np.sqrt(max(val.real, 0.0)))
-
-    def to_json(self) -> str:
-        """``{"levels": {m: [[re, im], ...]}, "lossless": bool}``, level
-        entries flattened in row-major order."""
-        levels = {
-            str(m): [[float(z.real), float(z.imag)] for z in t.reshape(-1)]
-            for m, t in sorted(self.levels.items())
-        }
-        return json.dumps({"levels": levels, "lossless": self.lossless}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, params: FockParams, text: str) -> "FockVector":
-        raw = json.loads(text)
-        if not isinstance(raw, dict) or set(raw) != {"levels", "lossless"}:
-            raise ShapeMismatch('FockVector JSON needs exactly the keys "levels" and "lossless"')
-        levels = {}
-        for key, entries in raw["levels"].items():
-            m = int(key)
-            flat = np.array([complex(re, im) for re, im in entries])
-            levels[m] = flat.reshape((params.dim,) * m)
-        return cls(params, levels, bool(raw["lossless"]))
-
-
-def vacuum(params: FockParams) -> FockVector:
-    return FockVector(params, {0: np.array(1.0 + 0j)})
-
-
-def basis_vector(params: FockParams, indices) -> FockVector:
-    t = basis_tensor(params, indices)
-    return FockVector(params, {t.ndim: t})
-
-
-def q_inner(u: FockVector, v: FockVector) -> complex:
-    """q-deformed inner product, conjugate-linear in the first slot."""
-    _require_same_params(u.params, v.params)
-    return _levels_q_inner(u.params, u.levels, v.levels)
-
-
-def _levels_q_inner(params: FockParams, left: dict, right: dict) -> complex:
-    """q-inner product of two level dicts, level by level."""
-    total = 0.0 + 0.0j
-    for m, t in left.items():
-        other = right.get(m)
-        if other is None:
-            continue
-        total += np.vdot(t, symmetrizer_apply(params, other))
-    return complex(total)
-
-
-def conjugation(v: FockVector) -> FockVector:
-    """Antilinear involution: conjugate coordinates, reverse factors."""
-    return FockVector(
-        v.params,
-        {m: conjugate_tensor(t) for m, t in v.levels.items()},
-        v.lossless,
-    )
-
-
-# ---------------------------------------------------------------------------
 # block operators
 # ---------------------------------------------------------------------------
 
@@ -496,8 +380,8 @@ class FockOperator:
     ``blocks`` maps (source level, target level) -> dense matrix of
     shape (N^target, N^source).  ``lossy_sources`` lists source levels
     whose image was cut at the truncation boundary; ``creation`` and
-    ``gradient_map`` build no blocks from them, and applying the
-    operator to mass at those levels clears the result's flag.
+    ``gradient_map`` build no blocks from them, and ``apply`` refuses
+    mass at those levels.
     """
 
     params: FockParams
@@ -526,20 +410,29 @@ class FockOperator:
         }
         return cls(params, blocks)
 
-    def apply(self, vec: FockVector) -> FockVector:
+    def apply(self, vec):
+        """The image of an ``Element``, as an ``Element``.  Raises
+        ``TRUNCATION_LOSS`` on mass at a lossy source and
+        ``LEVEL_TOO_LARGE`` on mass above ``max_level``."""
+        # wick imports this module, so Element is imported here.
+        from .wick import Element
+
         _require_same_params(self.params, vec.params)
         out: dict[int, np.ndarray] = {}
-        lossless = vec.lossless
         for m, t in vec.levels.items():
+            if m > self.params.max_level:
+                raise LevelTooLarge(
+                    f"vector occupies level {m} above max_level {self.params.max_level}"
+                )
             if m in self.lossy_sources:
-                lossless = False
+                raise TruncationLoss(f"source level {m} was truncated during assembly")
             flat = t.reshape(-1)
             for (src, dst), mat in self.blocks.items():
                 if src != m:
                     continue
                 contrib = (mat @ flat).reshape((self.params.dim,) * dst)
                 out[dst] = out.get(dst, 0) + contrib
-        return FockVector(self.params, out, lossless)
+        return Element(self.params, out)
 
     def add(self, other: "FockOperator") -> "FockOperator":
         _require_same_params(self.params, other.params)
@@ -547,11 +440,6 @@ class FockOperator:
         for k, v in other.blocks.items():
             blocks[k] = blocks.get(k, 0) + v
         return FockOperator(self.params, blocks, self.lossy_sources | other.lossy_sources)
-
-    def scaled(self, c: complex) -> "FockOperator":
-        return FockOperator(
-            self.params, {k: c * v for k, v in self.blocks.items()}, self.lossy_sources
-        )
 
     def gram_adjoint(self) -> "FockOperator":
         """Adjoint with respect to the q-inner product:

@@ -32,15 +32,14 @@ from .partitions import (
 )
 from .qfock import (
     FockParams,
-    FockVector,
     VECTOR_DIM_CAP,
+    as_level_tensor,
     basis_tensor,
     conjugate_tensor,
     pairing_form,
     split_tensor,
     split_tensor3,
-    _clean_levels,
-    _levels_q_inner,
+    symmetrizer_apply,
     _require_same_params,
 )
 
@@ -169,15 +168,18 @@ def graded_mul(
 
 class Element:
     """Element of the truncated *-algebra, identified with its vacuum
-    vector.  Unlike ``FockVector`` it may occupy levels above the
-    operator truncation, because exact products of retained words
-    legitimately do."""
+    vector.  It may occupy levels above the operator truncation, because
+    exact products of retained words legitimately do."""
 
     __slots__ = ("params", "levels")
 
     def __init__(self, params: FockParams, levels: dict[int, np.ndarray]) -> None:
-        self.params = params
-        self.levels = _clean_levels(params, levels)
+        clean = {}
+        for m, t in levels.items():
+            arr = as_level_tensor(params, int(m), t)
+            if arr.any():
+                clean[int(m)] = arr
+        self.params, self.levels = params, clean
 
     @classmethod
     def _of_clean_levels(cls, params: FockParams, levels: dict[int, np.ndarray]) -> "Element":
@@ -257,8 +259,14 @@ class Element:
         return complex(got) if got is not None else 0.0 + 0.0j
 
     def q_inner(self, other: "Element") -> complex:
+        """q-deformed inner product, conjugate-linear in the first slot."""
         _require_same_params(self.params, other.params)
-        return _levels_q_inner(self.params, self.levels, other.levels)
+        total = 0.0 + 0.0j
+        for m, t in self.levels.items():
+            got = other.levels.get(m)
+            if got is not None:
+                total += np.vdot(t, symmetrizer_apply(self.params, got))
+        return complex(total)
 
     def q_norm(self) -> float:
         return float(np.sqrt(max(self.q_inner(self).real, 0.0)))
@@ -299,9 +307,6 @@ def _as_element(params: FockParams, w) -> Element:
     if isinstance(w, Element):
         _require_same_params(params, w.params)
         return w
-    if isinstance(w, FockVector):
-        _require_same_params(params, w.params)
-        return Element(w.params, dict(w.levels))
     return Element.from_symbol(params, np.asarray(w, dtype=complex))
 
 

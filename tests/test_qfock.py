@@ -17,6 +17,7 @@ from qfocklab.errors import (
     NotPositiveSemidefinite,
     ParamMismatch,
     ShapeMismatch,
+    TruncationLoss,
 )
 from qfocklab.numerics import hermitian_eig, psd_inv_sqrt
 from qfocklab.qfock import (
@@ -25,20 +26,16 @@ from qfocklab.qfock import (
     MEMO_PARAM_PAIRS,
     FockOperator,
     FockParams,
-    FockVector,
     _pair_memo,
     _split_rows,
     _split_terms,
     _split_weights,
     annihilation,
     basis_tensor,
-    basis_vector,
     conjugate_tensor,
-    conjugation,
     creation,
     pairing_form,
     pairing_norm,
-    q_inner,
     r_star,
     r_star3,
     split_tensor,
@@ -46,8 +43,8 @@ from qfocklab.qfock import (
     symmetrizer,
     symmetrizer_apply,
     symmetrizer_inv_sqrt,
-    vacuum,
 )
+from qfocklab.wick import Element, product_direct
 
 
 def params(q=0.5, dim=2, max_level=4):
@@ -65,7 +62,7 @@ def random_vector(rng, p, levels, real=False):
         if not real:
             t = t + 1j * rng.standard_normal((p.dim,) * m)
         data[m] = t
-    return FockVector(p, data)
+    return Element(p, data)
 
 
 def psd_inv_sqrt_by_eig(g):
@@ -272,6 +269,21 @@ def test_symmetrizer_inv_sqrt_is_a_triangular_whitener(q):
         assert np.allclose(w @ w.conj().T, half @ half, atol=1e-10)
 
 
+@pytest.mark.parametrize("q", [-0.7, -0.3, 0.0, 0.5, 0.8])
+@pytest.mark.parametrize("dim,m", [(1, 6), (2, 6), (3, 4), (4, 3)])
+def test_gram_and_whitener_vanish_between_letter_contents(dim, m, q):
+    """A permutation of tensor slots keeps a word's letters, so the level
+    Gram and its whitener are exactly zero between basis words whose
+    letter multisets differ.  At (2, 6) the whitener's 64 rows take the
+    by-halves branch of ``tril_inv``."""
+    p = FockParams(q=q, dim=dim, max_level=m)
+    letters = np.sort(np.indices((dim,) * m).reshape(m, -1), axis=0)
+    _, content = np.unique(letters.T, axis=0, return_inverse=True)
+    apart = content.reshape(-1, 1) != content.reshape(1, -1)
+    for mat in (symmetrizer(p, m), symmetrizer_inv_sqrt(p, m)):
+        assert np.all(mat[apart] == 0.0)
+
+
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_pairing_norm_matches_the_eig_oracle(j):
     p = params(q=-0.35, dim=3, max_level=3)
@@ -346,11 +358,11 @@ def test_q_singular_values_match_the_generalized_pencil(q, dim):
 
 def test_q_inner_examples():
     p = params(q=0.37)
-    assert q_inner(vacuum(p), vacuum(p)) == pytest.approx(1.0)
-    e12 = basis_vector(p, [1, 2])
-    e21 = basis_vector(p, [2, 1])
-    assert q_inner(e12, e21) == pytest.approx(p.q)
-    assert q_inner(e12, e12) == pytest.approx(1.0)
+    assert Element.one(p).q_inner(Element.one(p)) == pytest.approx(1.0)
+    e12 = Element.word(p, [1, 2])
+    e21 = Element.word(p, [2, 1])
+    assert e12.q_inner(e21) == pytest.approx(p.q)
+    assert e12.q_inner(e12) == pytest.approx(1.0)
 
 
 def test_q_inner_conjugate_symmetry_and_positivity():
@@ -358,25 +370,25 @@ def test_q_inner_conjugate_symmetry_and_positivity():
     rng = np.random.default_rng(1)
     u = random_vector(rng, p, [0, 1, 2, 3])
     v = random_vector(rng, p, [1, 2, 4])
-    assert q_inner(u, v) == pytest.approx(np.conj(q_inner(v, u)))
+    assert u.q_inner(v) == pytest.approx(np.conj(v.q_inner(u)))
     plain = sum(np.linalg.norm(t) ** 2 for t in u.levels.values())
-    assert q_inner(u, u).real >= -1e-10 * plain
+    assert u.q_inner(u).real >= -1e-10 * plain
 
 
 def test_q_inner_param_mismatch():
     with pytest.raises(ParamMismatch):
-        q_inner(vacuum(params(q=0.5)), vacuum(params(q=0.4)))
+        Element.one(params(q=0.5)).q_inner(Element.one(params(q=0.4)))
 
 
 def test_creation_on_vacuum_and_annihilation_shift_rule():
     p = params(q=0.6)
     create = creation(p, [1.0, 0.0])
-    out = create.apply(vacuum(p))
+    out = create.apply(Element.one(p))
     assert np.allclose(out.component(1), [1.0, 0.0])
     kill = annihilation(p, [1.0, 0.0])
-    out = kill.apply(basis_vector(p, [1, 2]))
+    out = kill.apply(Element.word(p, [1, 2]))
     assert np.allclose(out.component(1), [0.0, 1.0])
-    out = kill.apply(basis_vector(p, [2, 1]))
+    out = kill.apply(Element.word(p, [2, 1]))
     assert np.allclose(out.component(1), [0.0, p.q])
 
 
@@ -405,18 +417,51 @@ def test_annihilation_complex_antilinear():
 
 
 def test_creation_truncation_is_flagged():
+    """Mass at the dropped top level is refused, not cut silently."""
     p = params(max_level=2)
     create = creation(p, [1.0, 0.0])
-    top = basis_vector(p, [1, 2])
-    assert not create.apply(top).lossless
-    assert create.apply(vacuum(p)).lossless
+    top = Element.word(p, [1, 2])
+    with pytest.raises(TruncationLoss):
+        create.apply(top)
+    with pytest.raises(TruncationLoss):
+        create.apply(top + Element.word(p, [1]))
+    assert np.array_equal(create.apply(Element.one(p)).component(1), [1.0, 0.0])
+
+
+def test_apply_refuses_mass_above_max_level():
+    p = params(max_level=2)
+    ident = FockOperator.identity(p)
+    with pytest.raises(LevelTooLarge):
+        ident.apply(Element.word(p, [1, 2, 1]))
+    with pytest.raises(LevelTooLarge):
+        ident.apply(Element.word(p, [2]) + Element.word(p, [1, 2, 1]))
+    # an element may hold such a level; only the operator refuses it
+    assert Element.word(p, [1, 2, 1]).top_level() == 3
+
+
+def test_apply_returns_an_element_that_products_take():
+    p = FockParams(q=0.3, dim=2, max_level=2)
+    out = creation(p, [1.0, 0.0]).apply(Element.word(p, [2]) + Element.one(p))
+    assert type(out) is Element
+    assert np.array_equal(out.component(2), basis_tensor(p, [1, 2]))
+    assert np.array_equal(out.component(1), basis_tensor(p, [1]))
+    alone = product_direct(p, [out])
+    assert alone.levels.keys() == out.levels.keys()
+    for m, t in out.levels.items():
+        assert np.array_equal(alone.component(m), t)
+    word = Element.word(p, [2])
+    both = product_direct(p, [out, word])
+    want = out * word
+    assert both.levels.keys() == want.levels.keys()
+    for m, t in want.levels.items():
+        assert np.array_equal(both.component(m), t)
 
 
 def test_conjugation_examples():
     p = params()
-    v = conjugation(basis_vector(p, [1, 2]))
+    v = Element.word(p, [1, 2]).adjoint()
     assert np.allclose(v.component(2), basis_tensor(p, [2, 1]))
-    w = conjugation(FockVector(p, {1: 1j * basis_tensor(p, [1])}))
+    w = Element(p, {1: 1j * basis_tensor(p, [1])}).adjoint()
     assert np.allclose(w.component(1), -1j * basis_tensor(p, [1]))
 
 
@@ -425,12 +470,10 @@ def test_conjugation_is_q_antiunitary_involution():
     rng = np.random.default_rng(2)
     u = random_vector(rng, p, [0, 1, 2, 3, 4])
     v = random_vector(rng, p, [1, 2, 3])
-    again = conjugation(conjugation(u))
+    again = u.adjoint().adjoint()
     for m in u.levels:
         assert np.allclose(again.component(m), u.component(m))
-    assert q_inner(conjugation(u), conjugation(v)) == pytest.approx(
-        np.conj(q_inner(u, v))
-    )
+    assert u.adjoint().q_inner(v.adjoint()) == pytest.approx(np.conj(u.q_inner(v)))
 
 
 @pytest.mark.parametrize("n,k", [(0, 2), (2, 0), (1, 1), (1, 2), (2, 1), (2, 2)])
@@ -731,30 +774,8 @@ def test_operator_algebra_and_q_norm():
     create = creation(p, [1.0, 0.0])
     kill = annihilation(p, [1.0, 0.0])
     # On the vacuum: annihilate(create(vacuum)) = vacuum.
-    out = kill.apply(create.apply(vacuum(p)))
+    out = kill.apply(create.apply(Element.one(p)))
     assert out.component(0) == pytest.approx(1.0)
-
-
-def test_fock_vector_json_round_trip():
-    p = params()
-    rng = np.random.default_rng(4)
-    v = random_vector(rng, p, [0, 2, 3])
-    again = FockVector.from_json(p, v.to_json())
-    assert again.lossless
-    for m in v.levels:
-        assert np.allclose(again.component(m), v.component(m))
-    mixed = basis_vector(p, [1, 2]).add(basis_vector(p, [2, 1, 1, 2]))
-    lossy = creation(p, [1.0, 0.0]).apply(mixed)
-    assert not lossy.lossless and set(lossy.levels) == {3}
-    again = FockVector.from_json(p, lossy.to_json())
-    assert not again.lossless
-    assert np.allclose(again.component(3), lossy.component(3))
-
-
-@pytest.mark.parametrize("text", ['{"0": [[1.0, 0.0]]}', '{"levels": {}}', "[]"])
-def test_fock_vector_from_json_needs_levels_and_lossless(text):
-    with pytest.raises(ShapeMismatch):
-        FockVector.from_json(FockParams(q=0.3, dim=2, max_level=2), text)
 
 
 def test_hermitian_guard_on_symmetrizer():
