@@ -159,9 +159,15 @@ def parse_word(text: str) -> list[int]:
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
     from . import checks
+    from .cohomology import TOP_SAMPLED_LEVEL
 
+    params = cfg.fock_params()
+    try:
+        params.check_level_budget(TOP_SAMPLED_LEVEL)
+    except QFockError as exc:
+        raise ConfigError(f"sampled checks form level {TOP_SAMPLED_LEVEL}: {exc}") from exc
     results = []
-    for res in checks.run_checks(cfg, cfg.fock_params()):
+    for res in checks.run_checks(cfg, params):
         results.append(res)
         if res.error:
             print(f"[FAIL] {res.name}: error={res.error} ({res.seconds:.2f}s)")

@@ -40,6 +40,10 @@ from .gradient import GradientVector, _byte_key, nabla_norm
 SAMPLE_TOLERANCE = 1e-8
 # Top level of the sampled elements.
 SAMPLE_LEVEL = 2
+# The level the sampled checks reach at any max_level: d(d f) of the
+# arity-1 product cochain multiplies three sampled elements and two
+# level-1 frames.
+TOP_SAMPLED_LEVEL = 3 * SAMPLE_LEVEL + 2
 
 
 # ---------------------------------------------------------------------------

@@ -358,16 +358,6 @@ def pairing_form(params: FockParams, j: int) -> np.ndarray:
     return symmetrizer(params, j)[_permutation_rows(params.dim, tuple(reversed(range(j))))]
 
 
-def pairing_norm(params: FockParams, j: int) -> float:
-    """Norm of the j-fold contraction as a functional on the q-metric
-    tensor square of level j."""
-    b = pairing_form(params, j)
-    # Frobenius norm: a unitary relating W to P^-1/2 leaves it unchanged.
-    w = symmetrizer_inv_sqrt(params, j)
-    weighted = w.T @ b @ w
-    return float(np.linalg.norm(weighted.reshape(-1), 2))
-
-
 # ---------------------------------------------------------------------------
 # block operators
 # ---------------------------------------------------------------------------

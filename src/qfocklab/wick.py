@@ -55,64 +55,11 @@ def _pair_tensor(params: FockParams, j: int) -> np.ndarray:
     return pairing_form(params, j).reshape((params.dim,) * (2 * j))
 
 
-def _left_factor(params: FockParams, left: np.ndarray, j: int, bl: int) -> np.ndarray:
-    """The left operand split (la - j | j) as a contiguous (rows, inner)
-    matrix per batch slice, times the pairing form P_j; at j = 0 the
-    unsplit operand as one contiguous column."""
-    if j == 0:
-        return np.ascontiguousarray(left.reshape(left.shape[:bl] + (-1, 1)), dtype=complex)
-    t = split_tensor(params.q, left, left.ndim - bl - j, j, bl)
-    t = t.reshape(left.shape[:bl] + (-1, params.level_dim(j)))
-    return np.ascontiguousarray(t) @ pairing_form(params, j)
-
-
-def _right_factor(params: FockParams, right: np.ndarray, j: int, br: int) -> np.ndarray:
-    """The right operand split (j | lb - j) as a contiguous (inner, cols)
-    matrix per batch slice; at j = 0 the unsplit operand as one row."""
-    if j == 0:
-        return np.ascontiguousarray(right.reshape(right.shape[:br] + (1, -1)), dtype=complex)
-    t = split_tensor(params.q, right, j, right.ndim - br - j, br)
-    return np.ascontiguousarray(t.reshape(right.shape[:br] + (params.level_dim(j), -1)))
-
-
-def _mul_term(
-    params: FockParams,
-    left: np.ndarray,
-    right: np.ndarray,
-    j: int,
-    batched: str | None = None,
-    memo: tuple[dict, dict] | None = None,
-) -> np.ndarray:
-    """One j-contraction term of the two-word product,
-    (split(left) @ P_j) @ split(right).  With ``batched`` "left" or
-    "right", the last axis of that operand is a batch axis that rides
-    along as the last axis of the term; the term is formed batch-first
-    from contiguous factors, so each slice goes through the same BLAS
-    kernels as unbatched, bit for bit.
-
-    ``memo`` is a pair of dicts that keep the left factors by j and the
-    right factors by (right level, j) for reuse by the product's other
-    terms; the caller owns their lifetime.
-    """
-    bl, br = int(batched == "left"), int(batched == "right")
-    left = np.moveaxis(left, -1, 0) if bl else left
-    right = np.moveaxis(right, -1, 0) if br else right
-    la, lb = left.ndim - bl, right.ndim - br
-    if memo is None:
-        t1, t2 = _left_factor(params, left, j, bl), _right_factor(params, right, j, br)
-    else:
-        left_memo, right_memo = memo
-        t1 = left_memo.get(j)
-        if t1 is None:
-            t1 = left_memo[j] = _left_factor(params, left, j, bl)
-        t2 = right_memo.get((lb, j))
-        if t2 is None:
-            t2 = right_memo[lb, j] = _right_factor(params, right, j, br)
-    # the j = 0 term is an outer product, batched or not
-    prod = t1 * t2 if j == 0 else t1 @ t2
-    batch = left.shape[:bl] + right.shape[:br]
-    prod = prod.reshape(batch + (params.dim,) * (la + lb - 2 * j))
-    return np.moveaxis(prod, 0, -1) if batch else prod
+def _split_matrix(params: FockParams, t: np.ndarray, n: int, k: int, b: int) -> np.ndarray:
+    """The split (n | k) of the window after ``b`` leading batch axes, as
+    a contiguous (batch..., dim^n, dim^k) matrix."""
+    s = split_tensor(params.q, t, n, k, b)
+    return np.ascontiguousarray(s.reshape(t.shape[:b] + (params.level_dim(n), params.level_dim(k))))
 
 
 def graded_mul(
@@ -134,20 +81,29 @@ def graded_mul(
 
     With ``batched`` "left" or "right", the last axis of every level of that
     operand (never both) is a batch axis that rides along to every output.
+    It is moved first once per level, so each term is formed batch-first
+    from contiguous factors and each slice goes through the same BLAS
+    kernels as unbatched, bit for bit.
 
-    Unbatched products reuse each split factor across the other
-    operand's levels: a left factor within its left level, a right
-    factor for the whole product.  A batched operand carries a whole
-    basis on its batch axis, so batched products hold no factors and
-    form them per term.
+    The j-contraction term is (split(left) @ P_j) @ split(right), or the
+    outer product of the operands at j = 0.  An unbatched product keeps
+    its j >= 1 factors for the other operand's levels: a left factor,
+    keyed by j, for the rest of its left level, and a right factor, keyed
+    by (right level, j), for the whole product.  A batched operand
+    carries a whole basis on its batch axis, so a batched product keeps
+    no factor and forms them per term.
     """
+    bl, br = int(batched == "left"), int(batched == "right")
+    left = {la: np.moveaxis(t, -1, 0) if bl else t for la, t in left.items()}
+    right = {lb: np.moveaxis(t, -1, 0) if br else t for lb, t in right.items()}
     out: dict[int, np.ndarray] = {}
-    right_memo: dict | None = None if batched else {}
+    right_factors: dict = {}
     for la, ta in left.items():
         params.check_level_budget(la)
-        memo = None if right_memo is None else ({}, right_memo)
+        left_factors: dict = {}
         for lb, tb in right.items():
             params.check_level_budget(lb)
+            batch = ta.shape[:bl] + tb.shape[:br]
             for j in range(min(la, lb) + 1):
                 lo = la + lb - 2 * j
                 if max_out is not None and lo > max_out:
@@ -156,7 +112,22 @@ def graded_mul(
                 if w == 0:
                     continue
                 params.check_level_budget(lo)
-                term = _mul_term(params, ta, tb, j, batched, memo)
+                if j == 0:
+                    col = np.ascontiguousarray(ta.reshape(ta.shape[:bl] + (-1, 1)), dtype=complex)
+                    row = np.ascontiguousarray(tb.reshape(tb.shape[:br] + (1, -1)), dtype=complex)
+                    prod = col * row
+                else:
+                    t1 = left_factors.get(j)
+                    if t1 is None:
+                        t1 = _split_matrix(params, ta, la - j, j, bl) @ pairing_form(params, j)
+                    t2 = right_factors.get((lb, j))
+                    if t2 is None:
+                        t2 = _split_matrix(params, tb, j, lb - j, br)
+                    if not batched:
+                        left_factors[j], right_factors[lb, j] = t1, t2
+                    prod = t1 @ t2
+                term = prod.reshape(batch + (params.dim,) * lo)
+                term = np.moveaxis(term, 0, -1) if batch else term
                 out[lo] = out.get(lo, 0) + (term if w == 1 else w * term)
     return {m: t for m, t in out.items() if t.any()}
 
@@ -246,10 +217,6 @@ class Element:
     def adjoint(self) -> "Element":
         """Conjugate-reverse the symbol of every level."""
         return Element(self.params, {m: conjugate_tensor(t) for m, t in self.levels.items()})
-
-    def number_applied(self) -> "Element":
-        """Generator action: scale level m by m."""
-        return Element(self.params, {m: m * t for m, t in self.levels.items()})
 
     def semigroup_applied(self, t: float) -> "Element":
         return Element(self.params, {m: np.exp(-t * m) * arr for m, arr in self.levels.items()})

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qfocklab.partitions import PairPartition, SegmentShape, crossing_number
-from qfocklab.qfock import FockParams, pairing_norm, r_star, r_star3, symmetrizer
+from qfocklab.qfock import FockParams, r_star, r_star3, symmetrizer
 from qfocklab.numerics import hermitian_eig
 from qfocklab.wick import Element, product_direct, product_partition, product_triple, wick
 from qfocklab.gradient import (
@@ -23,7 +23,7 @@ from qfocklab.gradient import (
 from qfocklab import cohomology as coh
 from qfocklab import ao as ao_mod
 from qfocklab import torus as torus_mod
-from oracles import iterated_pairing_two_ways, verify_derivation_norm
+from oracles import iterated_pairing_two_ways, pairing_norm, verify_derivation_norm
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:

@@ -423,6 +423,25 @@ def test_verify_minimum_level_runs():
     assert main(["verify", "--max-level", "3"]) == 0
 
 
+def test_verify_refuses_a_dim_whose_sampled_levels_pass_the_budget(tmp_path, monkeypatch, capsys):
+    # d_squared forms level 8 at every max_level, and 5^8 > 65536 >= 4^8
+    from qfocklab import checks
+
+    def run(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    jout = tmp_path / "v.json"
+    monkeypatch.setattr(checks, "run_checks", run)
+    assert main(["verify", "--dim", "5", "--max-level", "3", "--out", str(jout)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert "level 8 with dim 5 exceeds budget 65536" in err, err
+    assert not jout.exists()
+    monkeypatch.undo()
+    assert main(["verify", "--dim", "4", "--max-level", "3", "--out", str(jout)]) == 0
+    assert json.loads(jout.read_text())["passed"]
+
+
 def test_negative_time_is_config_error(capsys):
     assert main(["decay", "--time", "-1", "--max-level", "4"]) == 2
     assert "time must be >= 0" in capsys.readouterr().err

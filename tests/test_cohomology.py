@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from qfocklab import wick as wick_mod
-from qfocklab.qfock import FockParams
+from qfocklab.qfock import VECTOR_DIM_CAP, FockParams
 from qfocklab.wick import Element, wick
 from qfocklab.gradient import GradientVector, nabla_norm
 from qfocklab.cohomology import (
     SAMPLE_TOLERANCE,
+    TOP_SAMPLED_LEVEL,
     CheckRow,
     Cochain,
     _random_element,
@@ -24,7 +25,7 @@ from qfocklab.cohomology import (
     verify_leibniz,
     verify_prefix_anticommutes,
 )
-from oracles import verify_derivation_norm
+from oracles import number_applied, verify_derivation_norm
 
 
 def params(q=0.4, dim=2, max_level=6):
@@ -115,7 +116,7 @@ def test_derivation_cocycle_values():
     assert nabla_norm(d1(one)) == pytest.approx(0.0, abs=1e-12)
     a = wick(p, [1])
     assert nabla_norm(d1(a)) ** 2 == pytest.approx(
-        a.number_applied().q_inner(a).real, rel=1e-10
+        number_applied(a).q_inner(a).real, rel=1e-10
     )
 
 
@@ -145,6 +146,25 @@ def test_identity_checks_pass(checker):
     assert rows, "checker produced no rows"
     for row in rows:
         assert row.passed, (row.identity, row.tuple_id, row.residual)
+
+
+def test_sampled_checks_reach_the_top_sampled_level(monkeypatch):
+    # verify refuses a dim by TOP_SAMPLED_LEVEL, so no seed may pass it
+    seen = []
+    real = FockParams.check_level_budget
+
+    def recording(self, m, cap=VECTOR_DIM_CAP):
+        seen.append(m)
+        return real(self, m, cap)
+
+    monkeypatch.setattr(FockParams, "check_level_budget", recording)
+    tops = []
+    for seed in range(4):
+        seen.clear()
+        for check in (verify_bar_square, verify_prefix_anticommutes, verify_leibniz):
+            check(params(), seed=seed, samples=5)
+        tops.append(max(seen))
+    assert max(tops) == TOP_SAMPLED_LEVEL, tops
 
 
 def test_identity_checks_are_seeded_deterministic():

@@ -35,7 +35,6 @@ from qfocklab.qfock import (
     conjugate_tensor,
     creation,
     pairing_form,
-    pairing_norm,
     r_star,
     r_star3,
     split_tensor,
@@ -45,6 +44,7 @@ from qfocklab.qfock import (
     symmetrizer_inv_sqrt,
 )
 from qfocklab.wick import Element, product_direct
+from oracles import pairing_norm
 
 
 def params(q=0.5, dim=2, max_level=4):

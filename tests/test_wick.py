@@ -351,18 +351,19 @@ def test_graded_mul_zero_weight_skips_the_term(monkeypatch):
     from qfocklab import wick as wick_mod
 
     seen = []
-    real = wick_mod._mul_term
+    real = wick_mod.split_tensor
 
-    def recording(params, left, right, j, *batched):
-        seen.append(j)
-        return real(params, left, right, j, *batched)
+    def recording(q, t, n, k, offset=0):
+        seen.append((n, k))
+        return real(q, t, n, k, offset)
 
-    monkeypatch.setattr(wick_mod, "_mul_term", recording)
+    monkeypatch.setattr(wick_mod, "split_tensor", recording)
     p = params(q=0.3)
     rng = np.random.default_rng(16)
     left, right = random_graded(rng, 2, [2]), random_graded(rng, 2, [1, 2])
-    graded_mul(p, left, right, weight=lambda j: j)
-    assert sorted(seen) == [1, 1, 2]
+    graded_mul(p, left, right, weight=lambda j: float(j != 1))
+    # only the j = 2 term splits; the j = 1 terms would add (1, 0) and (1, 1) twice
+    assert seen == [(0, 2), (2, 0)]
 
 
 def test_partition_products_need_pure_levels():
@@ -420,6 +421,25 @@ def test_package_attributes_named_after_submodules_are_the_submodules():
         assert getattr(qfocklab, name) is mod, name
     assert inspect.ismodule(qfocklab.wick)
     assert qfocklab.wick.wick is wick
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    import os
+    import subprocess
+    import sys
+
+    import qfocklab
+
+    script = (
+        "import sys\n"
+        "import qfocklab\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('qfocklab.', 'numpy'))))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qfocklab.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 
