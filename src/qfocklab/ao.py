@@ -1,7 +1,8 @@
 """Numerical compactness witnesses for the number-operator semigroup.
 
-At finite truncation the model keeps, per eigenvalue, an orthonormal
-family of Wick words spanning the eigenspace.  The normalized
+At finite truncation the model keeps, per eigenvalue n, an orthonormal
+basis of the level-n eigenspace as one batch: the columns of W_n with
+W_n^H P_n W_n = 1, on a trailing batch axis.  The normalized
 derivation sends an eigenvector to its gradient-module class divided by
 the square root of its eigenvalue; the commutation-defect maps measure
 how far that normalization is from being bimodular.  Compactness cannot
@@ -24,9 +25,9 @@ one U^H P_m V per level and bracket.
 The model is built on the same batches.  The convention vector at
 eigenvalue 0 is a candidate minus its projection on the images of the
 normalized derivation, with one batched pairing per level for the
-coefficients; the eigenspace check is one U^H P U diagonal per level,
-and the band check multiplies each element of the smaller basis by the
-whole larger one.
+coefficients; the eigenspace check is one U^H P U diagonal per level
+over the mass off that level, and the band check multiplies each
+element of the smaller basis by the whole larger one.
 """
 
 from __future__ import annotations
@@ -53,32 +54,15 @@ FILTRATION_TOL = 1e-9
 
 @dataclass
 class FilteredModel:
-    """Eigenvalues with orthonormalized eigenspace bases and the unit
-    vector that stands in for the normalized derivation at eigenvalue 0.
+    """Orthonormal eigenbases of the number operator and the unit vector
+    that stands in for the normalized derivation at eigenvalue 0.
+    ``bases[n]``, the basis at eigenvalue n, holds level tensors whose
+    trailing axis runs over its elements: {n: W_n as (dim,)*n + (dim^n,)}.
     """
 
     params: FockParams
-    eigenvalues: list[float]
-    bases: list[list[Element]]
+    bases: list[dict[int, np.ndarray]]
     vacuum_unit: GradientVector
-
-
-def _orthonormal_words(params: FockParams, level: int) -> list[Element]:
-    if level == 0:
-        return [Element.one(params)]
-    # The columns of W are orthonormal, since W^H P W = 1.
-    w = symmetrizer_inv_sqrt(params, level)
-    shape = (params.dim,) * level
-    return [Element(params, {level: w[:, j].reshape(shape)}) for j in range(w.shape[1])]
-
-
-def _basis_batch(model: FilteredModel, n: int) -> dict[int, np.ndarray]:
-    """The level-n eigenbasis as level tensors whose trailing axis runs
-    over the basis elements; a level that an element lacks is zero in
-    its column."""
-    basis = model.bases[n]
-    levels = sorted({m for el in basis for m in el.levels})
-    return {m: np.stack([el.component(m) for el in basis], axis=-1) for m in levels}
 
 
 def _scaled(levels: dict, c: float) -> dict:
@@ -89,7 +73,7 @@ def _s_image_terms(model: FilteredModel, n: int) -> BatchedTerm:
     """The normalized-derivation images n^(-1/2) (e (x) 1) of the level-n
     eigenbasis, one column per basis element."""
     one = Element.one(model.params).levels
-    return BatchedTerm(_scaled(_basis_batch(model, n), model.eigenvalues[n] ** -0.5), one, "a")
+    return BatchedTerm(_scaled(model.bases[n], n**-0.5), one, "a")
 
 
 def filtration_check(model: FilteredModel, m: int, n: int):
@@ -103,12 +87,15 @@ def filtration_check(model: FilteredModel, m: int, n: int):
     params = model.params
     if m + n > params.max_level:
         raise TruncationLoss(f"band {m}+{n} exceeds max_level {params.max_level}")
-    if len(model.bases[m]) <= len(model.bases[n]):
-        batch = _basis_batch(model, n)
-        prods = (graded_mul(params, e.levels, batch, batched="right") for e in model.bases[m])
+
+    def columns(k):
+        batch = model.bases[k]
+        return ({l: t[..., j] for l, t in batch.items()} for j in range(params.level_dim(k)))
+
+    if params.level_dim(m) <= params.level_dim(n):
+        prods = (graded_mul(params, e, model.bases[n], batched="right") for e in columns(m))
     else:
-        batch = _basis_batch(model, m)
-        prods = (graded_mul(params, batch, f.levels, batched="left") for f in model.bases[n])
+        prods = (graded_mul(params, model.bases[m], f, batched="left") for f in columns(n))
     low, high = abs(m - n), m + n
     worst = 0.0
     for prod in prods:
@@ -133,7 +120,7 @@ def _build_vacuum_unit(model: FilteredModel) -> GradientVector:
     params = model.params
     one = Element.one(params)
     e1 = Element.word(params, [1])
-    images = [_s_image_terms(model, n) for n in range(1, len(model.eigenvalues))]
+    images = [_s_image_terms(model, n) for n in range(1, len(model.bases))]
     image_prods = [_term_products(params, s) for s in images]
     for a, xi in ((e1, e1), (e1 * e1, one)):
         column = BatchedTerm({m: t[..., None] for m, t in a.levels.items()}, xi.levels, "a")
@@ -141,7 +128,7 @@ def _build_vacuum_unit(model: FilteredModel) -> GradientVector:
         shift: dict[int, np.ndarray] = {}
         for n, (s, s_prods) in enumerate(zip(images, image_prods), start=1):
             # the pairing is a scalar zero when no level meets
-            coeffs = np.zeros((len(model.bases[n]), 1), dtype=complex) + _pair_batched_terms(
+            coeffs = np.zeros((params.level_dim(n), 1), dtype=complex) + _pair_batched_terms(
                 params, s, column, s_prods, column_prods
             )
             for m, u in s.a.items():
@@ -160,9 +147,11 @@ def build_ou_model(params: FockParams, check: bool = True) -> FilteredModel:
     (``_build_vacuum_unit``).  With ``check``, the model must pass
     ``check_eigenspaces`` and ``require_bands(band_leaks(model))``.
     """
-    eigenvalues = [float(n) for n in range(params.max_level + 1)]
-    bases = [_orthonormal_words(params, n) for n in range(params.max_level + 1)]
-    model = FilteredModel(params, eigenvalues, bases, None)
+    bases = [{0: np.ones(1, dtype=complex)}] + [
+        {n: symmetrizer_inv_sqrt(params, n).reshape((params.dim,) * n + (-1,))}
+        for n in range(1, params.max_level + 1)
+    ]
+    model = FilteredModel(params, bases, None)
     model.vacuum_unit = _build_vacuum_unit(model)
     if check:
         check_eigenspaces(model)
@@ -172,14 +161,17 @@ def build_ou_model(params: FockParams, check: bool = True) -> FilteredModel:
 
 def check_eigenspaces(model: FilteredModel) -> None:
     """Each level's basis must be an eigenspace of the number operator D:
-    one batched U^H P U diagonal of (D - lambda) U per level."""
+    one batched U^H P U diagonal of (D - n) U per level n, which only
+    the mass off level n enters, so a clean level pairs nothing."""
     params = model.params
-    for n, lam in enumerate(model.eigenvalues):
-        defect = {m: (m - lam) * t for m, t in _basis_batch(model, n).items()}
+    for n, batch in enumerate(model.bases):
+        defect = {m: (m - n) * t for m, t in batch.items() if m != n}
+        if not defect:
+            continue
         gram = _batched_q_inner(params, defect, defect)
         dev = float(np.sqrt(max(np.max(gram.diagonal().real), 0.0)))
         if dev > 1e-10:
-            raise FiltrationViolation(f"basis element at eigenvalue {lam} deviates by {dev:.2e}")
+            raise FiltrationViolation(f"basis element at eigenvalue {n:.1f} deviates by {dev:.2e}")
 
 
 def band_leaks(model: FilteredModel) -> dict[tuple[int, int], float]:
@@ -226,8 +218,8 @@ def s_isometry_report(model: FilteredModel) -> IsometryReport:
     """
     blocks = [(1, _vacuum_unit_terms(model, np.ones(1)))]
     labels = [(0, 0)]
-    for n in range(1, len(model.eigenvalues)):
-        width = len(model.bases[n])
+    for n in range(1, len(model.bases)):
+        width = model.params.level_dim(n)
         blocks.append((width, [_s_image_terms(model, n)]))
         labels.extend((n, i) for i in range(width))
     gram = batched_nabla_gram(model.params, blocks)
@@ -242,8 +234,8 @@ def _t_terms(model: FilteredModel, x: Element, y: Element, n: int) -> list[Batch
     level m >= 1, and the convention vector times -(xey)_0."""
     params = model.params
     one = Element.one(params).levels
-    c = model.eigenvalues[n] ** -0.5
-    e = _basis_batch(model, n)
+    c = n**-0.5
+    e = model.bases[n]
     xe = graded_mul(params, x.levels, e, batched="right")
     ey = graded_mul(params, e, y.levels, batched="left")
     xey = graded_mul(params, xe, y.levels, batched="left")
@@ -253,7 +245,7 @@ def _t_terms(model: FilteredModel, x: Element, y: Element, n: int) -> list[Batch
     ]
     for m, t in sorted(xey.items()):
         if m:
-            terms.append(BatchedTerm({m: -(model.eigenvalues[m] ** -0.5) * t}, one, "a"))
+            terms.append(BatchedTerm({m: -(m**-0.5) * t}, one, "a"))
     if 0 in xey:
         terms.extend(_vacuum_unit_terms(model, -xey[0]))
     return terms
@@ -310,5 +302,5 @@ def ou_t_decay_table(model: FilteredModel, x: Element, y: Element):
     budget = model.params.max_level - x.top_level() - y.top_level()
     rows = []
     for n in range(1, budget + 1):
-        rows.append((n, model.eigenvalues[n], t_block_norm(model, x, y, n)))
+        rows.append((n, float(n), t_block_norm(model, x, y, n)))
     return rows

@@ -36,9 +36,9 @@ from .numerics import psd_inv_sqrt
 MATRIX_DIM_CAP = 4096
 # Largest N^m for coefficient tensors in vector arithmetic.
 VECTOR_DIM_CAP = 65536
-# Largest max_level.  The einsum specs of the product routes name every
-# tensor axis by one of 52 letters, and numpy's contraction path search
-# needs one letter more for the batch axis of a gradient map.
+# Largest max_level.  The product routes label every einsum axis by an
+# integer, numpy accepts the 52 labels 0..51, and its contraction path
+# search needs one label more for the batch axis of a gradient map.
 LEVEL_CAP = 51
 # (q, dim) pairs whose Grams, pairing forms, splitters and split weights
 # stay cached, so a long q sweep holds a bounded amount; verify touches

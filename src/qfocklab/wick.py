@@ -43,8 +43,6 @@ from .qfock import (
     _require_same_params,
 )
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
 
 # ---------------------------------------------------------------------------
 # two-word contraction: the workhorse product
@@ -327,6 +325,9 @@ def partition_weighted_sum(
     Level-0 factors act as scalars; they are folded out before the
     enumeration (segments must be non-empty), so ``weight`` sees the
     shape of the non-scalar factors only.
+
+    Each einsum axis is labelled by its slot; a pair's two slots share
+    the left one's label.  numpy sums contracted labels in label order.
     """
     if batched and symbols[1].ndim == 1:
         # A batch of level-0 words is a batch of scalars.
@@ -358,24 +359,14 @@ def partition_weighted_sum(
         if w == 0:
             continue
         coeff = w * params.q**cross
-        slot_letter = [""] * total
-        next_letter = 0
+        label = list(range(total))
         for l, r in part.pairs:
-            letter = _LETTERS[next_letter]
-            next_letter += 1
-            slot_letter[l - 1] = letter
-            slot_letter[r - 1] = letter
-        out_letters = []
-        for s in part.singletons:
-            letter = _LETTERS[next_letter]
-            next_letter += 1
-            slot_letter[s - 1] = letter
-            out_letters.append(letter)
-        groups = []
-        for size, off, b in zip(sizes, offsets, batch_axes):
-            groups.append("".join(slot_letter[off : off + size]) + "..." * b)
-        spec = ",".join(groups) + "->" + "".join(out_letters) + "..."
-        term = (scalar * coeff) * np.einsum(spec, *symbols)
+            label[r - 1] = l - 1
+        args = []
+        for t, size, off, b in zip(symbols, sizes, offsets, batch_axes):
+            args += [t, label[off : off + size] + [...] * b]
+        out_labels = [s - 1 for s in part.singletons] + [...]
+        term = (scalar * coeff) * np.einsum(*args, out_labels)
         out[lvl] = out.get(lvl, 0) + term
     return {m: t for m, t in out.items() if t.any()}
 
@@ -415,8 +406,13 @@ def triple_contraction_sum(
     sum is linear in the middle word, so every slice along that axis is
     a separate middle word; the axis rides along as the last axis of
     every output level.
+
+    Einsum labels are axis positions in the concatenated words; a pair
+    tensor carries the labels of the two axes it joins, and only an
+    einsum with a pair tensor searches a contraction path.
     """
     n, m, k = t_left.ndim, t_mid.ndim - batched, t_right.ndim
+    la, lb, lc = list(range(n)), list(range(n, n + m)), list(range(n + m, n + m + k))
     out: dict[int, np.ndarray] = {}
     for s in range(min(n, m) + 1):
         for r in range(min(n - s, k) + 1):
@@ -431,40 +427,17 @@ def triple_contraction_sum(
                 a = split_tensor3(params.q, t_left, n - r - s, r, s)
                 bm = split_tensor3(params.q, t_mid, s, m - s - j, j)
                 c = split_tensor3(params.q, t_right, j, r, k - j - r)
-                operands = [a]
-                a_letters = _LETTERS[: n]
-                pos = n
-                s_letters = _LETTERS[pos : pos + s]
-                pos += s
-                b_letters = s_letters + _LETTERS[pos : pos + (m - s)]
-                pos += m - s
-                j_letters = _LETTERS[pos : pos + j]
-                pos += j
-                r_letters = _LETTERS[pos : pos + r]
-                pos += r
-                c_letters = j_letters + r_letters + _LETTERS[pos : pos + (k - j - r)]
-                pos += k - j - r
-                subs = [a_letters]
+                args = [a, la]
                 if s:
-                    operands.append(_pair_tensor(params, s))
-                    subs.append(a_letters[n - s :] + s_letters)
-                operands.append(bm)
-                subs.append(b_letters + "...")
+                    args += [_pair_tensor(params, s), la[n - s :] + lb[:s]]
+                args += [bm, lb + [...]]
                 if j:
-                    operands.append(_pair_tensor(params, j))
-                    subs.append(b_letters[m - j :] + j_letters)
-                operands.append(c)
-                subs.append(c_letters)
+                    args += [_pair_tensor(params, j), lb[m - j :] + lc[:j]]
+                args += [c, lc]
                 if r:
-                    operands.append(_pair_tensor(params, r))
-                    subs.append(a_letters[n - r - s : n - s] + r_letters)
-                out_letters = (
-                    a_letters[: n - r - s]
-                    + b_letters[s : m - j]
-                    + c_letters[j + r :]
-                )
-                spec = ",".join(subs) + "->" + out_letters + "..."
-                term = coeff * np.einsum(spec, *operands, optimize=len(operands) > 3)
+                    args += [_pair_tensor(params, r), la[n - r - s : n - s] + lc[j : j + r]]
+                out_labels = la[: n - r - s] + lb[s : m - j] + lc[j + r :] + [...]
+                term = coeff * np.einsum(*args, out_labels, optimize=bool(s or j or r))
                 out[lvl] = out.get(lvl, 0) + term
     return {lvl: t for lvl, t in out.items() if t.any()}
 

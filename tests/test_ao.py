@@ -12,6 +12,7 @@ from qfocklab.ao import (
     FILTRATION_TOL,
     FilteredModel,
     build_ou_model,
+    check_eigenspaces,
     decay_verdict,
     filtration_check,
     ou_t_decay_table,
@@ -25,6 +26,24 @@ from qfocklab.ao import (
 # explicit gradient vectors, paired term by term through nabla_gram; the
 # convention vector by sequential projection; the band check pair by pair
 # ---------------------------------------------------------------------------
+
+
+def basis_element(model, n, i):
+    """Element i of the level-n eigenbasis: column i of its batch."""
+    return Element(model.params, {m: t[..., i] for m, t in model.bases[n].items()})
+
+
+def basis_elements(model, n):
+    return [basis_element(model, n, i) for i in range(model.params.level_dim(n))]
+
+
+def with_column_added(batch, i, el):
+    """A copy of a basis batch with ``el`` added to its column i."""
+    out = {m: t.copy() for m, t in batch.items()}
+    width = next(iter(batch.values())).shape[-1]
+    for m, t in el.levels.items():
+        out.setdefault(m, np.zeros(t.shape + (width,), dtype=complex))[..., i] += t
+    return out
 
 
 def _derivation_class(params, el):
@@ -43,23 +62,22 @@ def s_of_element(model, el):
         if m == 0:
             out = out.add(model.vacuum_unit.scaled(complex(t)))
             continue
-        lam = model.eigenvalues[m]
         piece = _derivation_class(params, Element(params, {m: t}))
-        out = out.add(piece.scaled(lam**-0.5))
+        out = out.add(piece.scaled(m**-0.5))
     return out
 
 
 def flat_basis(model):
     """(eigenspace, index, element) over every eigenbasis element, in order."""
-    return [(n, i, el) for n, basis in enumerate(model.bases) for i, el in enumerate(basis)]
+    return [
+        (n, i, el) for n in range(len(model.bases)) for i, el in enumerate(basis_elements(model, n))
+    ]
 
 
 def s_basis_image(model, n, i):
     if n == 0:
         return model.vacuum_unit
-    return _derivation_class(model.params, model.bases[n][i]).scaled(
-        model.eigenvalues[n] ** -0.5
-    )
+    return _derivation_class(model.params, basis_element(model, n, i)).scaled(n**-0.5)
 
 
 def sequential_vacuum_unit(model):
@@ -93,8 +111,8 @@ def out_of_band_mass(prod, low, high, parity):
 
 def pairwise_filtration_check(model, m, n):
     worst = 0.0
-    for e in model.bases[m]:
-        for f in model.bases[n]:
+    for e in basis_elements(model, m):
+        for f in basis_elements(model, n):
             worst = max(worst, out_of_band_mass(e * f, abs(m - n), m + n, (m + n) % 2))
     return worst
 
@@ -107,7 +125,7 @@ def t_images(model, x, y, n):
             f"products from level {n} with the given words leave the window"
         )
     out = []
-    for el in model.bases[n]:
+    for el in basis_elements(model, n):
         se = s_of_element(model, el)
         moved = se.left(x).right(y)
         prod = (x * el) * y
@@ -117,7 +135,7 @@ def t_images(model, x, y, n):
 
 def subexponential_ratios(model):
     """Ratios of consecutive positive generator eigenvalues."""
-    lams = [l for l in model.eigenvalues if l > 0]
+    lams = list(range(1, model.params.max_level + 1))
     return [b / a for a, b in zip(lams, lams[1:])]
 
 
@@ -127,18 +145,18 @@ def model():
 
 
 def test_model_structure(model):
-    assert model.eigenvalues == [float(n) for n in range(7)]
-    for n, basis in enumerate(model.bases):
-        assert len(basis) == 2**n
-        for el in basis:
-            assert set(el.levels) <= {n} or (n == 0 and set(el.levels) == {0})
+    assert len(model.bases) == 7
+    for n, batch in enumerate(model.bases):
+        assert set(batch) == {n}
+        assert batch[n].shape == (2,) * n + (2**n,)
     ratios = subexponential_ratios(model)
     assert all(a >= b for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] == pytest.approx((len(ratios) + 1) / len(ratios))
 
 
 def test_eigenbasis_is_orthonormal(model):
-    for basis in model.bases:
+    for level in range(len(model.bases)):
+        basis = basis_elements(model, level)
         n = len(basis)
         gram = np.array([[u.q_inner(v) for v in basis] for u in basis])
         assert np.allclose(gram, np.eye(n), atol=1e-10)
@@ -154,7 +172,7 @@ def test_s_vacuum_convention_is_unit_and_orthogonal(model):
     unit = model.vacuum_unit
     assert nabla_norm(unit) == pytest.approx(1.0, abs=1e-10)
     for n in range(1, 5):
-        for i in range(len(model.bases[n])):
+        for i in range(model.params.level_dim(n)):
             overlap = nabla_pairing_value(unit, s_basis_image(model, n, i))
             assert abs(overlap) < 1e-10
 
@@ -164,7 +182,7 @@ def test_s_independent_of_orthonormalization(model):
     # a unitary rotates its image Gram covariantly, so it stays identity
     rng = np.random.default_rng(0)
     n = 2
-    basis = model.bases[n]
+    basis = basis_elements(model, n)
     a = rng.standard_normal((len(basis), len(basis)))
     u, _ = np.linalg.qr(a)
     rotated = []
@@ -295,7 +313,7 @@ def test_batched_t_gram_with_vacuum_unit_terms():
         p = FockParams(q=q, dim=2, max_level=4)
         model = build_ou_model(p, check=False)
         x = wick(p, [1])
-        assert any(((x * el) * x).trace() != 0 for el in model.bases[2])
+        assert any(((x * el) * x).trace() != 0 for el in basis_elements(model, 2))
         oracle = nabla_gram(t_images(model, x, x, 2))
         _assert_gram_close(ao._t_block_gram(model, x, x, 2), oracle)
 
@@ -356,10 +374,10 @@ def test_batched_filtration_detects_a_two_level_element():
     # band it meets, whether it is the looped or the batched factor
     p = FockParams(q=0.3, dim=2, max_level=5)
     ou = build_ou_model(p, check=False)
-    bases = [list(b) for b in ou.bases]
-    bases[1][0] = bases[1][0] + Element.word(p, [1, 2])
-    bases[2][1] = bases[2][1] + Element.word(p, [2, 1, 2]).scaled(0.5j)
-    model = FilteredModel(p, ou.eigenvalues, bases, ou.vacuum_unit)
+    bases = list(ou.bases)
+    bases[1] = with_column_added(bases[1], 0, Element.word(p, [1, 2]))
+    bases[2] = with_column_added(bases[2], 1, Element.word(p, [2, 1, 2]).scaled(0.5j))
+    model = FilteredModel(p, bases, ou.vacuum_unit)
     for m, n in [(1, 1), (1, 2), (2, 1), (0, 2), (2, 2), (1, 3), (3, 1)]:
         oracle = pairwise_filtration_check(model, m, n)
         assert oracle > FILTRATION_TOL
@@ -367,17 +385,36 @@ def test_batched_filtration_detects_a_two_level_element():
 
 
 def test_eigen_check_rejects_a_two_level_basis(monkeypatch):
-    original = ao._orthonormal_words
+    # the level-2 batch gains a level-1 component as the builder hands it on
+    build_unit = ao._build_vacuum_unit
 
-    def mixed(params, level):
-        words = original(params, level)
-        if level == 2:
-            words[0] = words[0] + Element.word(params, [1])
-        return words
+    def mixed(model):
+        model.bases[2] = with_column_added(model.bases[2], 0, Element.word(model.params, [1]))
+        return build_unit(model)
 
-    monkeypatch.setattr(ao, "_orthonormal_words", mixed)
+    monkeypatch.setattr(ao, "_build_vacuum_unit", mixed)
     with pytest.raises(FiltrationViolation, match="eigenvalue 2.0 deviates"):
         build_ou_model(FockParams(q=0.3, dim=2, max_level=4))
+
+
+def test_eigen_check_pairs_only_the_mass_off_each_level(monkeypatch):
+    # a clean model has no mass off any level, so it forms no Gram
+    p = FockParams(q=0.3, dim=2, max_level=4)
+    ou = build_ou_model(p, check=False)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gradient._batched_q_inner(*args)
+
+    monkeypatch.setattr(ao, "_batched_q_inner", counted)
+    check_eigenspaces(ou)
+    assert calls == []
+    bases = list(ou.bases)
+    bases[3] = with_column_added(bases[3], 5, Element.word(p, [2, 1]).scaled(1e-3))
+    with pytest.raises(FiltrationViolation, match="eigenvalue 3.0 deviates"):
+        check_eigenspaces(FilteredModel(p, bases, ou.vacuum_unit))
+    assert len(calls) == 1
 
 
 def test_band_check_names_the_first_leaking_band(monkeypatch):

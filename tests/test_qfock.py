@@ -297,10 +297,10 @@ def test_pairing_norm_matches_the_eig_oracle(j):
     [
         lambda p: creation(p, [1.0, 0.0]).gram_adjoint(),
         lambda p: pairing_norm(p, 3),
-        lambda p: ao._orthonormal_words(p, 3),
+        lambda p: ao.build_ou_model(p, check=False),
         lambda p: creation(p, [1.0, 0.0]).q_singular_values([3]),
     ],
-    ids=["gram_adjoint", "pairing_norm", "orthonormal_words", "q_singular_values"],
+    ids=["gram_adjoint", "pairing_norm", "build_ou_model", "q_singular_values"],
 )
 def test_every_gram_inverse_raises_not_psd_for_an_indefinite_gram(consumer, monkeypatch):
     p = params(q=0.5, max_level=4)

@@ -25,6 +25,7 @@ from qfocklab.gradient import gradient_map
 from qfocklab.wick import (
     Element,
     graded_mul,
+    partition_weighted_sum,
     product_direct,
     product_partition,
     product_triple,
@@ -348,8 +349,7 @@ def test_graded_mul_batch_axis_matches_per_slice_loop(side, q, dim):
 
 
 def test_graded_mul_zero_weight_skips_the_term(monkeypatch):
-    from qfocklab import wick as wick_mod
-
+    
     seen = []
     real = wick_mod.split_tensor
 
@@ -488,10 +488,25 @@ def test_vacuum_moments_match_touchard_riordan_by_every_route(q):
 
 
 def test_level_cap_keeps_every_einsum_spec_in_the_alphabet():
-    # an einsum spec names each axis by a letter, and numpy's path search
-    # takes one more letter for the batch axis
-    assert LEVEL_CAP == len(wick_mod._LETTERS) - 1
+    # the product routes label each einsum axis by an integer; numpy takes
+    # LEVEL_CAP + 1 labels, and its path search needs the last one for
+    # the batch axis
+    fits = np.ones((1,) * (LEVEL_CAP + 1) + (2,))
+    assert np.einsum(fits, list(range(LEVEL_CAP + 1)) + [...], [...]).shape == (2,)
+    with pytest.raises(ValueError):
+        np.einsum(np.ones((1,) * (LEVEL_CAP + 2)), list(range(LEVEL_CAP + 2)), [])
     p = FockParams(q=0.3, dim=1, max_level=LEVEL_CAP)
     a = wick(p, [1])
     psi = gradient_map(a, a, 0.0, "rstar")
     assert psi.blocks[LEVEL_CAP - 2, LEVEL_CAP - 2].shape == (1, 1)
+
+
+def test_partition_route_reaches_the_level_cap():
+    # at dim 1, the word of level 1 times the word of level 50: the pair
+    # that skips k singletons weighs q^k, so level 49 carries [50]_q
+    q = 0.3
+    p = FockParams(q=q, dim=1, max_level=LEVEL_CAP)
+    out = partition_weighted_sum(p, [basis_tensor(p, [1]), basis_tensor(p, [1] * 50)])
+    assert sorted(out) == [49, 51]
+    assert out[51].reshape(-1)[0] == 1.0
+    assert out[49].reshape(-1)[0] == pytest.approx((1 - q**50) / (1 - q), rel=1e-12)
