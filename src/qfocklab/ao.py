@@ -22,12 +22,11 @@ factor is linear in the basis element, so the level's whole basis goes
 on a batch axis and ``gradient.batched_nabla_gram`` fills a block with
 one U^H P_m V per level and bracket.
 
-The model is built on the same batches.  The convention vector at
-eigenvalue 0 is a candidate minus its projection on the images of the
-normalized derivation, with one batched pairing per level for the
-coefficients; the eigenspace check is one U^H P U diagonal per level
-over the mass off that level, and the band check multiplies each
-element of the smaller basis by the whole larger one.
+The model is built on the same batches: the eigenspace check is one
+U^H P U diagonal per level over the mass off that level, and the band
+check multiplies each element of the smaller basis by the whole larger
+one.  The convention vector at eigenvalue 0 has a closed form, which
+``_build_vacuum_unit`` derives from the trace form.
 """
 
 from __future__ import annotations
@@ -39,15 +38,7 @@ import numpy as np
 from .errors import FiltrationViolation, TruncationLoss
 from .qfock import FockParams, symmetrizer_inv_sqrt
 from .wick import Element, graded_mul
-from .gradient import (
-    BatchedTerm,
-    GradientVector,
-    _batched_q_inner,
-    _pair_batched_terms,
-    _term_products,
-    batched_nabla_gram,
-    nabla_norm,
-)
+from .gradient import BatchedTerm, GradientVector, _batched_q_inner, batched_nabla_gram
 
 FILTRATION_TOL = 1e-9
 
@@ -108,43 +99,37 @@ def filtration_check(model: FilteredModel, m: int, n: int):
 
 
 def _build_vacuum_unit(model: FilteredModel) -> GradientVector:
-    """Deterministic unit vector of the gradient module orthogonal to
-    the normalized-derivation images (the eigenvalue-0 convention).
+    """Unit vector of the gradient module orthogonal to the
+    normalized-derivation images (the eigenvalue-0 convention), in closed
+    form: s (e1 (x) e1 - 1/2 W(e1 (x) e1) (x) 1) with s = (2 / (1 - q))^(1/2),
+    where the Wick word W(e1 (x) e1) has vacuum vector w = e1 (x) e1.
 
-    The images n^(-1/2) (e (x) 1) are orthonormal, so a candidate c
-    leaves their span in one step: with E_n the level-n basis on a
-    batch axis and c_n the column of pairings of its images with c, the
-    remainder is c - (sum_n n^(-1/2) E_n c_n) (x) 1.  Each c_n is one
-    batched pairing of the level's image family with the candidate.
+    Pair an image n^(-1/2) (e (x) 1) of a level-n basis element e with
+    e1 (x) e1 through the trace form of the pairing (module docstring).
+    Every bracket pairs vectors of different levels unless n = 2, and
+    there the pairing is 2^(-1/2) <e, w>.  The images are orthonormal
+    and W_2 W_2^H P_2 = 1, so the projection on them is 1/2 w (x) 1,
+    whatever q, dim and the basis W_2.  The word 11 spans its own
+    letter-content block of P_2, on which P_2 = 1 + q, so the projection
+    has squared norm (1 + q)/2 and the remainder 1 - (1 + q)/2 =
+    (1 - q)/2 > 0 for |q| < 1.  Below level 2 there are no level-2
+    images, and e1 (x) e1 is already a unit vector orthogonal to the
+    images.
     """
     params = model.params
-    one = Element.one(params)
     e1 = Element.word(params, [1])
-    images = [_s_image_terms(model, n) for n in range(1, len(model.bases))]
-    image_prods = [_term_products(params, s) for s in images]
-    for a, xi in ((e1, e1), (e1 * e1, one)):
-        column = BatchedTerm({m: t[..., None] for m, t in a.levels.items()}, xi.levels, "a")
-        column_prods = _term_products(params, column)
-        shift: dict[int, np.ndarray] = {}
-        for n, (s, s_prods) in enumerate(zip(images, image_prods), start=1):
-            # the pairing is a scalar zero when no level meets
-            coeffs = np.zeros((params.level_dim(n), 1), dtype=complex) + _pair_batched_terms(
-                params, s, column, s_prods, column_prods
-            )
-            for m, u in s.a.items():
-                shift[m] = shift.get(m, 0) - (u @ coeffs)[..., 0]
-        reduced = GradientVector(params, [(a, xi), (Element(params, shift), one)])
-        norm = nabla_norm(reduced)
-        if norm > 1e-6:
-            return reduced.scaled(1.0 / norm)
-    raise FiltrationViolation("no unit vector orthogonal to the derivation range")
+    if params.max_level < 2:
+        return GradientVector(params, [(e1, e1)])
+    s = (2.0 / (1.0 - params.q)) ** 0.5
+    w = Element.word(params, [1, 1]).scaled(-0.5 * s)
+    return GradientVector(params, [(e1.scaled(s), e1), (w, Element.one(params))])
 
 
 def build_ou_model(params: FockParams, check: bool = True) -> FilteredModel:
     """Number-operator model: eigenvalue n carries the level-n words.
 
-    The convention vector takes one batched pairing per level
-    (``_build_vacuum_unit``).  With ``check``, the model must pass
+    The convention vector is in closed form (``_build_vacuum_unit``).
+    With ``check``, the model must pass
     ``check_eigenspaces`` and ``require_bands(band_leaks(model))``.
     """
     bases = [{0: np.ones(1, dtype=complex)}] + [

@@ -540,15 +540,6 @@ def _batched_q_inner(params: FockParams, left: dict, right: dict):
     return total
 
 
-def _term_products(params: FockParams, term: BatchedTerm):
-    """a xi and D(a) xi of a term family, D the number operator."""
-    flag = "left" if term.side == "a" else "right"
-    return (
-        graded_mul(params, term.a, term.xi, batched=flag),
-        graded_mul(params, _number_levels(term.a), term.xi, batched=flag),
-    )
-
-
 def _pair_batched_terms(params: FockParams, s: BatchedTerm, t: BatchedTerm, s_prods, t_prods):
     """Matrix of <a_i (x) xi_i, b_j (x) eta_j> over the columns i of ``s``
     and j of ``t``, by the trace form of the pairing (D the number
@@ -557,8 +548,8 @@ def _pair_batched_terms(params: FockParams, s: BatchedTerm, t: BatchedTerm, s_pr
         <Gamma(a, b) xi, eta> = 1/2 [<a xi, D(b) eta> + <D(a) xi, b eta> - X],
         X = <D(b* a) xi, eta> = <a, b D(eta xi*)> = <xi, D(a* b) eta>.
 
-    The first two brackets pair the families' own products (``s_prods``
-    and ``t_prods`` from ``_term_products``).  X takes the form in which
+    The first two brackets pair the families' own products a xi and
+    D(a) xi (``s_prods`` and ``t_prods``).  X takes the form in which
     every product has at most one batched operand, and each product is
     cut at the top level of the factor it is paired against.
     """
@@ -583,18 +574,23 @@ def batched_nabla_gram(params: FockParams, blocks) -> np.ndarray:
     """Gram of gradient vectors given by column blocks.
 
     ``blocks`` lists (width, term families); each column of a block is
-    the sum over the block's families of that column's term.  Every two
-    families are paired once by ``_pair_batched_terms``, the reversed
+    the sum over the block's families of that column's term.  Each
+    family's products a xi and D(a) xi are formed once, and every two
+    families are paired once by ``_pair_batched_terms``; the reversed
     pair is its conjugate transpose, and the result is symmetrized as
     1/2 (G + G^H), so it reads the same from either triangle.
     """
     offsets = np.cumsum([0] + [width for width, _ in blocks])
-    flat = [
-        (slice(offsets[r], offsets[r + 1]), term, _term_products(params, term))
-        for r, (_, terms) in enumerate(blocks)
-        for term in terms
-        if term.a and term.xi
-    ]
+    flat = []
+    for r, (_, terms) in enumerate(blocks):
+        for term in terms:
+            if term.a and term.xi:
+                flag = "left" if term.side == "a" else "right"
+                prods = tuple(
+                    graded_mul(params, a, term.xi, batched=flag)
+                    for a in (term.a, _number_levels(term.a))
+                )
+                flat.append((slice(offsets[r], offsets[r + 1]), term, prods))
     g = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
     for i, (rows, s, s_prods) in enumerate(flat):
         for j in range(i, len(flat)):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,27 +312,31 @@ def splitter_matrix(params: FockParams, parts: tuple[int, ...]) -> np.ndarray:
     """Dense matrix of the splitting operator for the given part sizes.
 
     Satisfies Gram(total) = (Gram(p1) (x) ... (x) Gram(pj)) @ splitter.
+    It is the split kernel run on the identity, so the Gram identities
+    check the kernel that the products run: two parts by
+    ``split_tensor``'s gather table (the one ``graded_mul`` runs) on
+    the identity's rows, transposed, in blocks of rows that gather at
+    most dim^(2L) entries each; three parts by ``split_tensor3``'s term
+    loop (the one the triple route runs) on the identity's columns.
     """
     if any(p < 0 for p in parts):
         raise ShapeMismatch(f"negative part in {parts}")
-    params.check_level_budget(sum(parts), MATRIX_DIM_CAP)
-    n = params.level_dim(sum(parts))
+    total = sum(parts)
+    params.check_level_budget(total, MATRIX_DIM_CAP)
+    n, window = params.level_dim(total), (params.dim,) * total
     live = [p for p in parts if p > 0]
     if len(live) <= 1:
         return np.eye(n, dtype=complex)
     if len(live) == 2:
-        # Term c sends column rows[c, r] to row r.
-        weights = _split_weights(params.q, params.dim, live[0], live[1])
-        built = np.zeros((n, n), dtype=complex)
-        out_rows = np.arange(n)
-        for weight, cols in zip(weights, _split_rows(params.dim, live[0], live[1])):
-            built[out_rows, cols] += weight
-        return built
+        out = np.empty((n, n), dtype=complex)
+        step = max(1, n // math.comb(total, live[0]))
+        for i in range(0, n, step):
+            rows = np.eye(min(step, n - i), n, i, dtype=complex).reshape((-1,) + window)
+            out[:, i : i + step] = split_tensor(params.q, rows, *live, offset=1).reshape(-1, n).T
+        return out
     if len(live) == 3:
-        p1, p2, p3 = live
-        first = splitter_matrix(params, (p1 + p2, p3))
-        inner = splitter_matrix(params, (p1, p2))
-        return np.kron(inner, np.eye(params.level_dim(p3), dtype=complex)) @ first
+        eye = np.eye(n, dtype=complex).reshape(window + (n,))
+        return split_tensor3(params.q, eye, *live).reshape(n, n)
     raise ShapeMismatch(f"splitting into {len(live)} parts is not supported")
 
 

@@ -357,8 +357,8 @@ def test_batched_grams_make_no_pairwise_calls(model, monkeypatch):
 # the batched model build against its oracles
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("q", [-0.4, 0.3, 0.7])
-@pytest.mark.parametrize("dim,max_level", [(1, 6), (2, 4), (3, 3)])
+@pytest.mark.parametrize("q", [-0.4, 0.3, 0.7, 0.95])
+@pytest.mark.parametrize("dim,max_level", [(1, 6), (2, 4), (3, 3), (2, 1), (4, 3)])
 def test_batched_build_matches_sequential_oracles(q, dim, max_level):
     model = build_ou_model(FockParams(q=q, dim=dim, max_level=max_level), check=False)
     oracle = sequential_vacuum_unit(model)
@@ -424,10 +424,11 @@ def test_band_check_names_the_first_leaking_band(monkeypatch):
 
 
 def test_model_build_pairwise_calls_do_not_grow_with_the_window(monkeypatch):
+    # the convention vector is in closed form, so a build pairs nothing
     calls = _record_pairwise_calls(monkeypatch)
     counts = []
     for max_level in (4, 6):
         calls.clear()
         build_ou_model(FockParams(q=0.3, dim=2, max_level=max_level))
         counts.append((calls.count("gamma"), calls.count("nabla_pairing_value")))
-    assert counts[0] == counts[1]
+    assert counts == [(0, 0), (0, 0)]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qfocklab import ao, qfock
+from qfocklab import ao, checks, qfock
 from qfocklab.errors import (
     LevelTooLarge,
     NotHermitianError,
@@ -170,6 +170,25 @@ def test_dense_splitter_agrees_with_symmetrizer():
         expl = symmetrizer(p, m)
         rec = np.kron(symmetrizer(p, m - 1), np.eye(2)) @ splitter_matrix(p, (m - 1, 1))
         assert np.allclose(expl, rec, atol=1e-12)
+
+
+def test_rstar_identities_see_a_split_kernel_fault(monkeypatch):
+    # the dense splitters are the split kernel run on the identity, so a
+    # kernel fault reaches verify's check; q is one no other test uses,
+    # so no splitter of its pair is cached, and its entries are dropped
+    kernel = qfock.split_tensor
+
+    def faulty(q, t, n, k, offset=0):
+        out = kernel(q, t, n, k, offset)
+        return out - 0.01 * t if n and k else out
+
+    monkeypatch.setattr(qfock, "split_tensor", faulty)
+    p = FockParams(q=0.2468, dim=2, max_level=4)
+    try:
+        residual, tol = checks._check_rstar(None, p)
+    finally:
+        _pair_memo(p.q, p.dim).clear()
+    assert residual > tol
 
 
 def test_symmetrizer_positive_definite():
