@@ -6,7 +6,9 @@ scalar.  The q-inner product is <u, v>_q = vdot(u, P_m v) with P_m the
 q-symmetrizer, so all inner products here are conjugate-linear in the
 FIRST argument.  Norm computations change basis with the inverse
 Cholesky factor of the Gram (``symmetrizer_inv_sqrt``), never the raw
-coordinates.
+coordinates.  Dense Grams live on the truncated space: a tensor above
+the truncation level (the top level of an exact product) meets its Gram
+through the split recursion, which materializes no Gram above max_level.
 
 Truncation contract: vector-level arithmetic is exact; block operators
 record which source levels had output dropped at the max-level
@@ -225,7 +227,9 @@ def _memo_per_pair(build):
     """Memoize ``build(params, key)`` in the ``_pair_memo`` of
     ``(params.q, params.dim)``.  ``max_level`` is not part of the key, so
     every truncation of one (q, dim) shares the entries.  A build that
-    raises stores nothing."""
+    raises stores nothing.  Builders run at max_level 0, where applying
+    a Gram would recurse down to level 1, so a builder must not apply
+    one (``symmetrizer_apply``, ``_sym_apply_front``)."""
 
     @functools.wraps(build)
     def lookup(params: FockParams, key) -> np.ndarray:
@@ -290,9 +294,10 @@ def symmetrizer_inv_sqrt(params: FockParams, m: int) -> np.ndarray:
 
 def _sym_apply_front(params: FockParams, t: np.ndarray, m: int) -> np.ndarray:
     """Apply the level-m Gram to the first m axes of t (trailing axes
-    ride along), recursing through the split identity above the
-    materialization cap."""
-    if m <= 1 or params.level_dim(m) <= MATRIX_DIM_CAP:
+    ride along).  Above the truncation level it recurses through the
+    split identity P_m = (P_{m-1} (x) 1) R*_{m-1,1}, so only the Grams
+    of levels up to max_level are materialized and cached."""
+    if m <= max(1, params.max_level):
         g = symmetrizer(params, m)
         flat = t.reshape(params.level_dim(m), -1)
         return (g @ flat).reshape(t.shape)
@@ -301,8 +306,9 @@ def _sym_apply_front(params: FockParams, t: np.ndarray, m: int) -> np.ndarray:
 
 
 def symmetrizer_apply(params: FockParams, t: np.ndarray) -> np.ndarray:
-    """Apply the level Gram to a tensor, falling back to the split
-    recursion when the dense matrix exceeds the materialization cap."""
+    """Apply the level Gram to a tensor, by the dense Gram up to the
+    truncation level and by the split recursion above the truncation
+    level."""
     params.check_level_budget(t.ndim, VECTOR_DIM_CAP)
     return _sym_apply_front(params, t, t.ndim)
 

@@ -4,6 +4,7 @@ import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -202,12 +203,49 @@ def test_symmetrizer_positive_definite():
                 assert w[0] > 0.0
 
 
-def test_symmetrizer_apply_matches_matrix():
-    p = FockParams(q=0.4, dim=2, max_level=6)
+@pytest.mark.parametrize(
+    "max_level,dim,q", list(itertools.product([0, 1, 3, 6], [1, 2, 3], [-0.7, 0.4, 0.8]))
+)
+def test_symmetrizer_apply_matches_matrix(max_level, dim, q):
+    # the dense Gram up to max_level and the split recursion above it,
+    # on tensors alone and with a trailing batch axis
+    p = FockParams(q=q, dim=dim, max_level=max_level)
     rng = np.random.default_rng(0)
-    t = rng.standard_normal((2,) * 5) + 1j * rng.standard_normal((2,) * 5)
-    direct = (symmetrizer(p, 5) @ t.reshape(-1)).reshape(t.shape)
-    assert np.allclose(symmetrizer_apply(p, t), direct, atol=1e-12)
+    for m in range(8):
+        if dim**m > MATRIX_DIM_CAP:
+            continue
+        for batch in ((), (3,)):
+            shape = (dim,) * m + batch
+            t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            want = (symmetrizer(p, m) @ t.reshape(dim**m, -1)).reshape(shape)
+            got = [qfock._sym_apply_front(p, t, m)] + ([] if batch else [symmetrizer_apply(p, t)])
+            for g in got:
+                assert np.linalg.norm(g - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _top_cached_gram(p):
+    return max(key for name, key in _pair_memo(p.q, p.dim) if name == "symmetrizer")
+
+
+def test_no_gram_is_built_above_the_truncation_level():
+    # values of q no other test uses, so the memo starts empty
+    p = FockParams(q=0.2713, dim=2, max_level=3)
+    rng = np.random.default_rng(4)
+    top = Element(p, {6: rng.standard_normal((2,) * 6) + 1j * rng.standard_normal((2,) * 6)})
+    try:
+        assert top.q_norm() > 0
+        assert _top_cached_gram(p) <= p.max_level
+    finally:
+        _pair_memo(p.q, p.dim).clear()
+    # d_squared's products reach level 8; its Grams stay at level 4, the
+    # pairing form of the j <= 4 contractions in graded_mul
+    p = FockParams(q=0.3187, dim=3, max_level=3)
+    try:
+        residual, tol = checks._check_d_squared(SimpleNamespace(seed=3), p)
+        assert residual <= tol
+        assert _top_cached_gram(p) <= 4
+    finally:
+        _pair_memo(p.q, p.dim).clear()
 
 
 def test_level_cache_is_shared_across_max_level():
