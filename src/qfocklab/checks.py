@@ -21,7 +21,7 @@ from .errors import QFockError
 from .gradient import gamma, gradient_map, nabla_pairing_two_ways
 from .numerics import hermitian_eig
 from .partitions import PairPartition, SegmentShape, crossing_number, enumerate_pair_partitions
-from .qfock import FockParams, annihilation, creation, r_star, r_star3, symmetrizer
+from .qfock import FockParams, annihilation, r_star, r_star3, symmetrizer
 from .wick import Element, product_direct, product_partition, product_triple, wick
 
 
@@ -124,12 +124,22 @@ def _block_gap(lhs, rhs) -> float:
 
 
 def _check_annihilation(cfg, params):
+    """Annihilation by e_i is the q-adjoint of creation C = e_i (x) 1:
+    <C x, y>_q = <x, A y>_q for all x, y says P_{m-1} A_m = C^H P_m on
+    each level m, where C^H P_m is the rows of P_m whose first letter is
+    i.  So the check reads Grams and inverts none.  The entries of P_m
+    grow like [m]_q!, and so does the rounding of either side, so each
+    level's gap is taken relative to max |P_m|."""
+    d = params.dim
+    levels = range(1, params.max_level + 1)
+    scale = {m: np.max(np.abs(symmetrizer(params, m))) for m in levels}
     worst = 0.0
-    for i in range(params.dim):
-        xi = np.zeros(params.dim)
-        xi[i] = 1.0
-        lhs = annihilation(params, xi)
-        worst = max(worst, _block_gap(lhs, creation(params, xi).gram_adjoint()))
+    for i, xi in enumerate(np.eye(d)):
+        blocks = annihilation(params, xi).blocks
+        for m in levels:
+            adjoint_rows = symmetrizer(params, m).reshape(d, d ** (m - 1), -1)[i]
+            gap = symmetrizer(params, m - 1) @ blocks[(m, m - 1)] - adjoint_rows
+            worst = max(worst, float(np.max(np.abs(gap)) / scale[m]))
     return worst, 1e-10
 
 

@@ -442,22 +442,6 @@ class FockOperator:
             blocks[k] = blocks.get(k, 0) + v
         return FockOperator(self.params, blocks, self.lossy_sources | other.lossy_sources)
 
-    def gram_adjoint(self) -> "FockOperator":
-        """Adjoint with respect to the q-inner product:
-        block(dst -> src) = Gram_src^{-1} block(src -> dst)^H Gram_dst,
-        with Gram_src^{-1} = W W^H from ``symmetrizer_inv_sqrt``."""
-        blocks = {}
-        for (src, dst), mat in self.blocks.items():
-            g_dst = symmetrizer(self.params, dst)
-            w = symmetrizer_inv_sqrt(self.params, src)
-            blocks[(dst, src)] = w @ (w.conj().T @ (mat.conj().T @ g_dst))
-        # Dropped blocks above the cut make the adjoint lossy from those
-        # (high) source levels; conservatively flag everything at the top.
-        lossy = set()
-        if self.lossy_sources:
-            lossy = {self.params.max_level}
-        return FockOperator(self.params, blocks, frozenset(lossy))
-
     def source_levels(self) -> list[int]:
         return sorted({src for src, _ in self.blocks})
 

@@ -13,7 +13,13 @@ from qfocklab.gradient import (
     nabla_pairing_value,
     psi_element,
 )
-from qfocklab.qfock import FockParams, pairing_form, symmetrizer_inv_sqrt
+from qfocklab.qfock import (
+    FockOperator,
+    FockParams,
+    pairing_form,
+    symmetrizer,
+    symmetrizer_inv_sqrt,
+)
 from qfocklab.wick import Element, _as_element
 
 
@@ -28,6 +34,23 @@ def pairing_norm(params: FockParams, j: int) -> float:
     unitary relating W to P^-1/2 leaves unchanged."""
     w = symmetrizer_inv_sqrt(params, j)
     return float(np.linalg.norm(w.T @ pairing_form(params, j) @ w))
+
+
+def gram_adjoint(op: FockOperator) -> FockOperator:
+    """Adjoint with respect to the q-inner product:
+    block(dst -> src) = Gram_src^{-1} block(src -> dst)^H Gram_dst,
+    with Gram_src^{-1} = W W^H from ``symmetrizer_inv_sqrt``."""
+    blocks = {}
+    for (src, dst), mat in op.blocks.items():
+        g_dst = symmetrizer(op.params, dst)
+        w = symmetrizer_inv_sqrt(op.params, src)
+        blocks[(dst, src)] = w @ (w.conj().T @ (mat.conj().T @ g_dst))
+    # Dropped blocks above the cut make the adjoint lossy from those
+    # (high) source levels; conservatively flag everything at the top.
+    lossy = set()
+    if op.lossy_sources:
+        lossy = {op.params.max_level}
+    return FockOperator(op.params, blocks, frozenset(lossy))
 
 
 def verify_derivation_norm(params: FockParams, seed: int = 45, samples: int = 10) -> list[CheckRow]:

