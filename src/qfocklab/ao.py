@@ -19,8 +19,9 @@ symmetric), the pairing has the trace form
 the inner product of the Cipriani-Sauvageot gradient bimodule written
 as three q-inner products.  Every image is a sum of terms in which one
 factor is linear in the basis element, so the level's whole basis goes
-on a batch axis and ``gradient.batched_nabla_gram`` fills a block with
-one U^H P_m V per level and bracket.
+on a batch axis and ``gradient.nabla_gram_blocks`` forms a block with
+one U^H P_m V per level and bracket.  The isometry check holds one such
+block at a time and keeps only the largest entry of |G - 1|.
 
 The model is built on the same batches: the eigenspace check is one
 U^H P U diagonal per level over the mass off that level, and the band
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import FiltrationViolation, TruncationLoss
 from .qfock import FockParams, symmetrizer_inv_sqrt
 from .wick import Element, graded_mul
-from .gradient import BatchedTerm, GradientVector, _batched_q_inner, batched_nabla_gram
+from .gradient import BatchedTerm, GradientVector, _batched_q_inner, nabla_gram_blocks
 
 FILTRATION_TOL = 1e-9
 
@@ -98,7 +99,7 @@ def filtration_check(model: FilteredModel, m: int, n: int):
     return worst
 
 
-def _build_vacuum_unit(model: FilteredModel) -> GradientVector:
+def _build_vacuum_unit(params: FockParams) -> GradientVector:
     """Unit vector of the gradient module orthogonal to the
     normalized-derivation images (the eigenvalue-0 convention), in closed
     form: s (e1 (x) e1 - 1/2 W(e1 (x) e1) (x) 1) with s = (2 / (1 - q))^(1/2),
@@ -116,7 +117,6 @@ def _build_vacuum_unit(model: FilteredModel) -> GradientVector:
     images, and e1 (x) e1 is already a unit vector orthogonal to the
     images.
     """
-    params = model.params
     e1 = Element.word(params, [1])
     if params.max_level < 2:
         return GradientVector(params, [(e1, e1)])
@@ -136,8 +136,7 @@ def build_ou_model(params: FockParams, check: bool = True) -> FilteredModel:
         {n: symmetrizer_inv_sqrt(params, n).reshape((params.dim,) * n + (-1,))}
         for n in range(1, params.max_level + 1)
     ]
-    model = FilteredModel(params, bases, None)
-    model.vacuum_unit = _build_vacuum_unit(model)
+    model = FilteredModel(params, bases, _build_vacuum_unit(params))
     if check:
         check_eigenspaces(model)
         require_bands(band_leaks(model))
@@ -183,33 +182,27 @@ def _vacuum_unit_terms(model: FilteredModel, coeffs: np.ndarray) -> list[Batched
     return terms
 
 
-@dataclass
-class IsometryReport:
-    gram: np.ndarray
-    max_deviation: float
-    labels: list[tuple[int, int]]
-
-
-def s_isometry_report(model: FilteredModel) -> IsometryReport:
-    """Gram of the normalized-derivation images of the orthonormal
-    eigenbasis (including the eigenvalue-0 convention vector).
+def s_isometry_report(model: FilteredModel) -> float:
+    """Largest entry of |G - 1|, G the Gram of the normalized-derivation
+    images of the orthonormal eigenbasis (including the eigenvalue-0
+    convention vector).
 
     The images are n^(-1/2) (e (x) 1) for the level-n basis elements e
     and the convention vector at level 0.  Each level is one column
-    block with its basis on a batch axis, and ``batched_nabla_gram``
+    block with its basis on a batch axis, and ``nabla_gram_blocks``
     pairs the blocks through the trace form of the pairing,
     <a (x) xi, b (x) eta> = 1/2 [<a xi, D(b) eta> + <D(a) xi, b eta>
-    - <D(b* a) xi, eta>], one U^H P_m V per level and bracket.
+    - <D(b* a) xi, eta>], one U^H P_m V per level and bracket.  Only
+    one block of G is held at a time, with a running maximum.
     """
-    blocks = [(1, _vacuum_unit_terms(model, np.ones(1)))]
-    labels = [(0, 0)]
-    for n in range(1, len(model.bases)):
-        width = model.params.level_dim(n)
-        blocks.append((width, [_s_image_terms(model, n)]))
-        labels.extend((n, i) for i in range(width))
-    gram = batched_nabla_gram(model.params, blocks)
-    dev = float(np.max(np.abs(gram - np.eye(len(labels)))))
-    return IsometryReport(gram, dev, labels)
+    blocks = [_vacuum_unit_terms(model, np.ones(1))]
+    blocks += [[_s_image_terms(model, n)] for n in range(1, len(model.bases))]
+    dev = 0.0
+    for r, c, g in nabla_gram_blocks(model.params, blocks):
+        if r == c:
+            g = g - np.eye(len(g))
+        dev = max(dev, float(np.max(np.abs(g))))
+    return dev
 
 
 def _t_terms(model: FilteredModel, x: Element, y: Element, n: int) -> list[BatchedTerm]:
@@ -242,7 +235,8 @@ def _t_block_gram(model: FilteredModel, x: Element, y: Element, n: int) -> np.nd
         raise TruncationLoss(
             f"products from level {n} with the given words leave the window"
         )
-    return batched_nabla_gram(params, [(params.level_dim(n), _t_terms(model, x, y, n))])
+    ((_, _, gram),) = nabla_gram_blocks(params, [_t_terms(model, x, y, n)])
+    return gram
 
 
 def t_block_norm(model: FilteredModel, x: Element, y: Element, n: int) -> float:
@@ -250,13 +244,14 @@ def t_block_norm(model: FilteredModel, x: Element, y: Element, n: int) -> float:
     on the eigenvalue-n block, through the gradient-module Gram of the
     images.
 
-    The Gram is built by ``batched_nabla_gram`` from the term families
-    of ``_t_terms``, each with the level-n basis on a batch axis, paired
-    through the trace form of the pairing,
+    The Gram is the one block of ``nabla_gram_blocks`` over the term
+    families of ``_t_terms``, each with the level-n basis on a batch
+    axis, paired through the trace form of the pairing,
     <a (x) xi, b (x) eta> = 1/2 [<a xi, D(b) eta> + <D(a) xi, b eta>
     - <D(b* a) xi, eta>], one U^H P_m V per level and bracket.
     """
-    vals = np.linalg.eigvalsh(_t_block_gram(model, x, y, n))
+    # a defect with no terms pairs to the scalar 0.0
+    vals = np.linalg.eigvalsh(np.atleast_2d(_t_block_gram(model, x, y, n)))
     return float(np.sqrt(max(float(vals[-1]), 0.0)))
 
 

@@ -420,9 +420,20 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _join_grid(argv: list[str]) -> list[str]:
+    """``--grid SPEC`` as ``--grid=SPEC``: argparse takes a separate value
+    that starts with "-" and is not a plain number, such as a grid with a
+    negative lower bound, for an option."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] == "--grid":
+            out[i : i + 2] = [f"--grid={out[i + 1]}"]
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_grid(sys.argv[1:] if argv is None else argv))
     try:
         cfg = resolve_config(args)
         return COMMANDS[cfg.command](cfg)

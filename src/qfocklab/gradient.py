@@ -22,10 +22,10 @@ diagnostics read.
 
 Gradient-module Grams come two ways.  ``nabla_gram`` pairs explicit
 gradient vectors term by term, one gradient form per pair of terms.
-``batched_nabla_gram`` pairs families of terms whose columns ride on a
+``nabla_gram_blocks`` pairs families of terms whose columns ride on a
 batch axis, through the trace form of the pairing, so a Gram block
 costs a few products per pair of families instead of one gradient form
-per pair of entries and terms.
+per pair of entries and terms, and hands out one block at a time.
 """
 
 from __future__ import annotations
@@ -570,19 +570,21 @@ def _pair_batched_terms(params: FockParams, s: BatchedTerm, t: BatchedTerm, s_pr
     return 0.5 * (head - _batched_q_inner(params, u, v))
 
 
-def batched_nabla_gram(params: FockParams, blocks) -> np.ndarray:
-    """Gram of gradient vectors given by column blocks.
+def nabla_gram_blocks(params: FockParams, blocks):
+    """Blocks (r, c, G_rc), r <= c, of the Gram of gradient vectors
+    given by column blocks, one pair of blocks at a time.
 
-    ``blocks`` lists (width, term families); each column of a block is
-    the sum over the block's families of that column's term.  Each
-    family's products a xi and D(a) xi are formed once, and every two
-    families are paired once by ``_pair_batched_terms``; the reversed
-    pair is its conjugate transpose, and the result is symmetrized as
-    1/2 (G + G^H), so it reads the same from either triangle.
+    ``blocks`` lists each column block's term families; a column is the
+    sum over its block's families of that column's term.  Each family's
+    products a xi and D(a) xi are formed once, and every two families
+    are paired once by ``_pair_batched_terms``.  A diagonal block adds
+    each reversed pair as its conjugate transpose and is symmetrized as
+    1/2 (G + G^H); below the diagonal the Gram reads G_rc^H.  Blocks
+    that share no product level pair to the scalar 0.0.
     """
-    offsets = np.cumsum([0] + [width for width, _ in blocks])
     flat = []
-    for r, (_, terms) in enumerate(blocks):
+    for terms in blocks:
+        flat.append([])
         for term in terms:
             if term.a and term.xi:
                 flag = "left" if term.side == "a" else "right"
@@ -590,16 +592,17 @@ def batched_nabla_gram(params: FockParams, blocks) -> np.ndarray:
                     graded_mul(params, a, term.xi, batched=flag)
                     for a in (term.a, _number_levels(term.a))
                 )
-                flat.append((slice(offsets[r], offsets[r + 1]), term, prods))
-    g = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
-    for i, (rows, s, s_prods) in enumerate(flat):
-        for j in range(i, len(flat)):
-            cols, t, t_prods = flat[j]
-            val = _pair_batched_terms(params, s, t, s_prods, t_prods)
-            g[rows, cols] += val
-            if j != i:
-                g[cols, rows] += np.conj(val).T
-    return 0.5 * (g + g.conj().T)
+                flat[-1].append((term, prods))
+    for r, row in enumerate(flat):
+        for c in range(r, len(flat)):
+            g = 0
+            for i, (s, s_prods) in enumerate(row):
+                for j, (t, t_prods) in enumerate(flat[c][i if c == r else 0 :]):
+                    val = _pair_batched_terms(params, s, t, s_prods, t_prods)
+                    g = g + val
+                    if c == r and j:
+                        g = g + np.conj(val).T
+            yield r, c, 0.5 * (g + np.conj(g).T) if c == r else g
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Filtered-model witnesses: isometry, filtration bands, defect decay."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,9 +165,7 @@ def test_eigenbasis_is_orthonormal(model):
 
 
 def test_s_isometry(model):
-    rep = s_isometry_report(model)
-    assert rep.max_deviation < 1e-8
-    assert rep.labels[0] == (0, 0)
+    assert s_isometry_report(model) < 1e-8
 
 
 def test_s_vacuum_convention_is_unit_and_orthogonal(model):
@@ -318,14 +318,51 @@ def test_batched_t_gram_with_vacuum_unit_terms():
         _assert_gram_close(ao._t_block_gram(model, x, x, 2), oracle)
 
 
+def assembled_s_gram(model):
+    """The streamed Gram blocks of the s-images, in ``flat_basis`` order,
+    as one dense matrix with the conjugate transpose below the diagonal."""
+    blocks = [ao._vacuum_unit_terms(model, np.ones(1))]
+    blocks += [[ao._s_image_terms(model, n)] for n in range(1, len(model.bases))]
+    got = {(r, c): g for r, c, g in gradient.nabla_gram_blocks(model.params, blocks)}
+    edges = np.cumsum([0] + [len(got[r, r]) for r in range(len(blocks))])
+    span = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    gram = np.zeros((edges[-1], edges[-1]), dtype=complex)
+    for (r, c), g in got.items():
+        gram[span[r], span[c]] = g
+        gram[span[c], span[r]] = np.conj(g).T
+    return gram
+
+
 @pytest.mark.parametrize("q", [-0.4, 0.3, 0.7])
 @pytest.mark.parametrize("dim,max_level", [(1, 6), (2, 4), (3, 3)])
 def test_batched_s_gram_matches_pairwise_oracle(q, dim, max_level):
     model = build_ou_model(FockParams(q=q, dim=dim, max_level=max_level), check=False)
-    rep = s_isometry_report(model)
-    assert rep.labels == [(n, i) for n, i, _ in flat_basis(model)]
-    oracle = nabla_gram([s_basis_image(model, n, i) for n, i in rep.labels])
-    _assert_gram_close(rep.gram, oracle)
+    gram = assembled_s_gram(model)
+    oracle = nabla_gram([s_basis_image(model, n, i) for n, i, _ in flat_basis(model)])
+    _assert_gram_close(gram, oracle)
+    assert s_isometry_report(model) == np.max(np.abs(gram - np.eye(len(gram))))
+
+
+def test_s_isometry_holds_one_gram_block_at_a_time():
+    # The Gram at dim 2, M 9 has 1023^2 complex entries, 16.0 MiB.  Held
+    # whole, with its conjugate transpose and |G - 1| beside it, the
+    # check peaked at 68.1 MiB under tracemalloc; one block at a time it
+    # peaks at about 34 MiB.
+    model = build_ou_model(FockParams(q=0.5, dim=2, max_level=9), check=False)
+    s_isometry_report(model)  # warm the level Gram caches
+    tracemalloc.start()
+    try:
+        s_isometry_report(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
+def test_t_block_norm_of_the_zero_element_is_zero(model):
+    # every term family of the defect is empty, so the Gram is the scalar 0.0
+    zero = Element(model.params, {})
+    assert t_block_norm(model, zero, wick(model.params, [1]), 2) == 0.0
 
 
 def _record_pairwise_calls(monkeypatch):
@@ -386,13 +423,11 @@ def test_batched_filtration_detects_a_two_level_element():
 
 def test_eigen_check_rejects_a_two_level_basis(monkeypatch):
     # the level-2 batch gains a level-1 component as the builder hands it on
-    build_unit = ao._build_vacuum_unit
+    def mixed(params, bases, vacuum_unit):
+        bases[2] = with_column_added(bases[2], 0, Element.word(params, [1]))
+        return FilteredModel(params, bases, vacuum_unit)
 
-    def mixed(model):
-        model.bases[2] = with_column_added(model.bases[2], 0, Element.word(model.params, [1]))
-        return build_unit(model)
-
-    monkeypatch.setattr(ao, "_build_vacuum_unit", mixed)
+    monkeypatch.setattr(ao, "FilteredModel", mixed)
     with pytest.raises(FiltrationViolation, match="eigenvalue 2.0 deviates"):
         build_ou_model(FockParams(q=0.3, dim=2, max_level=4))
 

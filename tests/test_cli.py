@@ -455,6 +455,17 @@ def test_negative_time_is_config_error(capsys):
         assert "time must be >= 0 and finite" in capsys.readouterr().err
 
 
+def test_threshold_takes_a_negative_grid_as_a_separate_argument(tmp_path):
+    # argparse reads a separate "-0.4:0.4:0.4" as an option unless it is
+    # joined to its flag
+    outs = [tmp_path / "split.csv", tmp_path / "joined.csv"]
+    base = ["threshold", "--dim", "2", "--max-level", "4"]
+    assert main(base + ["--grid", "-0.4:0.4:0.4", "--out", str(outs[0])]) == 0
+    assert main(base + ["--grid=-0.4:0.4:0.4", "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_text().splitlines()[1].startswith("-0.4,")
+
+
 @pytest.mark.parametrize("spec", ["nan:1:0.1", "0.1:inf:0.1"])
 def test_threshold_non_finite_grid_is_config_error(spec, capsys):
     assert main(["threshold", "--max-level", "4", "--grid", spec]) == 2
