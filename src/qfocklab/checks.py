@@ -19,9 +19,8 @@ from . import cohomology as coh
 from . import torus as torus_mod
 from .errors import QFockError
 from .gradient import gamma, gradient_map, nabla_pairing_two_ways
-from .numerics import hermitian_eig
 from .partitions import PairPartition, SegmentShape, crossing_number, enumerate_pair_partitions
-from .qfock import FockParams, annihilation, r_star, r_star3, symmetrizer
+from .qfock import FockParams, annihilation, r_star, r_star3, symmetrizer, symmetrizer_inv_sqrt
 from .wick import Element, product_direct, product_partition, product_triple, wick
 
 
@@ -77,13 +76,19 @@ def _check_partitions(cfg, params):
 
 
 def _check_gram_positivity(cfg, params):
-    worst = -np.inf
+    """Level Grams P_m, m <= 5, at q and at +-0.8 are positive definite:
+    each is factored by the Cholesky whitener the library's norms use,
+    and a Gram without a factor stops the check with ``NOT_PSD``.  The
+    residual is the worst max |W^H P_m W - 1|, which reads the whole
+    P_m, while the factor W reads only its lower triangle."""
+    worst = 0.0
     for q in sorted({params.q, 0.8, -0.8}):
         pp = FockParams(q=q, dim=params.dim, max_level=params.max_level)
         for m in range(min(params.max_level, 5) + 1):
-            w, _ = hermitian_eig(symmetrizer(pp, m))
-            worst = max(worst, -float(w[0]))
-    return max(worst, 0.0), 1e-12
+            w = symmetrizer_inv_sqrt(pp, m)
+            gap = w.conj().T @ symmetrizer(pp, m) @ w - np.eye(w.shape[0])
+            worst = max(worst, float(np.max(np.abs(gap))))
+    return worst, 1e-12
 
 
 def _gram_gap(params, parts, splitter):

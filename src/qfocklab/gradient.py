@@ -577,22 +577,29 @@ def nabla_gram_blocks(params: FockParams, blocks):
     ``blocks`` lists each column block's term families; a column is the
     sum over its block's families of that column's term.  Each family's
     products a xi and D(a) xi are formed once, and every two families
-    are paired once by ``_pair_batched_terms``.  A diagonal block adds
-    each reversed pair as its conjugate transpose and is symmetrized as
-    1/2 (G + G^H); below the diagonal the Gram reads G_rc^H.  Blocks
-    that share no product level pair to the scalar 0.0.
+    are paired once by ``_pair_batched_terms``.  A family of side "a" on
+    the unit carrier xi = 1 takes a and D(a) themselves as its products.
+    A diagonal block adds each reversed pair as its conjugate transpose
+    and is symmetrized as 1/2 (G + G^H); below the diagonal the Gram
+    reads G_rc^H.  Blocks that share no product level pair to the
+    scalar 0.0.
     """
     flat = []
     for terms in blocks:
         flat.append([])
         for term in terms:
-            if term.a and term.xi:
+            if not (term.a and term.xi):
+                continue
+            if term.side == "a" and term.xi.keys() == {0} and term.xi[0] == 1:
+                # a 1 = a and D(a) 1 = D(a): nothing to multiply
+                prods = (term.a, _number_levels(term.a))
+            else:
                 flag = "left" if term.side == "a" else "right"
                 prods = tuple(
                     graded_mul(params, a, term.xi, batched=flag)
                     for a in (term.a, _number_levels(term.a))
                 )
-                flat[-1].append((term, prods))
+            flat[-1].append((term, prods))
     for r, row in enumerate(flat):
         for c in range(r, len(flat)):
             g = 0

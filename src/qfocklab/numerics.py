@@ -4,10 +4,13 @@ Thin, defensively-checked wrappers around LAPACK via numpy: Hermitian
 eigendecomposition, and the inverse Cholesky square root of a positive
 definite matrix through the inverse of its lower-triangular factor.
 The latter is the one factorization by which the library inverts a
-level Gram.  ``hermitian_gram`` fills a Gram matrix from a pairing,
-for the gradient module and the circle model alike.  Everything is
-deterministic (fixed LAPACK drivers, no randomized algorithms), so
-downstream golden values are stable.
+level Gram, and by which ``verify`` certifies that the level Grams are
+positive definite.  The eigendecomposition's one library caller is
+``gradient.nabla_norm``, through ``_psd_eig``, which clips the rounding
+of a term Gram that is only positive semidefinite.  ``hermitian_gram``
+fills a Gram matrix from a pairing, for the gradient module and the
+circle model alike.  Everything is deterministic (fixed LAPACK drivers,
+no randomized algorithms), so downstream golden values are stable.
 """
 
 from __future__ import annotations

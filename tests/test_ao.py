@@ -343,6 +343,26 @@ def test_batched_s_gram_matches_pairwise_oracle(q, dim, max_level):
     assert s_isometry_report(model) == np.max(np.abs(gram - np.eye(len(gram))))
 
 
+def test_unit_carrier_families_are_their_own_products(monkeypatch):
+    # a family a (x) 1 pairs a and D(a) as its products a 1 and D(a) 1;
+    # graded_mul runs only in the pairings, two per pair of families
+    model = build_ou_model(FockParams(q=0.3, dim=2, max_level=4), check=False)
+    families = [ao._s_image_terms(model, n) for n in range(1, len(model.bases))]
+    calls = []
+    real = gradient.graded_mul
+
+    def counting(params, left, right, *args, **kwargs):
+        calls.append(right)
+        return real(params, left, right, *args, **kwargs)
+
+    monkeypatch.setattr(gradient, "graded_mul", counting)
+    got = list(gradient.nabla_gram_blocks(model.params, [[t] for t in families]))
+    k = len(families)
+    assert len(got) == k * (k + 1) // 2
+    assert len(calls) == k * (k + 1)
+    assert not any(right is t.xi for right in calls for t in families)
+
+
 def test_s_isometry_holds_one_gram_block_at_a_time():
     # The Gram at dim 2, M 9 has 1023^2 complex entries, 16.0 MiB.  Held
     # whole, with its conjugate transpose and |G - 1| beside it, the

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -604,8 +605,10 @@ def test_verify_json_matches_golden_file(tmp_path):
     # change of sampler moves the residuals and rewrites this file, as did
     # the closed-form OU convention vector, which moved the s_isometry
     # residual from 1.78e-15 to 6.66e-16, and the inverse-free adjoint
-    # check, which moved annihilation_adjoint from 1.84e-15 to 0.  Any
-    # other change must leave it byte-identical
+    # check, which moved annihilation_adjoint from 1.84e-15 to 0, and the
+    # Cholesky positivity check, whose whitening residual max |W^H P W - 1|
+    # moved gram_positivity from 0 (no negative eigenvalue) to 5.13e-14.
+    # Any other change must leave it byte-identical
     out = tmp_path / "verify.json"
     args = ["verify", "--q", "0.5", "--dim", "2", "--max-level", "6", "--seed", "3"]
     assert main([*args, "--out", str(out)]) == 0
@@ -713,6 +716,84 @@ def test_partition_check_catches_a_crossing_miscount(tmp_path, monkeypatch):
     jout = tmp_path / "verify.json"
     assert main(["verify", "--max-level", "3", "--out", str(jout)]) == 1
     assert json.loads(jout.read_text())["failed_checks"] == ["partition_bruteforce"]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [-0.8, -0.37, 0.5, 0.8])
+def test_gram_positivity_whitening_residual_is_small(q, dim):
+    # max_level 6 is the largest verify takes at dim 4 (4^6 = 4096), and
+    # the check factors levels up to 5 at every larger one
+    from qfocklab import checks
+
+    cfg = ExperimentConfig(command="verify", q=q, dim=dim, max_level=6)
+    residual, tol = checks._check_gram_positivity(cfg, cfg.fock_params())
+    assert residual < 1e-13 < tol
+
+
+@pytest.fixture
+def patch_gram(monkeypatch):
+    """``patch_gram(level, edit)`` replaces the level Gram where the
+    whitener (``qfock``) and the check (``checks``) read it by a copy
+    that ``edit`` changes in place.  Higher Grams recurse through the
+    patched one, so the Gram memo is emptied before and after."""
+    from qfocklab import checks, qfock
+
+    real = qfock.symmetrizer
+
+    def patch(level, edit):
+        def patched(params, m):
+            g = real(params, m)
+            if m != level:
+                return g
+            g = g.copy()
+            edit(g)
+            return g
+
+        monkeypatch.setattr(qfock, "symmetrizer", patched)
+        monkeypatch.setattr(checks, "symmetrizer", patched)
+
+    qfock._pair_memo.cache_clear()
+    yield patch
+    qfock._pair_memo.cache_clear()
+
+
+def test_gram_positivity_errors_on_an_indefinite_gram(tmp_path, patch_gram):
+    def negate_first_entry(g):
+        g[0, 0] = -1.0
+
+    patch_gram(3, negate_first_entry)
+    jout = tmp_path / "verify.json"
+    assert main(["verify", "--max-level", "3", "--out", str(jout)]) == 1
+    checks = {c["name"]: c for c in json.loads(jout.read_text())["checks"]}
+    assert checks["gram_positivity"]["error"].startswith("NOT_PSD: level 3 Gram")
+    assert checks["gram_positivity"]["residual"] is None
+
+
+def test_gram_positivity_reads_the_upper_triangle(patch_gram):
+    # the Cholesky factor reads only the lower triangle, so an edit above
+    # the diagonal shows only in the residual W^H P W - 1
+    from qfocklab import checks
+
+    def perturb_upper(g):
+        g[0, 1] += 1e-9
+
+    cfg = ExperimentConfig(command="verify", max_level=3)
+    patch_gram(2, perturb_upper)
+    residual, tol = checks._check_gram_positivity(cfg, cfg.fock_params())
+    assert residual >= tol
+
+
+def test_verify_m6_runs_without_an_eigensolver(tmp_path, monkeypatch):
+    from qfocklab import numerics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(numerics, "hermitian_eig", refuse)
+    args = ["verify", "--q", "0.5", "--dim", "2", "--max-level", "6", "--seed", "3"]
+    assert main([*args, "--out", str(tmp_path / "v.json")]) == 0
 
 
 def test_failed_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch):
