@@ -246,11 +246,14 @@ def level_norm(op: FockOperator, m: int) -> float:
 
 
 def fit_log_slope(levels, values):
-    """Least-squares slope and intercept of log(values) against levels."""
+    """Least-squares slope and intercept of log(values) against levels,
+    in closed form over the centred sums."""
     xs = np.asarray(levels, dtype=float)
     ys = np.log(np.asarray(values, dtype=float))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return float(slope), float(intercept)
+    x_mean, y_mean = xs.mean(), ys.mean()
+    dx = xs - x_mean
+    slope = float(dx @ (ys - y_mean) / (dx @ dx))
+    return slope, float(y_mean - slope * x_mean)
 
 
 @dataclass

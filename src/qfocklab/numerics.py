@@ -1,28 +1,32 @@
 """Dense complex linear-algebra kernel.
 
-Thin, defensively-checked wrappers around LAPACK via numpy: Hermitian
-eigendecomposition, and the inverse Cholesky square root of a positive
-definite matrix through the inverse of its lower-triangular factor.
-The latter is the one factorization by which the library inverts a
-level Gram, and by which ``verify`` certifies that the level Grams are
-positive definite.  The eigendecomposition's one library caller is
-``gradient.nabla_norm``, through ``_psd_eig``, which clips the rounding
-of a term Gram that is only positive semidefinite.  ``hermitian_gram``
-fills a Gram matrix from a pairing, for the gradient module and the
-circle model alike.  Everything is deterministic (fixed LAPACK drivers,
-no randomized algorithms), so downstream golden values are stable.
+Thin, defensively-checked wrappers over numpy: Hermitian
+eigendecomposition through LAPACK, and the inverse Cholesky square root
+W = L^-H of a positive definite matrix, built directly by halves from
+matmuls alone (no LAPACK factorization).  The latter is the one
+factorization by which the library inverts a level Gram, and by which
+``verify`` certifies that the level Grams are positive definite: a
+pivot that is not positive raises ``NOT_PSD``.  The eigendecomposition's
+one library caller is ``gradient.nabla_norm``, through ``_psd_eig``,
+which clips the rounding of a term Gram that is only positive
+semidefinite.  ``hermitian_gram`` fills a Gram matrix from a pairing,
+for the gradient module and the circle model alike.  Everything is
+deterministic (fixed LAPACK drivers and matmul orders, no randomized
+algorithms), so downstream golden values are stable.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import EigenFailure, NotHermitianError, NotPositiveSemidefinite
 
 HERMITIAN_RTOL = 1e-10
-# Lower-triangular matrices smaller than this are inverted by LAPACK,
-# larger ones by halves (``tril_inv``).
-TRIL_INV_LEAF = 64
+# Whiteners of fewer rows than this are built a column at a time, larger
+# ones by halves: the halving's matmuls only pay off above it.
+WHITEN_LEAF = 64
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -84,28 +88,55 @@ def psd_inv_sqrt(g) -> np.ndarray:
     """Inverse Cholesky square root: the upper-triangular W = L^-H,
     where g = L L^H, so W^H g W = 1 and W W^H = g^-1.  Only the lower
     triangle of the Hermitian g is read.  Raises NOT_PSD when g has no
-    Cholesky factor."""
-    try:
-        low = np.linalg.cholesky(_as_matrix(g))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveSemidefinite(f"matrix has no Cholesky factor: {exc}") from exc
-    return tril_inv(low).conj().T
-
-
-def tril_inv(low: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower-triangular matrix, by halves:
-    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]].  The work
-    is dense matmuls on the nonzero halves: at 1024 rows about three
-    times faster than a general ``np.linalg.inv`` (2 vCPU, OpenBLAS)."""
-    n = low.shape[0]
-    if n < TRIL_INV_LEAF:
-        # inv's LU pivots, and a pivot can leave rounding above the diagonal.
-        return np.tril(np.linalg.inv(low))
-    h = n // 2
-    a_inv = tril_inv(low[:h, :h])
-    d_inv = tril_inv(low[h:, h:])
-    out = np.zeros_like(low)
-    out[:h, :h] = a_inv
-    out[h:, h:] = d_inv
-    out[h:, :h] = -(d_inv @ low[h:, :h]) @ a_inv
+    Cholesky factor, that is when a pivot is not positive."""
+    m = _as_matrix(g)
+    if m.shape[0] != m.shape[1]:
+        raise NotPositiveSemidefinite(f"matrix is {m.shape}, not square")
+    out = np.zeros_like(m)
+    _inv_chol(m, out)
     return out
+
+
+def _inv_chol(g: np.ndarray, out: np.ndarray) -> None:
+    """Write W = L^-H of g into the zeroed ``out``, by halves: for
+    g = [[A, .], [B, C]] with A whitened by W1 and X = B W1, the Schur
+    complement C - X X^H is whitened by W2 and
+    W = [[W1, -W1 X^H W2], [0, W2]].  The work is dense matmuls: at
+    1024 rows faster than LAPACK's Cholesky factor and triangular
+    inverse (2 vCPU, OpenBLAS)."""
+    n = g.shape[0]
+    if n < WHITEN_LEAF:
+        _inv_chol_bordered(g, out)
+        return
+    h = n // 2
+    w1 = out[:h, :h]
+    _inv_chol(g[:h, :h], w1)
+    x = g[h:, :h] @ w1
+    xh = x.conj().T
+    schur = x @ xh
+    del x
+    np.subtract(g[h:, h:], schur, out=schur)
+    w2 = out[h:, h:]
+    _inv_chol(schur, w2)
+    del schur
+    top = w1 @ xh
+    del xh
+    top *= -1.0
+    np.matmul(top, w2, out=out[:h, h:])
+
+
+def _inv_chol_bordered(g: np.ndarray, out: np.ndarray) -> None:
+    """The same recursion with a first block of k rows and a second of
+    one, for k = 0, 1, ...: W gains one column per row of g."""
+    for k in range(g.shape[0]):
+        w = out[:k, :k]
+        x = g[k, :k] @ w
+        pivot = g[k, k].real - np.vdot(x, x).real
+        if not pivot > 0.0:
+            raise NotPositiveSemidefinite(
+                f"matrix has no Cholesky factor: pivot {pivot:.3e} at row {k}"
+            )
+        r = 1.0 / math.sqrt(pivot)
+        x *= -r
+        out[:k, k] = w @ x.conj()
+        out[k, k] = r

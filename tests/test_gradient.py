@@ -296,6 +296,32 @@ def test_level_norm_of_psi_one_one_is_a_power_of_q(route, q, dim):
         assert level_norm(pm, m) == pytest.approx(abs(q) ** m, rel=1e-12)
 
 
+def test_level_norm_of_psi_one_one_at_the_top_of_a_deep_truncation():
+    # Source level 8 is the top lossless source at M 10, where the Grams
+    # are large enough (256 rows and up) for the whitener to be halved down
+    # to its bordered leaves.
+    p = FockParams(q=-0.9, dim=2, max_level=10)
+    a = wick(p, [1])
+    pm = gradient_map(a, a, 0.0, "rstar")
+    assert level_norm(pm, 8) == pytest.approx(0.9**8, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [-0.7, 0.3, 0.5, 0.9])
+def test_fit_log_slope_of_a_geometric_sequence(q):
+    levels = range(1, 9)
+    slope, intercept = fit_log_slope(levels, [abs(q) ** m for m in levels])
+    assert abs(slope - np.log(abs(q))) <= 1e-15
+    assert abs(intercept) <= 1e-14
+
+
+def test_fit_log_slope_matches_polyfit_on_noisy_data():
+    rng = np.random.default_rng(5)
+    levels = np.arange(2, 12)
+    values = np.exp(-0.6 * levels + 0.4 + 0.2 * rng.standard_normal(levels.size))
+    want = np.polyfit(levels, np.log(values), 1)
+    assert np.abs(np.array(fit_log_slope(levels, values)) - want).max() <= 1e-12
+
+
 def test_level_norm_raises_not_psd_for_an_indefinite_gram(monkeypatch):
     p = params(q=0.5, max_level=6)
     a = wick(p, [1])

@@ -8,7 +8,7 @@ import pytest
 
 import qfocklab
 from qfocklab.errors import NotHermitianError, NotPositiveSemidefinite
-from qfocklab.numerics import TRIL_INV_LEAF, hermitian_eig, psd_inv_sqrt, tril_inv
+from qfocklab.numerics import WHITEN_LEAF, hermitian_eig, psd_inv_sqrt
 
 
 def random_matrix(rng, n, m=None):
@@ -48,7 +48,7 @@ def test_psd_inv_sqrt_whitens():
     assert np.allclose(psd_inv_sqrt(np.eye(4)), np.eye(4))
     assert np.allclose(psd_inv_sqrt(np.diag([4.0, 1.0])), np.diag([0.5, 1.0]))
     rng = np.random.default_rng(11)
-    for n in (2, 5, 17, TRIL_INV_LEAF + 3):
+    for n in (2, 5, 17, WHITEN_LEAF + 3):
         a = random_matrix(rng, n)
         g = a @ a.conj().T + np.eye(n)
         w = psd_inv_sqrt(g)
@@ -60,43 +60,74 @@ def test_psd_inv_sqrt_whitens():
 
 def test_psd_inv_sqrt_rejects_indefinite():
     # diag(4, 0) is semidefinite but singular: it has no Cholesky factor.
-    for g in (np.diag([1.0, -0.5]), np.diag([4.0, 0.0])):
+    # [[1, 1], [1, 1]] has a positive diagonal; its Schur complement is 0.
+    for g in (np.diag([1.0, -0.5]), np.diag([4.0, 0.0]), np.ones((2, 2))):
         with pytest.raises(NotPositiveSemidefinite) as err:
             psd_inv_sqrt(g)
         assert err.value.code == "NOT_PSD"
 
 
-@pytest.mark.parametrize("n", [TRIL_INV_LEAF - 1, TRIL_INV_LEAF, TRIL_INV_LEAF + 1, 127, 1024])
-def test_tril_inv_matches_general_inverse(n):
-    # Sizes on each side of the leaf, where the halving starts, and an
-    # uneven split (127) and a deep one (1024).
+def test_psd_inv_sqrt_of_empty_and_scalar_matrices():
+    assert psd_inv_sqrt(np.zeros((0, 0))).shape == (0, 0)
+    assert psd_inv_sqrt([[4.0]]).tolist() == [[0.5]]
+    for pivot in (0.0, -1.0):
+        with pytest.raises(NotPositiveSemidefinite):
+            psd_inv_sqrt([[pivot]])
+
+
+def test_psd_inv_sqrt_refuses_a_non_square_matrix():
+    for shape in ((2, 3), (WHITEN_LEAF + 1, WHITEN_LEAF)):
+        with pytest.raises(NotPositiveSemidefinite) as err:
+            psd_inv_sqrt(np.ones(shape))
+        assert err.value.code == "NOT_PSD"
+
+
+@pytest.mark.parametrize("n", [WHITEN_LEAF + 1, 2 * WHITEN_LEAF])
+def test_psd_inv_sqrt_rejects_a_pivot_failing_in_a_schur_complement(n):
+    # The diagonal is positive and the leading block positive definite; only
+    # the last pivot, the Schur complement c - b A^-1 b^H = -c, fails.  Past
+    # the leaf it fails in the whitening of the second half.
+    rng = np.random.default_rng(n)
+    a = random_matrix(rng, n - 1)
+    g = np.zeros((n, n), dtype=complex)
+    g[:-1, :-1] = a @ a.conj().T + np.eye(n - 1)
+    g[-1, :-1] = random_matrix(rng, 1, n - 1)
+    g[:-1, -1] = g[-1, :-1].conj()
+    g[-1, -1] = (g[-1, :-1] @ np.linalg.inv(g[:-1, :-1]) @ g[:-1, -1]).real / 2
+    psd_inv_sqrt(g[:-1, :-1])
+    with pytest.raises(NotPositiveSemidefinite) as err:
+        psd_inv_sqrt(g)
+    assert err.value.code == "NOT_PSD"
+
+
+@pytest.mark.parametrize("n", [WHITEN_LEAF - 1, WHITEN_LEAF, WHITEN_LEAF + 1, 127, 1024])
+def test_psd_inv_sqrt_whitens_and_inverts(n):
+    # Sizes on each side of the leaf, where the halving starts, an uneven
+    # split (127) and a deep one (1024).  The strict upper triangle is
+    # never read: garbage there leaves W bit-identical.
     rng = np.random.default_rng(n)
     a = random_matrix(rng, n)
-    low = np.linalg.cholesky(a @ a.conj().T + n * np.eye(n))
-    got = tril_inv(low)
-    want = np.linalg.inv(low)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert not np.any(np.triu(got, 1))
-
-
-def test_tril_inv_is_triangular_where_lu_pivots():
-    # Entries below the diagonal larger than it make the LU inside a general
-    # inverse swap rows, which fills the upper triangle with rounding.
-    rng = np.random.default_rng(0)
-    low = np.tril(random_matrix(rng, 17), -1) + 2.0 * np.eye(17)
-    got = tril_inv(low)
-    assert not np.any(np.triu(got, 1))
-    assert np.linalg.norm(got @ low - np.eye(17)) <= 1e-12
+    g = a @ a.conj().T + n * np.eye(n)
+    w = psd_inv_sqrt(g)
+    assert not np.any(np.tril(w, -1))
+    assert np.linalg.norm(w.conj().T @ g @ w - np.eye(n)) <= 1e-10 * n
+    g_inv = np.linalg.inv(g)
+    assert np.linalg.norm(w @ w.conj().T - g_inv) <= 1e-10 * np.linalg.norm(g_inv)
+    garbage = np.tril(g) + np.triu(random_matrix(rng, n), 1)
+    assert np.array_equal(psd_inv_sqrt(garbage), w)
 
 
 def test_only_numerics_inverts_or_factors_a_matrix():
-    # Every inverse of a level Gram goes through ``psd_inv_sqrt``.
-    call = re.compile(r"linalg\.(inv|cholesky|pinv)\b|from\s+numpy\.linalg\s+import")
+    # Every inverse of a level Gram goes through ``psd_inv_sqrt``, which
+    # factors with matmuls alone: the library's LAPACK use is the Hermitian
+    # eigensolvers, so no run loads the code of another LAPACK family.
+    call = re.compile(
+        r"linalg\.(inv|cholesky|pinv|solve|lstsq|svd|qr)\b|polyfit|from\s+numpy\.linalg\s+import"
+    )
     src = pathlib.Path(qfocklab.__file__).parent
     offenders = [
         f"{path.name}:{n}"
         for path in sorted(src.glob("*.py"))
-        if path.name != "numerics.py"
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if call.search(line)
     ]

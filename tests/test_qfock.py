@@ -331,8 +331,9 @@ def test_symmetrizer_inv_sqrt_is_a_triangular_whitener(q):
 def test_gram_and_whitener_vanish_between_letter_contents(dim, m, q):
     """A permutation of tensor slots keeps a word's letters, so the level
     Gram and its whitener are exactly zero between basis words whose
-    letter multisets differ.  At (2, 6) the whitener's 64 rows take the
-    by-halves branch of ``tril_inv``."""
+    letter multisets differ.  At (2, 6) and (4, 3) the whitener's 64 rows
+    are halved into two bordered leaves, at (3, 4) its 81 rows into
+    leaves of 40 and 41."""
     p = FockParams(q=q, dim=dim, max_level=m)
     letters = np.sort(np.indices((dim,) * m).reshape(m, -1), axis=0)
     _, content = np.unique(letters.T, axis=0, return_inverse=True)
