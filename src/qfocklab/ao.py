@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FiltrationViolation, TruncationLoss
+from .numerics import hermitian_top
 from .qfock import FockParams, symmetrizer_inv_sqrt
 from .wick import Element, graded_mul
 from .gradient import BatchedTerm, GradientVector, _batched_q_inner, nabla_gram_blocks
@@ -251,8 +252,8 @@ def t_block_norm(model: FilteredModel, x: Element, y: Element, n: int) -> float:
     - <D(b* a) xi, eta>], one U^H P_m V per level and bracket.
     """
     # a defect with no terms pairs to the scalar 0.0
-    vals = np.linalg.eigvalsh(np.atleast_2d(_t_block_gram(model, x, y, n)))
-    return float(np.sqrt(max(float(vals[-1]), 0.0)))
+    top = hermitian_top(np.atleast_2d(_t_block_gram(model, x, y, n)))
+    return float(np.sqrt(max(top, 0.0)))
 
 
 @dataclass

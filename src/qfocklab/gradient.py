@@ -237,12 +237,14 @@ def level_norm(op: FockOperator, m: int) -> float:
     """Operator norm of the restriction of the map to source level m,
     measured between the q-metric source and the graded q-metric target.
 
-    Computed from the Cholesky standard form of the Gram pencil, which
-    gives the same number as conjugating by the Gram square roots.
+    The top eigenvalue of the Cholesky standard form of the one-level
+    Gram pencil (``FockOperator.q_norm``), which gives the same number as
+    conjugating by the Gram square roots; it is found by matmuls
+    (``numerics.hermitian_top``), with no LAPACK eigensolver.
     """
     if m in op.lossy_sources:
         raise TruncationLoss(f"source level {m} was truncated during assembly")
-    return float(op.q_singular_values([m])[0])
+    return op.q_norm([m])
 
 
 def fit_log_slope(levels, values):
@@ -295,8 +297,9 @@ def schatten_diagnostic(op: FockOperator, p: float) -> SchattenReport:
     a finite ratio there is no estimate, and the diagnostic raises
     ``TruncationLoss`` instead of judging; the one exception is a map
     whose bounds are all zero over two or more lossless levels, judged
-    CONVERGENT with estimate 0.  Only one-level pencils are solved; the
-    Schatten norm of the whole truncation is ``truncated_schatten_norm``.
+    CONVERGENT with estimate 0.  Only one-level pencils are solved, and
+    only for their top eigenvalue (``level_norm``); the Schatten norm of
+    the whole truncation is ``truncated_schatten_norm``.
     """
     _check_exponent(p)
     params = op.params
@@ -336,14 +339,16 @@ def schatten_diagnostic(op: FockOperator, p: float) -> SchattenReport:
 def truncated_schatten_norm(op: FockOperator, p: float) -> float:
     """Schatten-p norm of the assembled truncation on its lossless
     sources, from one joint pencil over all of them (a reference value
-    beside the level-by-level bounds of ``schatten_diagnostic``)."""
+    beside the level-by-level bounds of ``schatten_diagnostic``).  A
+    finite p reads the pencil's whole spectrum; p = inf only its top."""
     _check_exponent(p)
-    svals = op.q_singular_values(_lossless_sources(op))
+    sources = _lossless_sources(op)
+    if p == np.inf:
+        return op.q_norm(sources)
+    svals = op.q_singular_values(sources)
     if svals.size == 0:
         return 0.0
     top = float(svals[0])
-    if p == np.inf:
-        return top
     return 0.0 if top == 0 else float(top * np.sum((svals / top) ** p) ** (1 / p))
 
 

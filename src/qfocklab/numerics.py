@@ -1,18 +1,31 @@
 """Dense complex linear-algebra kernel.
 
-Thin, defensively-checked wrappers over numpy: Hermitian
-eigendecomposition through LAPACK, and the inverse Cholesky square root
-W = L^-H of a positive definite matrix, built directly by halves from
-matmuls alone (no LAPACK factorization).  The latter is the one
-factorization by which the library inverts a level Gram, and by which
-``verify`` certifies that the level Grams are positive definite: a
-pivot that is not positive raises ``NOT_PSD``.  The eigendecomposition's
-one library caller is ``gradient.nabla_norm``, through ``_psd_eig``,
-which clips the rounding of a term Gram that is only positive
-semidefinite.  ``hermitian_gram`` fills a Gram matrix from a pairing,
-for the gradient module and the circle model alike.  Everything is
-deterministic (fixed LAPACK drivers and matmul orders, no randomized
-algorithms), so downstream golden values are stable.
+Thin, defensively-checked wrappers over numpy; these three call no
+LAPACK routine:
+
+- ``psd_inv_sqrt``, the inverse Cholesky square root W = L^-H of a
+  positive definite matrix, built directly by halves from matmuls.  It
+  is the one factorization by which the library inverts a level Gram,
+  and by which ``verify`` certifies that the level Grams are positive
+  definite: a pivot that is not positive raises ``NOT_PSD``.
+- ``hermitian_top``, the largest eigenvalue of a Hermitian positive
+  semidefinite matrix, by trace-normalized repeated squaring and one
+  closing Rayleigh-Ritz step on two vectors.  Every operator norm goes
+  through it: the level norms of ``threshold`` and ``decay``, the
+  p = inf Schatten norm, and the commutation-defect norms of
+  ``ao-decay`` in both models.
+- ``hermitian_gram``, which fills a Gram matrix from a pairing, for the
+  gradient module and the circle model alike.
+
+LAPACK's Hermitian eigensolvers run only where a whole spectrum is used:
+``eigvalsh`` in ``FockOperator.q_singular_values`` (finite-p Schatten
+norms), and ``eigh`` in ``hermitian_eig``, whose one library caller is
+``gradient.nabla_norm``, through ``_psd_eig``, which clips the rounding
+of a term Gram that is only positive semidefinite.  Each LAPACK family
+faults its own code pages into a process, so a run that needs neither
+loads none.  Everything is deterministic (fixed LAPACK routines and
+matmul orders, no randomized algorithms), so downstream golden values
+are stable.
 """
 
 from __future__ import annotations
@@ -24,6 +37,9 @@ import numpy as np
 from .errors import EigenFailure, NotHermitianError, NotPositiveSemidefinite
 
 HERMITIAN_RTOL = 1e-10
+# hermitian_top squares at most this many times: by then an eigenvalue
+# even eps below the top has weight (1 - eps)^(2^64) = exp(-2^12), none.
+TOP_SQUARINGS = 64
 # Whiteners of fewer rows than this are built a column at a time, larger
 # ones by halves: the halving's matmuls only pay off above it.
 WHITEN_LEAF = 64
@@ -56,6 +72,86 @@ def hermitian_eig(a):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigenFailure(str(exc)) from exc
     return w, v
+
+
+def hermitian_top(a) -> float:
+    """Largest eigenvalue of a Hermitian positive semidefinite matrix,
+    read from its lower triangle (as ``eigvalsh`` reads it), by matmuls.
+
+    Each squaring B <- B^2 / tr(B^2), from B = A, raises the weight of
+    eigenvalue l in B to l^(2^k), normalized: B turns into a weighted
+    projector onto the top eigenvectors, and the Rayleigh quotient
+    rho = tr(B A) / tr(B), the weighted mean of the spectrum, rises to
+    the top eigenvalue l1.  The squarings stop once rho rises by no more
+    than 2 n eps rho, or after ``TOP_SQUARINGS``.  The weights are exact
+    functions of A, so this needs no convergence of B itself: a top
+    eigenvalue that rounding has split in two is not resolved, at no
+    cost to rho.  One Rayleigh-Ritz step of A on the span of v and
+    B (A - rho) v, with v the column of B of largest diagonal entry (a
+    vector in B's range), then resolves the cluster that the squarings
+    left: the factor B keeps rounding from outside the cluster out of
+    the step, which costs three matrix-vector products.  A spectrum whose
+    nonzero eigenvalues are all equal takes one squaring, one matmul in
+    all.  The working set is A's copy and one matrix more, two from the
+    second squaring on.  A is scaled by a power of two first, exactly,
+    so that no entry of B can overflow.
+
+    Bound.  The squarings resolve every eigenvalue more than about
+    sqrt(n eps) l1 below l1.  If those closer to it take at most two
+    distinct values (a separated top, a degenerate one, or a close
+    pair), the result is within a few n eps l1 of l1, as ``eigvalsh``
+    is.  Otherwise it lies between rho and l1, so its error is below
+    the width of that cluster.  A matrix whose trace is not positive
+    (for a positive semidefinite input, the zero matrix) gives 0.0.
+    """
+    m = _as_matrix(a)
+    n = m.shape[0]
+    if m.shape != (n, n):
+        raise NotHermitianError(f"matrix is {m.shape}, not square")
+    h = np.tril(m, -1)
+    h += h.conj().T
+    h[np.diag_indices(n)] = m.diagonal().real
+    trace = h.trace().real
+    if not trace > 0.0:
+        return 0.0
+    scale = math.frexp(trace)[1]
+    h *= math.ldexp(1.0, -scale)
+    b, rho = h, np.vdot(h, h).real / h.trace().real
+    tol = 2 * n * np.finfo(float).eps
+    for _ in range(TOP_SQUARINGS):
+        b = _squared(b)
+        last, rho = rho, np.vdot(h, b).real / b.trace().real
+        if rho - last <= tol * rho:
+            break
+    # Rayleigh-Ritz of A - rho on {v, x}, x = B (A - rho) v less its part
+    # along v.  The products with a vector run in einsum's own loops: a
+    # BLAS gemv would fault in OpenBLAS code (0.125 MiB) that nothing
+    # else on the norm paths loads.
+    j = int(np.argmax(b.diagonal().real))
+    v = b[:, j] / math.sqrt(np.vdot(b[:, j], b[:, j]).real)
+    dv = np.einsum("ij,j->i", h, v)
+    dv -= rho * v
+    x = np.einsum("ij,j->i", b, dv)
+    top = np.vdot(v, dv).real
+    x -= np.vdot(v, x) * v
+    norm = math.sqrt(np.vdot(x, x).real)
+    if norm > 0.0:
+        x /= norm
+        dx = np.einsum("ij,j->i", h, x)
+        dx -= rho * x
+        corner = np.vdot(x, dx).real
+        couple = abs(np.vdot(dv, x))
+        top = (top + corner) / 2 + math.hypot((top - corner) / 2, couple)
+    return math.ldexp(float(rho + max(top, 0.0)), scale)
+
+
+def _squared(b: np.ndarray) -> np.ndarray:
+    """B^2 / tr(B^2) of a Hermitian B, tr(B^2) = |B|_F^2.  The entries of
+    a positive semidefinite B of trace at most 1 are at most 1 in
+    magnitude, so the product cannot overflow."""
+    out = b @ b
+    out *= 1.0 / np.vdot(b, b).real
+    return out
 
 
 def hermitian_gram(items: list, pairing) -> np.ndarray:

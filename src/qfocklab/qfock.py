@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatch,
     TruncationLoss,
 )
-from .numerics import psd_inv_sqrt
+from .numerics import hermitian_top, psd_inv_sqrt
 
 # Largest N^m for materialized level matrices (Grams, operator blocks).
 MATRIX_DIM_CAP = 4096
@@ -445,11 +445,12 @@ class FockOperator:
     def source_levels(self) -> list[int]:
         return sorted({src for src, _ in self.blocks})
 
-    def q_singular_values(self, sources) -> np.ndarray:
-        """Singular values, largest first, of the operator restricted to
-        the given source levels, between the q-metric spaces.
+    def standard_form(self, sources) -> np.ndarray:
+        """The Hermitian matrix whose eigenvalues are the squared
+        singular values of the operator restricted to the given source
+        levels, between the q-metric spaces.
 
-        These are the square roots of the pencil (B^H P B, (+)_m P_m),
+        These are the eigenvalues of the pencil (B^H P B, (+)_m P_m),
         with B the stacked blocks and P the target Gram.  Each source
         Gram P_m is positive definite for |q| < 1, so with P_m = L_m L_m^H
         the pencil has the eigenvalues of the standard Hermitian matrix
@@ -459,8 +460,6 @@ class FockOperator:
         for m in sources:
             offs[m] = total
             total += self.params.level_dim(m)
-        if total == 0:
-            return np.zeros(0)
         quad = np.zeros((total, total), dtype=complex)
         targets = sorted({dst for src, dst in self.blocks if src in offs})
         for dst in targets:
@@ -475,13 +474,26 @@ class FockOperator:
             w = symmetrizer_inv_sqrt(self.params, m)
             quad[lo:hi, :] = w.conj().T @ quad[lo:hi, :]
             quad[:, lo:hi] = quad[:, lo:hi] @ w
+        return quad
+
+    def q_singular_values(self, sources) -> np.ndarray:
+        """Every singular value, largest first, of the operator restricted
+        to the given source levels, from the whole spectrum of its
+        ``standard_form`` (LAPACK ``eigvalsh``): for the finite-p Schatten
+        norms, which read them all.  ``q_norm`` gives the largest alone,
+        by matmuls."""
+        quad = self.standard_form(sources)
+        if quad.size == 0:
+            return np.zeros(0)
         vals = np.linalg.eigvalsh(quad)
         return np.sqrt(np.clip(vals[::-1], 0.0, None))
 
-    def q_norm(self) -> float:
-        """Operator norm between q-metric spaces."""
-        svals = self.q_singular_values(self.source_levels())
-        return float(svals[0]) if svals.size else 0.0
+    def q_norm(self, sources=None) -> float:
+        """Operator norm between q-metric spaces, restricted to the given
+        source levels (all of them by default): the square root of the
+        top eigenvalue of the ``standard_form``, by ``hermitian_top``."""
+        levels = self.source_levels() if sources is None else sources
+        return math.sqrt(max(hermitian_top(self.standard_form(levels)), 0.0))
 
 
 def creation(params: FockParams, xi) -> FockOperator:

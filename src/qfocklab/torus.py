@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import WindowOverflow
-from .numerics import hermitian_gram
+from .numerics import hermitian_gram, hermitian_top
 
 
 def heat_symbol(k: int) -> int:
@@ -166,8 +166,7 @@ def poisson_t_block_norm(l: int, m: int, j: int) -> float:
         return poisson_t_image(l, m, 0).norm()
     images = [poisson_t_image(l, m, j), poisson_t_image(l, m, -j)]
     gram = hermitian_gram(images, ModeGradientVector.pairing)
-    vals = np.linalg.eigvalsh(gram)
-    return float(np.sqrt(max(float(vals[-1]), 0.0)))
+    return float(np.sqrt(max(hermitian_top(gram), 0.0)))
 
 
 def poisson_t_decay(l: int, m: int, window: int):

@@ -674,17 +674,18 @@ def test_verify_band_leak_errors_s_isometry_and_fails_filtration(tmp_path, monke
 
 def test_threshold_solves_only_one_level_pencils(tmp_path, monkeypatch):
     # the joint pencil over every lossless source is decay's reference
-    # norm; threshold reads only the per-level norms
+    # norm; threshold reads only the per-level norms.  Every pencil, for
+    # its top or its whole spectrum, is reduced by standard_form.
     from qfocklab.qfock import FockOperator
 
-    original = FockOperator.q_singular_values
+    original = FockOperator.standard_form
     solved = []
 
     def recorded(self, sources, *args, **kwargs):
         solved.append(list(sources))
         return original(self, sources, *args, **kwargs)
 
-    monkeypatch.setattr(FockOperator, "q_singular_values", recorded)
+    monkeypatch.setattr(FockOperator, "standard_form", recorded)
     args = ["threshold", "--dim", "2", "--max-level", "5", "--grid", "0.4:0.6:0.2"]
     assert main([*args, "--out", str(tmp_path / "t.csv")]) == 0
     assert solved and all(len(sources) == 1 for sources in solved)
@@ -786,7 +787,24 @@ def test_gram_positivity_reads_the_upper_triangle(patch_gram):
     assert residual >= tol
 
 
-def test_verify_m6_runs_without_an_eigensolver(tmp_path, monkeypatch):
+# Runs that read operator norms, never a whole spectrum: the benchmark's
+# verify, threshold and ao-decay invocations, and the torus model.
+EIGENSOLVER_FREE_RUNS = {
+    "verify-m6": ["verify", "--q", "0.5", "--dim", "2", "--max-level", "6", "--seed", "3"],
+    "threshold-dim4": [
+        *["threshold", "--dim", "4", "--max-level", "5"],
+        *["--grid", "0.40:0.60:0.05", "--route", "rstar"],
+    ],
+    "ao-decay-ou": [
+        *["ao-decay", "--model", "ou", "--q", "0.3", "--dim", "2"],
+        *["--max-level", "6", "--word-x", "1", "--word-y", "1"],
+    ],
+    "ao-decay-torus": ["ao-decay", "--model", "torus"],
+}
+
+
+@pytest.mark.parametrize("name", EIGENSOLVER_FREE_RUNS)
+def test_runs_without_an_eigensolver(name, tmp_path, monkeypatch):
     from qfocklab import numerics
 
     def refuse(*args, **kwargs):
@@ -795,8 +813,8 @@ def test_verify_m6_runs_without_an_eigensolver(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(numerics, "hermitian_eig", refuse)
-    args = ["verify", "--q", "0.5", "--dim", "2", "--max-level", "6", "--seed", "3"]
-    assert main([*args, "--out", str(tmp_path / "v.json")]) == 0
+    args = EIGENSOLVER_FREE_RUNS[name]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_failed_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch):

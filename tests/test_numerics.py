@@ -1,5 +1,6 @@
 """Linear-algebra kernel checks against closed forms and round trips."""
 
+import ast
 import pathlib
 import re
 
@@ -7,8 +8,17 @@ import numpy as np
 import pytest
 
 import qfocklab
-from qfocklab.errors import NotHermitianError, NotPositiveSemidefinite
-from qfocklab.numerics import WHITEN_LEAF, hermitian_eig, psd_inv_sqrt
+from qfocklab import numerics
+from qfocklab.errors import EigenFailure, NotHermitianError, NotPositiveSemidefinite
+from qfocklab.numerics import (
+    TOP_SQUARINGS,
+    WHITEN_LEAF,
+    hermitian_eig,
+    hermitian_top,
+    psd_inv_sqrt,
+)
+
+EPS = np.finfo(float).eps
 
 
 def random_matrix(rng, n, m=None):
@@ -132,3 +142,127 @@ def test_only_numerics_inverts_or_factors_a_matrix():
         if call.search(line)
     ]
     assert offenders == []
+
+
+def test_only_full_spectra_reach_a_lapack_eigensolver():
+    # Operator norms need only the top eigenvalue, which hermitian_top finds
+    # by matmuls; LAPACK's eigensolvers run where a whole spectrum is read.
+    allowed = {("numerics.py", "hermitian_eig"), ("qfock.py", "FockOperator.q_singular_values")}
+    src = pathlib.Path(qfocklab.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{scope}.{child.name}" if scope else child.name
+                name = getattr(child, "attr", None) or getattr(child, "id", None)
+                if name in ("eigh", "eigvalsh"):
+                    found.add((path.name, scope))
+                visit(child, inner)
+
+        visit(tree, "")
+    assert found == allowed
+
+
+def unitary(rng, n):
+    q, r = np.linalg.qr(random_matrix(rng, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def with_spectrum(rng, lam):
+    u = unitary(rng, len(lam))
+    return (u * lam) @ u.conj().T
+
+
+def spectrum(rng, n, top):
+    """Eigenvalues uniform in [0, 0.9), the last ones replaced by ``top``."""
+    lam = rng.uniform(0.0, 0.9, n)
+    lam[n - len(top) :] = top[::-1]
+    return lam
+
+
+# Tops of a spectrum with every other eigenvalue below 0.9, top eigenvalue 1:
+# degenerate, separated (relative gap 1e-6) and close pairs 1 - delta.
+TOPS = {
+    "simple": [1.0],
+    "double": [1.0, 1.0],
+    "triple": [1.0, 1.0, 1.0],
+    "gap-1e-6": [1.0, 1.0 - 1e-6],
+    **{f"pair-{d:.0e}": [1.0, 1.0 - d] for d in (1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13)},
+}
+
+
+@pytest.mark.parametrize(
+    "n, top",
+    [
+        pytest.param(n, top, id=f"{n}-{name}")
+        for n in (1, 2, 63, 64, 65, 256)
+        for name, top in TOPS.items()
+        if len(top) <= n
+    ],
+)
+def test_hermitian_top_matches_eigvalsh(n, top, monkeypatch):
+    # A top cluster of at most two distinct values is resolved to within a
+    # few n eps, as eigvalsh resolves it; garbage in the strict upper
+    # triangle is never read, and no input takes more than TOP_SQUARINGS.
+    rng = np.random.default_rng(n * 100 + len(top))
+    a = with_spectrum(rng, spectrum(rng, n, top))
+    squarings = []
+    real = numerics._squared
+    monkeypatch.setattr(numerics, "_squared", lambda b: squarings.append(1) or real(b))
+    got = hermitian_top(a)
+    assert len(squarings) <= TOP_SQUARINGS
+    assert abs(got - np.linalg.eigvalsh(a)[-1]) <= 4 * n * EPS
+    assert abs(got - 1.0) <= 4 * n * EPS
+    garbage = np.tril(a) + np.triu(random_matrix(rng, n), 1)
+    assert hermitian_top(garbage) == got
+
+
+def test_hermitian_top_of_a_rank_one_matrix():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 64, 65):
+        v = random_matrix(rng, n, 1)
+        norm2 = float(np.vdot(v, v).real)
+        assert abs(hermitian_top(v @ v.conj().T) - norm2) <= 4 * n * EPS * norm2
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-10, 1e-12])
+def test_hermitian_top_of_a_wider_cluster_lies_within_it(delta):
+    # Three distinct values within 2 delta of the top: the bound is the
+    # cluster's width, and the result does not pass the top.
+    rng = np.random.default_rng(5)
+    a = with_spectrum(rng, spectrum(rng, 64, [1.0, 1.0 - delta, 1.0 - 2 * delta]))
+    got = hermitian_top(a)
+    assert 1.0 - 2 * delta < got <= 1.0 + 4 * 64 * EPS
+
+
+def test_hermitian_top_of_zero_empty_and_scalar_matrices():
+    assert hermitian_top(np.zeros((0, 0))) == 0.0
+    assert hermitian_top(np.zeros((5, 5))) == 0.0
+    assert hermitian_top([[3.0]]) == 3.0
+    assert hermitian_top(np.diag([1e-300, 2e-300])) == 2e-300
+    assert hermitian_top(np.diag([1e300, 2e300])) == 2e300
+
+
+def test_hermitian_top_refuses_non_square_and_non_finite_matrices():
+    with pytest.raises(NotHermitianError):
+        hermitian_top(np.ones((2, 3)))
+    with pytest.raises(EigenFailure):
+        hermitian_top(np.array([[1.0, 0.0], [np.nan, 1.0]]))
+
+
+def test_hermitian_top_stops_after_top_squarings(monkeypatch):
+    # A squaring that keeps raising the Rayleigh quotient is cut at the cap.
+    squarings = []
+
+    def rising(b):
+        squarings.append(1)
+        return np.diag([len(squarings) + 2.0, 1.0]) / (len(squarings) + 3)
+
+    monkeypatch.setattr(numerics, "_squared", rising)
+    got = hermitian_top(np.diag([1.0, 0.5]))
+    assert len(squarings) == TOP_SQUARINGS
+    assert abs(got - 1.0) <= 8 * EPS
