@@ -210,9 +210,7 @@ def test_hermitian_top_matches_eigvalsh(n, top, monkeypatch):
     # triangle is never read, and no input takes more than TOP_SQUARINGS.
     rng = np.random.default_rng(n * 100 + len(top))
     a = with_spectrum(rng, spectrum(rng, n, top))
-    squarings = []
-    real = numerics._squared
-    monkeypatch.setattr(numerics, "_squared", lambda b: squarings.append(1) or real(b))
+    squarings = count_squarings(monkeypatch)
     got = hermitian_top(a)
     assert len(squarings) <= TOP_SQUARINGS
     assert abs(got - np.linalg.eigvalsh(a)[-1]) <= 4 * n * EPS
@@ -254,15 +252,76 @@ def test_hermitian_top_refuses_non_square_and_non_finite_matrices():
         hermitian_top(np.array([[1.0, 0.0], [np.nan, 1.0]]))
 
 
-def test_hermitian_top_stops_after_top_squarings(monkeypatch):
-    # A squaring that keeps raising the Rayleigh quotient is cut at the cap.
+def count_squarings(monkeypatch) -> list:
     squarings = []
+    real = numerics._squared
+    monkeypatch.setattr(numerics, "_squared", lambda b: squarings.append(1) or real(b))
+    return squarings
 
-    def rising(b):
-        squarings.append(1)
-        return np.diag([len(squarings) + 2.0, 1.0]) / (len(squarings) + 3)
 
-    monkeypatch.setattr(numerics, "_squared", rising)
-    got = hermitian_top(np.diag([1.0, 0.5]))
+def test_hermitian_top_hands_unsettled_squarings_to_lanczos(monkeypatch):
+    # The column of largest diagonal, e_0, is an eigenvector with the
+    # eigenvalue tr(A^2) / tr(A) = 1, so the spectrum looks settled to the
+    # one-product check, but 1.2, 1 and 0.4 keep the Rayleigh quotient
+    # rising: after TOP_SQUARINGS the matrix goes to Lanczos.
+    squarings = count_squarings(monkeypatch)
+    a = np.zeros((3, 3))
+    a[0, 0] = 1.0
+    a[1:, 1:] = [[0.8, 0.4], [0.4, 0.8]]
+    got = hermitian_top(a)
     assert len(squarings) == TOP_SQUARINGS
-    assert abs(got - 1.0) <= 8 * EPS
+    assert abs(got - 1.2) <= 4 * 3 * EPS * 1.2
+
+
+@pytest.mark.parametrize("n", [2, 17, 64, 256])
+def test_hermitian_top_of_a_spread_spectrum_takes_no_squaring(n, monkeypatch):
+    # A Wishart matrix, whose top eigenvalues are apart by a relative
+    # 1e-3 to 1e-1: squaring would take some twelve matmuls, Lanczos takes
+    # none, and the result is as close to eigvalsh's as eigvalsh's error.
+    squarings = count_squarings(monkeypatch)
+    rng = np.random.default_rng(n)
+    g = random_matrix(rng, n)
+    a = g @ g.conj().T
+    top = np.linalg.eigvalsh(a)[-1]
+    got = hermitian_top(a)
+    assert squarings == []
+    assert abs(got - top) <= 4 * n * EPS * top
+    assert hermitian_top(a) == got
+
+
+def test_hermitian_top_of_a_low_rank_spread_matrix_takes_one_lanczos_run(monkeypatch):
+    # Three distinct nonzero eigenvalues: the first Krylov space, the start
+    # vector's null-space part and the range, closes after four steps, so
+    # its value is exact and no second run is made.
+    runs = []
+    real = numerics._tridiagonal_vector
+    monkeypatch.setattr(
+        numerics, "_tridiagonal_vector", lambda *args: runs.append(len(args[0])) or real(*args)
+    )
+    rng = np.random.default_rng(3)
+    n = 100
+    a = with_spectrum(rng, np.r_[np.zeros(n - 3), 0.25, 0.5, 1.0])
+    assert abs(hermitian_top(a) - 1.0) <= 4 * n * EPS
+    assert runs == [4]
+
+
+@pytest.mark.parametrize("n", [3, 64, 129])
+def test_hermitian_top_is_not_hidden_by_a_symmetry(n):
+    # 2 - J / n, J the all-ones matrix, is invariant under every permutation
+    # of the basis: its top 2 lives on the vectors that sum to zero, so a
+    # symmetric start vector would find only the eigenvalue 1 of the ones.
+    a = 2.0 * np.eye(n) - np.ones((n, n)) / n
+    assert abs(hermitian_top(a) - 2.0) <= 4 * n * EPS * 2.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 40])
+def test_tridiagonal_top_matches_eigh(k):
+    rng = np.random.default_rng(k)
+    alpha = rng.uniform(0.0, 1.0, k).tolist()
+    beta = rng.uniform(0.1, 1.0, k - 1).tolist()
+    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    w, v = np.linalg.eigh(t)
+    theta = numerics._tridiagonal_top(alpha, beta)
+    s = numerics._tridiagonal_vector(alpha, beta, theta)
+    assert w[-1] <= theta <= w[-1] + 4 * k * EPS * w[-1]
+    assert abs(abs(s @ v[:, -1]) - 1.0) <= 1e-12
