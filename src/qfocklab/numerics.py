@@ -9,13 +9,11 @@ LAPACK routine:
   and by which ``verify`` certifies that the level Grams are positive
   definite: a pivot that is not positive raises ``NOT_PSD``.
 - ``hermitian_top``, the largest eigenvalue of a Hermitian positive
-  semidefinite matrix: by trace-normalized repeated squaring where the
-  spectrum's weight sits at one value (a multiple of a projector, as
-  the level pencils of psi(e_i, e_i) are), by Lanczos where it is
-  spread, each closed by a Rayleigh-Ritz step on two vectors.  Every
-  operator norm goes through it: the level norms of ``threshold`` and
-  ``decay``, the p = inf Schatten norm, and the commutation-defect
-  norms of ``ao-decay`` in both models.
+  semidefinite matrix, by Lanczos with a Rayleigh-Ritz closing step (a
+  closed form for two rows or fewer).  Every operator norm goes
+  through it: the level norms of ``threshold`` and ``decay``, the
+  p = inf Schatten norm, and the commutation-defect norms of
+  ``ao-decay`` in both models.
 - ``hermitian_gram``, which fills a Gram matrix from a pairing, for the
   gradient module and the circle model alike.
 
@@ -40,10 +38,6 @@ import numpy as np
 from .errors import EigenFailure, NotHermitianError, NotPositiveSemidefinite
 
 HERMITIAN_RTOL = 1e-10
-# hermitian_top squares at most this many times before it hands the matrix
-# to Lanczos: every level pencil of psi(e_i, e_i) settles after one, and a
-# spectrum that needs more would need many more.
-TOP_SQUARINGS = 2
 # Whiteners of fewer rows than this are built a column at a time, larger
 # ones by halves: the halving's matmuls only pay off above it.
 WHITEN_LEAF = 64
@@ -80,42 +74,27 @@ def hermitian_eig(a):
 
 def hermitian_top(a) -> float:
     """Largest eigenvalue of a Hermitian positive semidefinite matrix,
-    read from its lower triangle (as ``eigvalsh`` reads it), by matmuls
-    and matrix-vector products, with no LAPACK call.
+    read from its lower triangle (as ``eigvalsh`` reads it), by
+    matrix-vector products, with no LAPACK call.
 
-    Squarings where they settle at once.  Each squaring B <- B^2 / tr(B^2),
-    from B = A, raises the weight of eigenvalue l in B to l^(2^k),
-    normalized, and the Rayleigh quotient rho = tr(B A) / tr(B), the
-    weighted mean of the spectrum, rises towards the top eigenvalue l1.
-    Once rho rises by no more than 2 n eps rho, one Rayleigh-Ritz step of
-    A on the span of v and B (A - rho) v, with v the column of B of
-    largest diagonal entry, resolves the cluster that the squarings
-    left: the factor B keeps rounding from outside the cluster out of
-    the step.  A multiple of a projector, as every level pencil of
-    psi(e_i, e_i) is up to rounding, settles after one squaring, a
-    single matmul; a top eigenvalue that rounding has split in two is
-    not resolved, at no cost to rho.
+    A matrix of one or two rows has the closed form of a 2 x 2 top.  A
+    larger one goes to ``_lanczos_top``: O(n^2) work a step, tens of
+    steps on a spread spectrum, and at most two where the spectrum's
+    weight sits at one value (a multiple of a projector, as every level
+    pencil of psi(e_i, e_i) is up to rounding), whose Krylov space then
+    closes.  The working set is A's copy and a Lanczos basis of one row
+    a step.  A is scaled by a power of two first, exactly, so that the
+    squares that the tridiagonal solves form neither overflow nor
+    underflow.
 
-    Lanczos elsewhere.  A spread spectrum would need about
-    log2(36 / gap) squarings, each a full matmul, where ``eigvalsh``
-    costs about three.  So one product first checks the column of A of
-    largest diagonal: if A moves it off its own line by more than
-    sqrt(2 n eps) rho, or if ``TOP_SQUARINGS`` squarings do not settle,
-    the matrix goes to ``_lanczos_top``: O(n^2) work a step, and tens of
-    steps a run where squaring would take ten to sixteen matmuls.  The
-    working set is A's copy, one matrix more on the squarings, and a
-    Lanczos basis of one row a step.  A is scaled by a power of two
-    first, exactly, so that no entry of B can overflow.
-
-    Bound.  Both ways end in a Rayleigh-Ritz value, which does not pass
-    l1 by more than rounding.  If the eigenvalues that the squarings or
-    the Krylov spaces have not separated from l1 take at most two
-    distinct values (a separated top, a degenerate one, or a close
-    pair), the result is within a few n eps l1 of l1, as ``eigvalsh``
-    is: the two vectors of the closing step span such a cluster.
-    Otherwise its error is below the width of that cluster.  A matrix
-    whose trace is not positive (for a positive semidefinite input, the
-    zero matrix) gives 0.0.
+    Bound.  The result is a Rayleigh-Ritz value, which does not pass l1
+    by more than rounding.  If the eigenvalues that the Krylov spaces
+    have not separated from l1 take at most two distinct values (a
+    separated top, a degenerate one, or a close pair), the result is
+    within a few n eps l1 of l1, as ``eigvalsh`` is: the two vectors of
+    the closing step span such a cluster.  Otherwise its error is below
+    the width of that cluster.  A matrix whose trace is not positive
+    (for a positive semidefinite input, the zero matrix) gives 0.0.
     """
     m = _as_matrix(a)
     n = m.shape[0]
@@ -129,50 +108,30 @@ def hermitian_top(a) -> float:
         return 0.0
     scale = math.frexp(trace)[1]
     h *= math.ldexp(1.0, -scale)
-    b, rho = h, np.vdot(h, h).real / h.trace().real
-    tol = 2 * n * sys.float_info.epsilon
-    # Squarings settle only where the spectrum's weight sits at one value,
-    # and then every column of A is nearly an eigenvector.  One product
-    # checks the column of largest diagonal, so that a spread spectrum
-    # costs no matmul before it goes to Lanczos.
-    c = h[:, int(np.argmax(h.diagonal().real))]
-    r = np.einsum("ij,j->i", h, c)
-    r -= rho * c
-    if np.vdot(r, r).real > tol * rho**2 * np.vdot(c, c).real:
-        return math.ldexp(_lanczos_top(h, tol), scale)
-    for _ in range(TOP_SQUARINGS):
-        b = _squared(b)
-        last, rho = rho, np.vdot(h, b).real / b.trace().real
-        if rho - last <= tol * rho:
-            break
+    if n <= 2:
+        couple = abs(complex(h[1, 0])) if n == 2 else 0.0
+        top = _top2(float(h[0, 0].real), float(h[-1, -1].real), couple)
     else:
-        return math.ldexp(_lanczos_top(h, tol), scale)
-    # Rayleigh-Ritz of A - rho on {v, B (A - rho) v}.  The few products
-    # with a vector here run in einsum's own loops: a BLAS gemv would
-    # fault in OpenBLAS code (0.125 MiB) that nothing else on these paths
-    # loads.  Lanczos, which makes many, uses gemv.
-    j = int(np.argmax(b.diagonal().real))
-    v = b[:, j] / math.sqrt(np.vdot(b[:, j], b[:, j]).real)
-    dv = np.einsum("ij,j->i", h, v)
-    dv -= rho * v
-    x = np.einsum("ij,j->i", b, dv)
-    top = _ritz_top(lambda y: np.einsum("ij,j->i", h, y), rho, v, dv, x)
-    return math.ldexp(float(rho + max(top, 0.0)), scale)
+        top = _lanczos_top(h, 2 * n * sys.float_info.epsilon)
+    return math.ldexp(top, scale)
 
 
-def _ritz_top(apply, shift: float, v, dv, x) -> float:
-    """Top Ritz value of A - shift on the span of the unit vector v and
-    x, where ``apply`` multiplies a vector by A and dv = (A - shift) v."""
+def _top2(a: float, d: float, b: float) -> float:
+    """Top eigenvalue of the Hermitian [[a, b*], [b, d]], given |b|."""
+    return (a + d) / 2 + math.hypot((a - d) / 2, b)
+
+
+def _ritz_top(h: np.ndarray, shift: float, v, dv, x) -> float:
+    """Top Ritz value of h - shift on the span of the unit vector v and
+    x, where dv = (h - shift) v."""
     top = np.vdot(v, dv).real
     x -= np.vdot(v, x) * v
     norm = math.sqrt(np.vdot(x, x).real)
     if norm > 0.0:
         x /= norm
-        dx = apply(x)
+        dx = h @ x
         dx -= shift * x
-        corner = np.vdot(x, dx).real
-        couple = abs(np.vdot(dv, x))
-        top = (top + corner) / 2 + math.hypot((top - corner) / 2, couple)
+        top = _top2(top, np.vdot(x, dx).real, abs(np.vdot(dv, x)))
     return top
 
 
@@ -201,7 +160,7 @@ def _lanczos_top(h: np.ndarray, tol: float) -> float:
     _, y2, _ = _lanczos(h, start[1], y1[None, :], tol)
     dv = h @ y1
     dv -= t1 * y1
-    return t1 + _ritz_top(lambda y: h @ y, t1, y1, dv, y2)
+    return t1 + _ritz_top(h, t1, y1, dv, y2)
 
 
 def _lanczos(h: np.ndarray, v: np.ndarray, locked: np.ndarray, tol: float):
@@ -335,15 +294,6 @@ def _tridiagonal_vector(alpha: list[float], beta: list[float], theta: float) -> 
         top = max(map(abs, s))
         s = [x / top for x in s]
     return np.array(s) / math.sqrt(math.fsum(x * x for x in s))
-
-
-def _squared(b: np.ndarray) -> np.ndarray:
-    """B^2 / tr(B^2) of a Hermitian B, tr(B^2) = |B|_F^2.  The entries of
-    a positive semidefinite B of trace at most 1 are at most 1 in
-    magnitude, so the product cannot overflow."""
-    out = b @ b
-    out *= 1.0 / np.vdot(b, b).real
-    return out
 
 
 def hermitian_gram(items: list, pairing) -> np.ndarray:

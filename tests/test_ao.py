@@ -438,7 +438,7 @@ def test_batched_filtration_detects_a_two_level_element():
     for m, n in [(1, 1), (1, 2), (2, 1), (0, 2), (2, 2), (1, 3), (3, 1)]:
         oracle = pairwise_filtration_check(model, m, n)
         assert oracle > FILTRATION_TOL
-        assert filtration_check(model, m, n) == pytest.approx(oracle, rel=1e-12)
+        assert filtration_check(model, m, n) == pytest.approx(oracle, rel=1e-12, abs=0)
 
 
 def test_eigen_check_rejects_a_two_level_basis(monkeypatch):

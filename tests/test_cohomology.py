@@ -1,13 +1,16 @@
 """Bar-differential and cocycle identities on sampled tuples."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from qfocklab import checks
+from qfocklab import cohomology as coh
 from qfocklab import wick as wick_mod
 from qfocklab.qfock import VECTOR_DIM_CAP, FockParams
-from qfocklab.wick import Element, wick
+from qfocklab.wick import Element, _as_element, wick
 from qfocklab.gradient import GradientVector, nabla_norm
 from qfocklab.cohomology import (
     SAMPLE_TOLERANCE,
@@ -116,7 +119,7 @@ def test_derivation_cocycle_values():
     assert nabla_norm(d1(one)) == pytest.approx(0.0, abs=1e-12)
     a = wick(p, [1])
     assert nabla_norm(d1(a)) ** 2 == pytest.approx(
-        number_applied(a).q_inner(a).real, rel=1e-10
+        number_applied(a).q_inner(a).real, rel=1e-10, abs=0
     )
 
 
@@ -331,3 +334,45 @@ def test_memo_is_keyed_by_cochain_and_argument_bytes():
     assert len(seen) == 3
     f(a)  # without a memo every call evaluates
     assert len(seen) == 4
+
+
+def _left_with_second_term_flipped(self, x):
+    """x . (a (x) xi) = xa (x) xi + x (x) a.xi, in place of the minus."""
+    x = _as_element(self.params, x)
+    out = []
+    for a, xi in self.terms:
+        out.append((x * a, xi))
+        out.append((x, xi.left(a)))
+    return GradientVector(self.params, out)
+
+
+def _derivation_dropping_the_top_level(params, n):
+    """a -> a' (x) vacuum, a' the argument without its top level."""
+    assert n == 1
+
+    def fn(a):
+        levels = {m: t for m, t in a.levels.items() if m != a.top_level()}
+        return GradientVector(params, [(Element(params, levels), Element.one(params))])
+
+    return Cochain(params, 1, fn)
+
+
+@pytest.mark.parametrize("q, dim, m, seed", [(0.5, 2, 5, 3), (-0.37, 3, 4, 0)])
+def test_leibniz_and_prefix_checks_are_exact_and_catch_mutants(q, dim, m, seed, monkeypatch):
+    # On correct algebra both residual vectors cancel term by term when they
+    # are built, so the residual is 0 exactly.  A wrong sign in the left
+    # action breaks both; a derivation that drops a term of its argument
+    # breaks the product rule (prefix_anticommutator uses no derivation).
+    p = FockParams(q=q, dim=dim, max_level=m)
+    cfg = SimpleNamespace(seed=seed)
+    both = (checks._check_leibniz, checks._check_prefix)
+    for check in both:
+        assert check(cfg, p) == (0.0, SAMPLE_TOLERANCE)
+    with monkeypatch.context() as mp:
+        mp.setattr(GradientVector, "left", _left_with_second_term_flipped)
+        for check in both:
+            residual, tol = check(cfg, p)
+            assert residual >= tol, check.__name__
+    monkeypatch.setattr(coh, "derivation_cocycle", _derivation_dropping_the_top_level)
+    residual, tol = checks._check_leibniz(cfg, p)
+    assert residual >= tol

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from qfocklab.errors import (
     TruncationLoss,
     UnknownRoute,
 )
-from qfocklab import qfock
+from qfocklab import checks, qfock
+from qfocklab import gradient as gradient_mod
 from qfocklab.qfock import FockParams, annihilation, creation
 from qfocklab.wick import (
     Element,
@@ -124,7 +126,7 @@ def test_gamma_examples_and_positivity():
         x = random_element(rng, p, [1, 2])
         gx = gamma(x, x)
         assert gx.trace() == pytest.approx(
-            number_applied(x).q_inner(x).real, rel=1e-9
+            number_applied(x).q_inner(x).real, rel=1e-9, abs=0
         )
         xi = random_element(rng, p, [0, 1, 2])
         val = gx.mul(xi).q_inner(xi)
@@ -293,7 +295,7 @@ def test_level_norm_of_psi_one_one_is_a_power_of_q(route, q, dim):
     a = wick(p, [1])
     pm = gradient_map(a, a, 0.0, route)
     for m in range(p.max_level - 1):
-        assert level_norm(pm, m) == pytest.approx(abs(q) ** m, rel=1e-12)
+        assert level_norm(pm, m) == pytest.approx(abs(q) ** m, rel=1e-12, abs=0)
 
 
 # (q, M) -> relative error allowed in level_norm(psi(e1, e1), M - 2), the
@@ -356,7 +358,7 @@ def test_level_norm_raises_not_psd_for_an_indefinite_gram(monkeypatch):
     with pytest.raises(NotPositiveSemidefinite, match=r"level 3 .*q=0\.5, dim=2") as err:
         level_norm(pm, 3)
     assert err.value.code == "NOT_PSD"
-    assert level_norm(pm, 2) == pytest.approx(0.25, rel=1e-12)
+    assert level_norm(pm, 2) == pytest.approx(0.25, rel=1e-12, abs=0)
 
 
 def test_level_norm_refuses_truncated_source():
@@ -406,7 +408,7 @@ def test_schatten_reference_norm_matches_block_structure():
     a = wick(p, [1])
     norm = truncated_schatten_norm(gradient_map(a, a, 0.0, "rstar"), 2)
     expect = np.sqrt(sum((0.5**m) ** 2 * 2**m for m in range(0, 5)))
-    assert norm == pytest.approx(expect, rel=1e-9)
+    assert norm == pytest.approx(expect, rel=1e-9, abs=0)
 
 
 def test_gradient_vector_rejects_terms_over_other_params():
@@ -426,7 +428,7 @@ def test_gradient_vector_norms():
         a = random_element(rng, p, [1, 2])
         v = GradientVector(p, [(a, one)])
         assert nabla_norm(v) ** 2 == pytest.approx(
-            number_applied(a).q_inner(a).real, rel=1e-9
+            number_applied(a).q_inner(a).real, rel=1e-9, abs=0
         )
 
 
@@ -635,8 +637,8 @@ def test_depth_two_norm_is_the_clipped_term_gram_form():
     ones = np.ones(3)
     w, v = _psd_eig(0.5 * (g + g.conj().T), NABLA_GRAM_RTOL)
     expect = np.sqrt(max((ones @ ((v * w) @ v.conj().T) @ ones).real, 0.0))
-    assert nabla_norm(u) == pytest.approx(expect, rel=1e-12)
-    assert nabla_norm(u) ** 2 == pytest.approx(nabla_pairing_value(u, u).real, rel=1e-8)
+    assert nabla_norm(u) == pytest.approx(expect, rel=1e-12, abs=0)
+    assert nabla_norm(u) ** 2 == pytest.approx(nabla_pairing_value(u, u).real, rel=1e-8, abs=0)
     assert nabla_norm(GradientVector(p, [(one, terms[0][1])])) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -658,7 +660,7 @@ def test_nabla_gram_is_the_pairing_matrix_on_complex_vectors():
     g = nabla_gram(vectors)
     for i, u in enumerate(vectors):
         for j, v in enumerate(vectors):
-            assert g[i, j] == pytest.approx(nabla_pairing_value(u, v), rel=1e-10)
+            assert g[i, j] == pytest.approx(nabla_pairing_value(u, v), rel=1e-10, abs=0)
 
 
 def test_nabla_pairing_conjugate_symmetry():
@@ -810,4 +812,25 @@ def test_nabla_norm_builds_no_gradient_vector(monkeypatch):
     monkeypatch.setattr(GradientVector, "__post_init__", counting)
     norm = nabla_norm(v)
     assert not built
-    assert norm == pytest.approx(np.sqrt(nabla_pairing_value(v, v).real), rel=1e-8)
+    assert norm == pytest.approx(np.sqrt(nabla_pairing_value(v, v).real), rel=1e-8, abs=0)
+
+
+def test_pairing_checks_catch_a_scaled_gradient_form(monkeypatch):
+    # The gradient form is evaluated two ways: by gamma in the term pairing,
+    # which nabla_pairing compares with the gradient-map reduction, and by
+    # the trace form of the batched Grams, from which s_isometry reads
+    # <S e, S e'> = delta.  Scaling both by 1.7 must fail both checks.
+    p = params(q=0.5, dim=2, max_level=5)
+    cfg = SimpleNamespace(seed=3)
+    pairing_checks = (checks._check_nabla_pairing, checks._check_s_isometry)
+    for check in pairing_checks:
+        residual, tol = check(cfg, p)
+        assert residual < tol, check.__name__
+    real_gamma, real_pair = gradient_mod.gamma, gradient_mod._pair_batched_terms
+    monkeypatch.setattr(
+        gradient_mod, "gamma", lambda x, y, max_out=None: real_gamma(x, y, max_out).scaled(1.7)
+    )
+    monkeypatch.setattr(gradient_mod, "_pair_batched_terms", lambda *args: 1.7 * real_pair(*args))
+    for check in pairing_checks:
+        residual, tol = check(cfg, p)
+        assert residual >= tol, check.__name__

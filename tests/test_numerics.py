@@ -10,13 +10,7 @@ import pytest
 import qfocklab
 from qfocklab import numerics
 from qfocklab.errors import EigenFailure, NotHermitianError, NotPositiveSemidefinite
-from qfocklab.numerics import (
-    TOP_SQUARINGS,
-    WHITEN_LEAF,
-    hermitian_eig,
-    hermitian_top,
-    psd_inv_sqrt,
-)
+from qfocklab.numerics import WHITEN_LEAF, hermitian_eig, hermitian_top, psd_inv_sqrt
 
 EPS = np.finfo(float).eps
 
@@ -204,15 +198,13 @@ TOPS = {
         if len(top) <= n
     ],
 )
-def test_hermitian_top_matches_eigvalsh(n, top, monkeypatch):
+def test_hermitian_top_matches_eigvalsh(n, top):
     # A top cluster of at most two distinct values is resolved to within a
     # few n eps, as eigvalsh resolves it; garbage in the strict upper
-    # triangle is never read, and no input takes more than TOP_SQUARINGS.
+    # triangle is never read.
     rng = np.random.default_rng(n * 100 + len(top))
     a = with_spectrum(rng, spectrum(rng, n, top))
-    squarings = count_squarings(monkeypatch)
     got = hermitian_top(a)
-    assert len(squarings) <= TOP_SQUARINGS
     assert abs(got - np.linalg.eigvalsh(a)[-1]) <= 4 * n * EPS
     assert abs(got - 1.0) <= 4 * n * EPS
     garbage = np.tril(a) + np.triu(random_matrix(rng, n), 1)
@@ -252,52 +244,85 @@ def test_hermitian_top_refuses_non_square_and_non_finite_matrices():
         hermitian_top(np.array([[1.0, 0.0], [np.nan, 1.0]]))
 
 
-def count_squarings(monkeypatch) -> list:
-    squarings = []
-    real = numerics._squared
-    monkeypatch.setattr(numerics, "_squared", lambda b: squarings.append(1) or real(b))
-    return squarings
-
-
-def test_hermitian_top_hands_unsettled_squarings_to_lanczos(monkeypatch):
+def test_hermitian_top_of_a_block_diagonal_matrix():
     # The column of largest diagonal, e_0, is an eigenvector with the
-    # eigenvalue tr(A^2) / tr(A) = 1, so the spectrum looks settled to the
-    # one-product check, but 1.2, 1 and 0.4 keep the Rayleigh quotient
-    # rising: after TOP_SQUARINGS the matrix goes to Lanczos.
-    squarings = count_squarings(monkeypatch)
+    # eigenvalue 1, but the top, 1.2, lies in the other block.
     a = np.zeros((3, 3))
     a[0, 0] = 1.0
     a[1:, 1:] = [[0.8, 0.4], [0.4, 0.8]]
-    got = hermitian_top(a)
-    assert len(squarings) == TOP_SQUARINGS
-    assert abs(got - 1.2) <= 4 * 3 * EPS * 1.2
+    assert abs(hermitian_top(a) - 1.2) <= 4 * 3 * EPS * 1.2
 
 
 @pytest.mark.parametrize("n", [2, 17, 64, 256])
-def test_hermitian_top_of_a_spread_spectrum_takes_no_squaring(n, monkeypatch):
-    # A Wishart matrix, whose top eigenvalues are apart by a relative
-    # 1e-3 to 1e-1: squaring would take some twelve matmuls, Lanczos takes
-    # none, and the result is as close to eigvalsh's as eigvalsh's error.
-    squarings = count_squarings(monkeypatch)
+def test_hermitian_top_of_a_spread_spectrum_matches_eigvalsh(n):
+    # A Wishart matrix, whose top eigenvalues are apart by a relative 1e-3
+    # to 1e-1: the result is as close to eigvalsh's as eigvalsh's error,
+    # and the same on every call.
     rng = np.random.default_rng(n)
     g = random_matrix(rng, n)
     a = g @ g.conj().T
     top = np.linalg.eigvalsh(a)[-1]
     got = hermitian_top(a)
-    assert squarings == []
     assert abs(got - top) <= 4 * n * EPS * top
     assert hermitian_top(a) == got
+
+
+def spy_lanczos_runs(monkeypatch) -> list:
+    """The number of Lanczos steps of each run that reaches its Ritz vector."""
+    runs = []
+    real = numerics._tridiagonal_vector
+    monkeypatch.setattr(
+        numerics, "_tridiagonal_vector", lambda *args: runs.append(len(args[0])) or real(*args)
+    )
+    return runs
+
+
+@pytest.mark.parametrize("n, rank", [(64, 1), (64, 5), (256, 3), (256, 128)])
+def test_hermitian_top_of_a_multiple_of_a_projector_takes_one_short_lanczos_run(
+    n, rank, monkeypatch
+):
+    # Every level pencil of psi(e_i, e_i) is c P up to rounding, P a
+    # projector: the Krylov space of any start vector v is spanned by v
+    # and P v, so the first run closes after two steps.
+    runs = spy_lanczos_runs(monkeypatch)
+    rng = np.random.default_rng(n + rank)
+    c = 0.3**4
+    a = c * with_spectrum(rng, np.r_[np.zeros(n - rank), np.ones(rank)])
+    assert abs(hermitian_top(a) - c) <= 4 * n * EPS * c
+    assert runs == [2]
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        pytest.param([[0.0]], id="zero"),
+        pytest.param([[2.5]], id="scalar"),
+        pytest.param([[1.0, 0.0], [0.0, 1.0]], id="identity"),
+        pytest.param([[3.0, 0.0], [0.0, 1.0]], id="diagonal"),
+        pytest.param([[0.5, 0.0], [0.3 - 0.4j, 0.5]], id="complex-equal-diagonal"),
+        pytest.param([[2.0, 0.0], [1.0 + 1.0j, 1.0]], id="complex"),
+        pytest.param([[1e-300, 0.0], [1e-300j, 1e-300]], id="tiny"),
+        pytest.param([[1e300, 0.0], [1e300j, 1e300]], id="huge"),
+    ],
+)
+def test_hermitian_top_of_at_most_two_rows_is_closed_form(a, monkeypatch):
+    # Two rows or fewer never enter Lanczos; the lower triangle is read.
+    def no_lanczos(*args):
+        raise AssertionError("a matrix of at most two rows entered Lanczos")
+
+    monkeypatch.setattr(numerics, "_lanczos", no_lanczos)
+    a = np.array(a, dtype=complex)
+    n = len(a)
+    full = np.tril(a) + np.tril(a, -1).conj().T
+    top = np.linalg.eigvalsh(full)[-1]
+    assert abs(hermitian_top(a) - top) <= 4 * n * EPS * top
 
 
 def test_hermitian_top_of_a_low_rank_spread_matrix_takes_one_lanczos_run(monkeypatch):
     # Three distinct nonzero eigenvalues: the first Krylov space, the start
     # vector's null-space part and the range, closes after four steps, so
     # its value is exact and no second run is made.
-    runs = []
-    real = numerics._tridiagonal_vector
-    monkeypatch.setattr(
-        numerics, "_tridiagonal_vector", lambda *args: runs.append(len(args[0])) or real(*args)
-    )
+    runs = spy_lanczos_runs(monkeypatch)
     rng = np.random.default_rng(3)
     n = 100
     a = with_spectrum(rng, np.r_[np.zeros(n - 3), 0.25, 0.5, 1.0])

@@ -347,7 +347,7 @@ def test_pairing_norm_matches_the_eig_oracle(j):
     p = params(q=-0.35, dim=3, max_level=3)
     half = psd_inv_sqrt_by_eig(symmetrizer(p, j))
     want = np.linalg.norm((half.T @ pairing_form(p, j) @ half).reshape(-1))
-    assert pairing_norm(p, j) == pytest.approx(want, rel=1e-12)
+    assert pairing_norm(p, j) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -717,7 +717,7 @@ def test_creation_norm_on_each_level_has_its_closed_form(dim, q):
     for m in range(5):
         got = create.q_singular_values([m])[0] ** 2
         want = q_number(q, m + 1) if q >= 0 or dim == 1 else 1.0
-        assert got == pytest.approx(want, rel=1e-11), m
+        assert got == pytest.approx(want, rel=1e-11, abs=0), m
 
 
 def test_split_tensor_matches_matrix():
@@ -819,7 +819,7 @@ def test_symmetrizer_norm_is_q_factorial(q):
     for m in range(1, 9):
         g = symmetrizer(p, m)
         w, _ = hermitian_eig(g)
-        assert w[-1] == pytest.approx(q_factorial(q, m), rel=1e-10)
+        assert w[-1] == pytest.approx(q_factorial(q, m), rel=1e-10, abs=0)
         e1 = basis_tensor(p, [1] * m).reshape(-1)
         assert np.allclose(g @ e1, q_factorial(q, m) * e1, atol=1e-10)
 

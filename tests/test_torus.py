@@ -106,7 +106,7 @@ def test_t_decay_rate_and_monotonicity():
     # norm^2 = 2 (1 - sqrt(1 - 2/k))
     for k in (16, 32, 64):
         expect = np.sqrt(2 * (1 - np.sqrt(1 - 2 / k)))
-        assert vals[k] == pytest.approx(expect, rel=1e-12)
+        assert vals[k] == pytest.approx(expect, rel=1e-12, abs=0)
     stat = lambda lo, hi: max(j * vals[j] for j in range(lo, hi + 1))
     assert stat(32, 64) <= 2 * stat(8, 16)
 

@@ -510,4 +510,4 @@ def test_partition_route_reaches_the_level_cap():
     out = partition_weighted_sum(p, [basis_tensor(p, [1]), basis_tensor(p, [1] * 50)])
     assert sorted(out) == [49, 51]
     assert out[51].reshape(-1)[0] == 1.0
-    assert out[49].reshape(-1)[0] == pytest.approx((1 - q**50) / (1 - q), rel=1e-12)
+    assert out[49].reshape(-1)[0] == pytest.approx((1 - q**50) / (1 - q), rel=1e-12, abs=0)
