@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadExponent, TruncationLoss, UnknownRoute
-from .numerics import _psd_eig, hermitian_gram
+from .numerics import hermitian_gram
 from .qfock import (
     FockOperator,
     FockParams,
@@ -52,7 +52,6 @@ from .wick import (
     triple_contraction_sum,
 )
 
-NABLA_GRAM_RTOL = 1e-8
 # Source columns per batched contraction.  Every level up to dim 4, M 5
 # is one contraction; at MATRIX_DIM_CAP the identity slice and each
 # output slice of a chunk take 64 MiB, a quarter of a full block.
@@ -496,14 +495,8 @@ def nabla_gram(vectors: list[GradientVector]) -> np.ndarray:
 
 
 def nabla_norm(v: GradientVector) -> float:
-    """Quotient norm: clip the slightly-negative part of the term Gram
-    and evaluate the quadratic form on the all-ones coefficient vector."""
-    if not v.terms:
-        return 0.0
-    g = hermitian_gram(v.terms, lambda s, t: _term_pairing(*s, *t))
-    w, u = _psd_eig(0.5 * (g + g.conj().T), NABLA_GRAM_RTOL)
-    ones = np.ones(len(v.terms))
-    return float(np.sqrt(max((ones @ ((u * w) @ u.conj().T) @ ones).real, 0.0)))
+    """Gradient-bimodule norm sqrt(<v, v>), clamped at 0 against rounding."""
+    return float(np.sqrt(max(nabla_pairing_value(v, v).real, 0.0)))
 
 
 # ---------------------------------------------------------------------------

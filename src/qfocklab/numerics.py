@@ -17,13 +17,11 @@ LAPACK routine:
 - ``hermitian_gram``, which fills a Gram matrix from a pairing, for the
   gradient module and the circle model alike.
 
-LAPACK's Hermitian eigensolvers run only where a whole spectrum is used:
+LAPACK's Hermitian eigensolver runs only where a whole spectrum is used:
 ``eigvalsh`` in ``FockOperator.q_singular_values`` (finite-p Schatten
-norms), and ``eigh`` in ``hermitian_eig``, whose one library caller is
-``gradient.nabla_norm``, through ``_psd_eig``, which clips the rounding
-of a term Gram that is only positive semidefinite.  Each LAPACK family
-faults its own code pages into a process, so a run that needs neither
-loads none.  Everything is deterministic (fixed LAPACK routines and
+norms).  LAPACK faults its own code pages into a process, so a run that
+needs no such spectrum loads none.  ``hermitian_eig`` (``eigh``) has no
+library caller.  Everything is deterministic (fixed LAPACK routines and
 matmul orders, fixed Lanczos start vectors, no randomized algorithms),
 so downstream golden values are stable.
 """
@@ -58,6 +56,7 @@ def hermitian_eig(a):
     Returns (eigenvalues ascending, eigenvectors as columns) with
     a = V diag(w) V*.  Raises NOT_HERMITIAN if the input deviates from
     its adjoint by more than ``HERMITIAN_RTOL`` relative to its norm.
+    No library code calls it; the tests and the benchmark tracer use it.
     """
     m = _as_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -307,19 +306,6 @@ def hermitian_gram(items: list, pairing) -> np.ndarray:
             g[i, j] = val
             g[j, i] = np.conj(val)
     return g
-
-
-def _psd_eig(g, tol: float):
-    """Eigendecomposition of a Hermitian g with its eigenvalues clipped
-    at 0; raises NOT_PSD for an eigenvalue below -tol times the largest
-    magnitude."""
-    w, v = hermitian_eig(g)
-    cut = tol * max(abs(float(w[-1])) if w.size else 0.0, 1e-300)
-    if w.size and float(w[0]) < -cut:
-        raise NotPositiveSemidefinite(
-            f"matrix has eigenvalue {w[0]:.3e} below -{cut:.3e}"
-        )
-    return np.clip(w, 0.0, None), v
 
 
 def psd_inv_sqrt(g) -> np.ndarray:

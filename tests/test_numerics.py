@@ -141,9 +141,12 @@ def test_only_numerics_inverts_or_factors_a_matrix():
 def test_only_full_spectra_reach_a_lapack_eigensolver():
     # Operator norms need only the top eigenvalue, which hermitian_top finds
     # by matmuls; LAPACK's eigensolvers run where a whole spectrum is read.
+    # hermitian_eig has no library caller: only the tests and the benchmark
+    # tracer use it.
     allowed = {("numerics.py", "hermitian_eig"), ("qfock.py", "FockOperator.q_singular_values")}
     src = pathlib.Path(qfocklab.__file__).parent
     found = set()
+    callers = set()
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
 
@@ -152,13 +155,19 @@ def test_only_full_spectra_reach_a_lapack_eigensolver():
                 inner = scope
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     inner = f"{scope}.{child.name}" if scope else child.name
-                name = getattr(child, "attr", None) or getattr(child, "id", None)
+                if isinstance(child, ast.alias):
+                    name = child.name
+                else:
+                    name = getattr(child, "attr", None) or getattr(child, "id", None)
                 if name in ("eigh", "eigvalsh"):
                     found.add((path.name, scope))
+                if name == "hermitian_eig":
+                    callers.add((path.name, scope))
                 visit(child, inner)
 
         visit(tree, "")
     assert found == allowed
+    assert callers == set()
 
 
 def unitary(rng, n):
