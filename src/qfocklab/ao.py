@@ -23,11 +23,12 @@ on a batch axis and ``gradient.nabla_gram_blocks`` forms a block with
 one U^H P_m V per level and bracket.  The isometry check holds one such
 block at a time and keeps only the largest entry of |G - 1|.
 
-The model is built on the same batches: the eigenspace check is one
-U^H P U diagonal per level over the mass off that level, and the band
-check multiplies each element of the smaller basis by the whole larger
-one.  The convention vector at eigenvalue 0 has a closed form, which
-``_build_vacuum_unit`` derives from the trace form.
+The model is built on the same batches.  Basis n holds the single
+level-n array W_n, so each basis spans its eigenspace by construction;
+the band check, which ``verify`` runs, multiplies each element of the
+smaller basis by the whole larger one.  The convention vector at
+eigenvalue 0 has a closed form, which ``_build_vacuum_unit`` derives
+from the trace form.
 """
 
 from __future__ import annotations
@@ -36,13 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FiltrationViolation, TruncationLoss
+from .errors import TruncationLoss
 from .numerics import hermitian_top
 from .qfock import FockParams, symmetrizer_inv_sqrt
 from .wick import Element, graded_mul
-from .gradient import BatchedTerm, GradientVector, _batched_q_inner, nabla_gram_blocks
-
-FILTRATION_TOL = 1e-9
+from .gradient import BatchedTerm, GradientVector, nabla_gram_blocks
 
 
 @dataclass
@@ -126,37 +125,19 @@ def _build_vacuum_unit(params: FockParams) -> GradientVector:
     return GradientVector(params, [(e1.scaled(s), e1), (w, Element.one(params))])
 
 
-def build_ou_model(params: FockParams, check: bool = True) -> FilteredModel:
+def build_ou_model(params: FockParams) -> FilteredModel:
     """Number-operator model: eigenvalue n carries the level-n words.
 
-    The convention vector is in closed form (``_build_vacuum_unit``).
-    With ``check``, the model must pass
-    ``check_eigenspaces`` and ``require_bands(band_leaks(model))``.
+    Basis n is the single level-n array W_n, so it spans the level-n
+    eigenspace by construction; ``verify``'s filtration check runs
+    ``band_leaks`` on it.  The convention vector is in closed form
+    (``_build_vacuum_unit``).
     """
     bases = [{0: np.ones(1, dtype=complex)}] + [
         {n: symmetrizer_inv_sqrt(params, n).reshape((params.dim,) * n + (-1,))}
         for n in range(1, params.max_level + 1)
     ]
-    model = FilteredModel(params, bases, _build_vacuum_unit(params))
-    if check:
-        check_eigenspaces(model)
-        require_bands(band_leaks(model))
-    return model
-
-
-def check_eigenspaces(model: FilteredModel) -> None:
-    """Each level's basis must be an eigenspace of the number operator D:
-    one batched U^H P U diagonal of (D - n) U per level n, which only
-    the mass off level n enters, so a clean level pairs nothing."""
-    params = model.params
-    for n, batch in enumerate(model.bases):
-        defect = {m: (m - n) * t for m, t in batch.items() if m != n}
-        if not defect:
-            continue
-        gram = _batched_q_inner(params, defect, defect)
-        dev = float(np.sqrt(max(np.max(gram.diagonal().real), 0.0)))
-        if dev > 1e-10:
-            raise FiltrationViolation(f"basis element at eigenvalue {n:.1f} deviates by {dev:.2e}")
+    return FilteredModel(params, bases, _build_vacuum_unit(params))
 
 
 def band_leaks(model: FilteredModel) -> dict[tuple[int, int], float]:
@@ -165,13 +146,6 @@ def band_leaks(model: FilteredModel) -> dict[tuple[int, int], float]:
     return {
         (m, n): filtration_check(model, m, n) for m in range(cap + 1) for n in range(cap + 1 - m)
     }
-
-
-def require_bands(leaks: dict[tuple[int, int], float]) -> None:
-    """Raise on the first band whose leakage exceeds FILTRATION_TOL."""
-    for (m, n), leak in leaks.items():
-        if leak > FILTRATION_TOL:
-            raise FiltrationViolation(f"band leak at levels ({m}, {n})")
 
 
 def _vacuum_unit_terms(model: FilteredModel, coeffs: np.ndarray) -> list[BatchedTerm]:

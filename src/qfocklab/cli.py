@@ -4,8 +4,9 @@ Subcommands: ``verify``, ``decay``, ``threshold``, ``ao-decay``,
 ``torus``.  Flags override an optional JSON config file; every report
 embeds the fully resolved configuration.  Exit codes: 0 all checks
 pass, 1 a verification check failed, 2 configuration/usage error.
-The CLI performs no mathematics of its own; every number in a report
-comes from a library call.
+Every table, norm and verdict in a report comes from a library call;
+the CLI itself only derives the reference constants log|q| and
+dim^(-1/p) from the configuration.
 
 Only the modules that ``decay`` and ``threshold`` run are imported at
 the top; ``verify``, ``ao-decay`` and ``torus`` import theirs
@@ -277,13 +278,7 @@ def cmd_ao_decay(cfg: ExperimentConfig) -> int:
         from . import torus
 
         table = torus.poisson_t_decay(cfg.l, cfg.m, cfg.window)
-        # the torus trend statistic weights each block norm by its mode;
-        # head statistic over modes [K/8, K/4], tail over [K/2, K]
-        values = [j * v for j, _, v in table]
-        window = len(values)
-        head = max(values[window // 8 - 1 : window // 4])
-        tail = max(values[window // 2 - 1 :])
-        verdict = ao.DecayVerdict(head, tail, 2.0)
+        verdict = ao.DecayVerdict(*torus.poisson_t_trend(table), 2.0)
     # Reported only once the verdict stands, so a refused table leaves no file.
     payload = {
         "head": verdict.head,

@@ -52,10 +52,6 @@ class UnknownRoute(QFockError):
     code = "UNKNOWN_ROUTE"
 
 
-class FiltrationViolation(QFockError):
-    code = "FILTRATION_VIOLATION"
-
-
 class WindowOverflow(QFockError):
     code = "WINDOW_OVERFLOW"
 

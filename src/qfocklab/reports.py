@@ -26,14 +26,8 @@ def _is_fraction(x) -> bool:
 
 
 def format_number(x) -> str:
-    if isinstance(x, (bool,)):
-        return "true" if x else "false"
-    if _is_fraction(x):
+    if _is_fraction(x) or isinstance(x, int):
         return str(x)
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, complex):
-        return f"{format_number(x.real)}+{format_number(x.imag)}j"
     return format(float(x), ".15g")
 
 
@@ -49,7 +43,7 @@ def render_csv(header: list[str], rows: list[list]) -> str:
 def render_json(payload: dict) -> str:
     body = {"schema_version": SCHEMA_VERSION}
     body.update(payload)
-    return json.dumps(body, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -82,11 +76,3 @@ def write_text(path: str, text: str) -> None:
             raise
     except OSError as exc:
         raise OutputWriteError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
-
-
-def _json_default(obj):
-    if _is_fraction(obj):
-        return str(obj)
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")

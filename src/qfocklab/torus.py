@@ -176,3 +176,12 @@ def poisson_t_decay(l: int, m: int, window: int):
             f"window {window} too small; need at least {4 * (abs(l) + abs(m))}"
         )
     return [(j, float(j), poisson_t_block_norm(l, m, j)) for j in range(1, window + 1)]
+
+
+def poisson_t_trend(table) -> tuple[float, float]:
+    """Head and tail of a ``poisson_t_decay`` table of K rows: the
+    largest mode-weighted block norm j * ||T_j|| over the modes
+    [K/8, K/4] and over [K/2, K]."""
+    values = [j * v for j, _, v in table]
+    window = len(values)
+    return max(values[window // 8 - 1 : window // 4]), max(values[window // 2 - 1 :])

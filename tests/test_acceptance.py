@@ -263,7 +263,7 @@ def test_criterion_13_s_isometry():
 
 
 def test_criterion_14_filtration_bands():
-    model = ao_mod.build_ou_model(FockParams(q=0.5, dim=2, max_level=6), check=False)
+    model = ao_mod.build_ou_model(FockParams(q=0.5, dim=2, max_level=6))
     worst = 0.0
     for m in range(6):
         for n in range(6 - m):

@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from qfocklab import ao, gradient
-from qfocklab.errors import FiltrationViolation, TruncationLoss
+from qfocklab.errors import TruncationLoss
 from qfocklab.qfock import FockParams
 from qfocklab.wick import Element, wick
 from qfocklab.gradient import GradientVector, nabla_gram, nabla_norm, nabla_pairing_value
 from qfocklab.ao import (
-    FILTRATION_TOL,
     FilteredModel,
     build_ou_model,
-    check_eigenspaces,
     decay_verdict,
     filtration_check,
     ou_t_decay_table,
@@ -97,7 +95,7 @@ def sequential_vacuum_unit(model):
         norm = nabla_norm(reduced)
         if norm > 1e-6:
             return reduced.scaled(1.0 / norm)
-    raise FiltrationViolation("no unit vector orthogonal to the derivation range")
+    raise AssertionError("no unit vector orthogonal to the derivation range")
 
 
 def out_of_band_mass(prod, low, high, parity):
@@ -293,7 +291,7 @@ T_PAIRS = [
 @pytest.mark.parametrize("dim,max_level", ORACLE_SIZES)
 def test_batched_t_gram_matches_pairwise_oracle(q, dim, max_level):
     p = FockParams(q=q, dim=dim, max_level=max_level)
-    model = build_ou_model(p, check=False)
+    model = build_ou_model(p)
     words = _oracle_words(p, np.random.default_rng(int(10 * q) + 7 * dim))
     for xs, ys in T_PAIRS:
         if xs not in words or ys not in words:
@@ -311,7 +309,7 @@ def test_batched_t_gram_with_vacuum_unit_terms():
     # brings in the convention-vector terms
     for q in (-0.4, 0.7):
         p = FockParams(q=q, dim=2, max_level=4)
-        model = build_ou_model(p, check=False)
+        model = build_ou_model(p)
         x = wick(p, [1])
         assert any(((x * el) * x).trace() != 0 for el in basis_elements(model, 2))
         oracle = nabla_gram(t_images(model, x, x, 2))
@@ -336,7 +334,7 @@ def assembled_s_gram(model):
 @pytest.mark.parametrize("q", [-0.4, 0.3, 0.7])
 @pytest.mark.parametrize("dim,max_level", [(1, 6), (2, 4), (3, 3)])
 def test_batched_s_gram_matches_pairwise_oracle(q, dim, max_level):
-    model = build_ou_model(FockParams(q=q, dim=dim, max_level=max_level), check=False)
+    model = build_ou_model(FockParams(q=q, dim=dim, max_level=max_level))
     gram = assembled_s_gram(model)
     oracle = nabla_gram([s_basis_image(model, n, i) for n, i, _ in flat_basis(model)])
     _assert_gram_close(gram, oracle)
@@ -346,7 +344,7 @@ def test_batched_s_gram_matches_pairwise_oracle(q, dim, max_level):
 def test_unit_carrier_families_are_their_own_products(monkeypatch):
     # a family a (x) 1 pairs a and D(a) as its products a 1 and D(a) 1;
     # graded_mul runs only in the pairings, two per pair of families
-    model = build_ou_model(FockParams(q=0.3, dim=2, max_level=4), check=False)
+    model = build_ou_model(FockParams(q=0.3, dim=2, max_level=4))
     families = [ao._s_image_terms(model, n) for n in range(1, len(model.bases))]
     calls = []
     real = gradient.graded_mul
@@ -368,7 +366,7 @@ def test_s_isometry_holds_one_gram_block_at_a_time():
     # whole, with its conjugate transpose and |G - 1| beside it, the
     # check peaked at 68.1 MiB under tracemalloc; one block at a time it
     # peaks at about 34 MiB.
-    model = build_ou_model(FockParams(q=0.5, dim=2, max_level=9), check=False)
+    model = build_ou_model(FockParams(q=0.5, dim=2, max_level=9))
     s_isometry_report(model)  # warm the level Gram caches
     tracemalloc.start()
     try:
@@ -417,7 +415,7 @@ def test_batched_grams_make_no_pairwise_calls(model, monkeypatch):
 @pytest.mark.parametrize("q", [-0.4, 0.3, 0.7, 0.95])
 @pytest.mark.parametrize("dim,max_level", [(1, 6), (2, 4), (3, 3), (2, 1), (4, 3)])
 def test_batched_build_matches_sequential_oracles(q, dim, max_level):
-    model = build_ou_model(FockParams(q=q, dim=dim, max_level=max_level), check=False)
+    model = build_ou_model(FockParams(q=q, dim=dim, max_level=max_level))
     oracle = sequential_vacuum_unit(model)
     assert nabla_norm(model.vacuum_unit.add(oracle.scaled(-1.0))) < 1e-12
     for m in range(max_level + 1):
@@ -430,52 +428,15 @@ def test_batched_filtration_detects_a_two_level_element():
     # a basis element with a component one level up leaks out of every
     # band it meets, whether it is the looped or the batched factor
     p = FockParams(q=0.3, dim=2, max_level=5)
-    ou = build_ou_model(p, check=False)
+    ou = build_ou_model(p)
     bases = list(ou.bases)
     bases[1] = with_column_added(bases[1], 0, Element.word(p, [1, 2]))
     bases[2] = with_column_added(bases[2], 1, Element.word(p, [2, 1, 2]).scaled(0.5j))
     model = FilteredModel(p, bases, ou.vacuum_unit)
     for m, n in [(1, 1), (1, 2), (2, 1), (0, 2), (2, 2), (1, 3), (3, 1)]:
         oracle = pairwise_filtration_check(model, m, n)
-        assert oracle > FILTRATION_TOL
+        assert oracle > 1e-9
         assert filtration_check(model, m, n) == pytest.approx(oracle, rel=1e-12, abs=0)
-
-
-def test_eigen_check_rejects_a_two_level_basis(monkeypatch):
-    # the level-2 batch gains a level-1 component as the builder hands it on
-    def mixed(params, bases, vacuum_unit):
-        bases[2] = with_column_added(bases[2], 0, Element.word(params, [1]))
-        return FilteredModel(params, bases, vacuum_unit)
-
-    monkeypatch.setattr(ao, "FilteredModel", mixed)
-    with pytest.raises(FiltrationViolation, match="eigenvalue 2.0 deviates"):
-        build_ou_model(FockParams(q=0.3, dim=2, max_level=4))
-
-
-def test_eigen_check_pairs_only_the_mass_off_each_level(monkeypatch):
-    # a clean model has no mass off any level, so it forms no Gram
-    p = FockParams(q=0.3, dim=2, max_level=4)
-    ou = build_ou_model(p, check=False)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return gradient._batched_q_inner(*args)
-
-    monkeypatch.setattr(ao, "_batched_q_inner", counted)
-    check_eigenspaces(ou)
-    assert calls == []
-    bases = list(ou.bases)
-    bases[3] = with_column_added(bases[3], 5, Element.word(p, [2, 1]).scaled(1e-3))
-    with pytest.raises(FiltrationViolation, match="eigenvalue 3.0 deviates"):
-        check_eigenspaces(FilteredModel(p, bases, ou.vacuum_unit))
-    assert len(calls) == 1
-
-
-def test_band_check_names_the_first_leaking_band(monkeypatch):
-    monkeypatch.setattr(ao, "filtration_check", lambda model, m, n: float(m + n == 3))
-    with pytest.raises(FiltrationViolation, match=r"band leak at levels \(0, 3\)"):
-        build_ou_model(FockParams(q=0.3, dim=2, max_level=4))
 
 
 def test_model_build_pairwise_calls_do_not_grow_with_the_window(monkeypatch):

@@ -659,17 +659,34 @@ def test_verify_builds_one_ou_model_and_checks_each_band_once(tmp_path, monkeypa
     assert calls.count("filtration_check") == 21
 
 
-def test_verify_band_leak_errors_s_isometry_and_fails_filtration(tmp_path, monkeypatch):
-    # s_isometry refuses a model that leaks; filtration reports the leak as its residual
+def test_verify_band_leak_fails_filtration_and_passes_s_isometry(tmp_path, monkeypatch):
+    # filtration reports the leak as its residual; s_isometry does not re-check the bands
     from qfocklab import ao as ao_mod
 
     monkeypatch.setattr(ao_mod, "filtration_check", lambda model, m, n: float(m + n == 3))
     jout = tmp_path / "verify.json"
     assert main(["verify", "--max-level", "3", "--out", str(jout)]) == 1
     checks = {c["name"]: c for c in json.loads(jout.read_text())["checks"]}
-    assert checks["s_isometry"]["error"] == "FILTRATION_VIOLATION: band leak at levels (0, 3)"
     assert checks["filtration"]["residual"] == 1.0
     assert "error" not in checks["filtration"] and not checks["filtration"]["passed"]
+    assert "error" not in checks["s_isometry"] and checks["s_isometry"]["passed"]
+
+
+def test_ao_decay_ou_runs_no_band_check(tmp_path, monkeypatch):
+    # the bands are verify's filtration check; ao-decay only builds the model
+    from qfocklab import ao as ao_mod
+
+    calls = []
+    real = ao_mod.filtration_check
+
+    def recording(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ao_mod, "filtration_check", recording)
+    args = ["ao-decay", "--model", "ou", "--max-level", "6", "--out", str(tmp_path / "ao.csv")]
+    assert main(args) == 0
+    assert calls == []
 
 
 def test_threshold_solves_only_one_level_pencils(tmp_path, monkeypatch):

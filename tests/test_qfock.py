@@ -354,7 +354,7 @@ def test_pairing_norm_matches_the_eig_oracle(j):
     "consumer",
     [
         lambda p: pairing_norm(p, 3),
-        lambda p: ao.build_ou_model(p, check=False),
+        lambda p: ao.build_ou_model(p),
         lambda p: creation(p, [1.0, 0.0]).q_singular_values([3]),
     ],
     ids=["pairing_norm", "build_ou_model", "q_singular_values"],
